@@ -25,8 +25,8 @@ from .cluster import GdcConfig, SbmSpec, eval_gdc_clustering, generate_sbm
 from .engine import diffuse
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
-                    TransitionMatrix, largest_connected_component,
-                    load_edge_list, save_edge_list, transition_matrix)
+                    TransitionMatrix, edge_list_meta, largest_connected_component,
+                    load_edge_list, save_edge_list, transition_matrix, write_meta)
 from .sparsify import (PostProcess, TargetDegree, Threshold, TopK,
                        epsilon_for_degree, postprocess, sparsify)
 from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
@@ -376,19 +376,21 @@ def run_pipeline(cfg):
         "config_hash": cfg.config_hash(),
         "tool_version": TOOL_VERSION,
     })
-    for stage, secs in timings.items():
-        meta[f"stage_seconds_{stage}"] = f"{secs:.6f}"
-    meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    for name, value in (s.certificate or {}).items():
+        meta[f"certificate_{name}"] = repr(float(value))
 
     t0 = time.perf_counter()
     if cfg.fmt == "npz":
         sp.save_npz(cfg.output, out_graph.to_scipy())
-        with open(cfg.output + ".meta", "w") as fh:
-            for k, v in meta.items():
-                fh.write(f"{k} = {v}\n")
     else:
-        save_edge_list(cfg.output, out_graph, metadata=meta)
-    meta["stage_seconds_export"] = f"{time.perf_counter() - t0:.6f}"
+        save_edge_list(cfg.output, out_graph)
+    timings["export"] = time.perf_counter() - t0
+    for stage, secs in timings.items():
+        meta[f"stage_seconds_{stage}"] = f"{secs:.6f}"
+    meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    # the sidecar goes last so that it carries the export time; for edge
+    # lists it replaces the plain sidecar save_edge_list wrote
+    write_meta(cfg.output, meta if cfg.fmt == "npz" else edge_list_meta(out_graph, meta))
     return meta
 
 

@@ -265,7 +265,8 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
     Each seed runs independently on its own generator stream (master seed
     plus index). The report carries per-seed pairs, means and bootstrap
     95 percent intervals; the interval on the paired delta is the headline
-    number.
+    number. Seeds run in a thread pool unless threads is 1; 0 picks the
+    pool size automatically. Results do not depend on the thread count.
     """
     if num_clusters is None:
         num_clusters = len(sbm_spec.block_sizes)
@@ -286,11 +287,12 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
         return raw, acc
 
     indices = range(seeds)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, indices))
-    else:
+    workers = threads if threads and threads > 0 else None
+    if workers == 1:
         pairs = [one(i) for i in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pairs = list(pool.map(one, indices))
 
     raw = np.array([p[0] for p in pairs])
     acc = np.array([p[1] for p in pairs])

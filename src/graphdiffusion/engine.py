@@ -4,11 +4,15 @@ Three routes to S = sum_k theta_k T^k:
 
 * exact geometric diffusion solves (I - (1-a)T) s_j = a e_j for every
   column, densely (LU) at small sizes or by the stationary Richardson
-  iteration above that, keeping memory at O(nnz + N * columns);
+  iteration above that; either way the iterate is a dense N x N array,
+  so memory is O(N^2);
 * truncated series accumulates Horner style, never materializing T^k;
-* per-column push approximations stay local: mass is expanded only where
-  the residual is large, with an explicit residual vector certifying the
-  error, so the cost per column is bounded independently of graph size.
+* push approximations expand mass only where the residual is large, with
+  an explicit residual certifying the error. Only the threshold-phase
+  push events have a ceiling independent of graph size; the drain phase
+  that follows is a full-graph matvec per round, so support and wall
+  time per column grow with N. Geometric columns are pushed in blocks of
+  PUSH_BLOCK sources, one sparse-by-dense product per round.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ DENSE_SOLVE_CAP = 1500
 # After threshold pushes finish, residual is drained until its total mass
 # is below PUSH_L1_FACTOR * eps_push, tying the column's L1 error to eps.
 PUSH_L1_FACTOR = 50.0
+# Sources pushed together by one block kernel call: each round is a single
+# T @ R product over this many residual columns.
+PUSH_BLOCK = 64
 
 
 @dataclass
@@ -37,6 +44,8 @@ class DiffusionMatrix:
     spec: DiffusionSpec | None
     kind: TransitionKind
     exactness: str  # 'exact', 'series:K', 'push:EPS'
+    # error accounting of the computation, e.g. {'residual_max': ...}
+    certificate: dict | None = None
 
     @property
     def n(self):
@@ -96,7 +105,8 @@ def diffuse_exact_ppr(T, alpha, mode="auto", tol=1e-10, max_iter=100_000):
     if worst > tol:
         raise ComputeError(f"linear solve did not reach tolerance {tol:g}; "
                            f"worst column residual {worst:g}")
-    return DiffusionMatrix(data=x, spec=Ppr(alpha), kind=T.kind, exactness="exact")
+    return DiffusionMatrix(data=x, spec=Ppr(alpha), kind=T.kind, exactness="exact",
+                           certificate={"residual_max": worst})
 
 
 def diffuse_series(T, spec, K):
@@ -149,59 +159,96 @@ def _require_random_walk(T):
                          "random-walk transition matrix")
 
 
+def _push_ppr_block(T, alpha, eps_push, columns, l1_factor=PUSH_L1_FACTOR):
+    """Geometric push for a block of source columns at once.
+
+    Residuals R and estimates P of the sources are dense n x b arrays, so
+    a round is one sparse-by-dense product for the whole block (T @ R in
+    the drain; in the threshold phase only T's columns at nodes active in
+    some source take part). Every column runs
+    exactly the rounds of a standalone push: a column with no active node
+    receives zero updates, and in the drain only columns whose own mass is
+    still above the cap are updated, so each column's result does not
+    depend on the other sources in its block.
+    """
+    _require_random_walk(T)
+    _check_alpha(alpha)
+    if not eps_push > 0:
+        raise InputError(f"push tolerance must be positive, got {eps_push}")
+    m = T.matrix
+    b = len(columns)
+    thresholds = (eps_push * T.degrees)[:, None]
+    spread = 1.0 - alpha
+
+    p = np.zeros((T.n, b))
+    r = np.zeros((T.n, b))
+    r[columns, np.arange(b)] = 1.0
+    touched = np.zeros(b, dtype=np.int64)
+    rounds_threshold = np.zeros(b, dtype=np.int64)
+    while True:
+        active = r >= thresholds
+        counts = active.sum(axis=0)
+        if not counts.any():
+            break
+        rounds_threshold += counts > 0
+        touched += counts
+        ra = r * active
+        p += alpha * ra
+        r -= ra
+        # only nodes active in some column spread mass; the other rows of
+        # ra are zero and would add exact zeros
+        rows = np.flatnonzero(active.any(axis=1))
+        r += spread * (m[:, rows] @ ra[rows])
+
+    # per-column drain round counts, from the same 1-D sum a single column
+    # takes, so the mass schedule does not depend on the block layout
+    cap = l1_factor * eps_push
+    rounds_drain = np.zeros(b, dtype=np.int64)
+    for k, col in enumerate(np.ascontiguousarray(r.T)):
+        mass = float(col.sum())
+        while mass > cap:
+            rounds_drain[k] += 1
+            mass *= spread
+    for step in range(int(rounds_drain.max(initial=0))):
+        live = rounds_drain > step
+        if live.all():
+            p += alpha * r
+            r = spread * (m @ r)
+        else:
+            idx = np.flatnonzero(live)
+            p[:, idx] += alpha * r[:, idx]
+            r[:, idx] = spread * (m @ r[:, idx])
+
+    out = []
+    for k, (pk, rk) in enumerate(zip(np.ascontiguousarray(p.T),
+                                     np.ascontiguousarray(r.T))):
+        nz = np.flatnonzero(pk)
+        out.append(PushColumn(indices=nz, values=pk[nz], residual_l1=float(rk.sum()),
+                              touched=int(touched[k]), support=int(nz.size),
+                              rounds_threshold=int(rounds_threshold[k]),
+                              rounds_drain=int(rounds_drain[k])))
+    return out
+
+
 def diffuse_push_ppr(T, alpha, eps_push, column, l1_factor=PUSH_L1_FACTOR):
     """Approximate one geometric-diffusion column by residual pushing.
 
     Phase one repeatedly expands every node whose residual exceeds
     eps_push * degree, moving alpha of it into the answer and spreading the
     rest along the node's transition column; it ends with
-    max_i r_i / degree_i < eps_push and work bounded independently of N.
-    Phase two propagates the leftover residual mass (a plain damped matvec
-    per round, no thresholds) until its total is at most
-    l1_factor * eps_push, which caps the column's L1 error at that value.
-    The identity exact = p + a (I - (1-a)T)^-1 r holds throughout.
+    max_i r_i / degree_i < eps_push, and its push events are bounded
+    independently of N. Phase two propagates the leftover residual mass (a
+    plain damped full-graph matvec per round, no thresholds) until its
+    total is at most l1_factor * eps_push, which caps the column's L1 error
+    at that value. The identity exact = p + a (I - (1-a)T)^-1 r holds
+    throughout. This is the block kernel run on a block of one column;
+    diffuse_push_matrix runs it on blocks of PUSH_BLOCK columns with the
+    same per-column result.
     """
-    _require_random_walk(T)
-    _check_alpha(alpha)
-    if not eps_push > 0:
-        raise InputError(f"push tolerance must be positive, got {eps_push}")
     n = T.n
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
-    m = T.matrix
-    deg = T.degrees
-    thresholds = eps_push * deg
-
-    p = np.zeros(n)
-    r = np.zeros(n)
-    r[column] = 1.0
-    touched = 0
-    rounds_threshold = 0
-    spread = 1.0 - alpha
-    while True:
-        active = np.flatnonzero(r >= thresholds)
-        if active.size == 0:
-            break
-        rounds_threshold += 1
-        touched += int(active.size)
-        ra = r[active]
-        p[active] += alpha * ra
-        r[active] = 0.0
-        r += spread * (m[:, active] @ ra)
-
-    cap = l1_factor * eps_push
-    rounds_drain = 0
-    mass = float(r.sum())
-    while mass > cap:
-        rounds_drain += 1
-        p += alpha * r
-        r = spread * (m @ r)
-        mass *= spread
-
-    nz = np.flatnonzero(p)
-    return PushColumn(indices=nz, values=p[nz], residual_l1=float(r.sum()),
-                      touched=touched, support=int(nz.size),
-                      rounds_threshold=rounds_threshold, rounds_drain=rounds_drain)
+    return _push_ppr_block(T, alpha, eps_push, [column], l1_factor)[0]
 
 
 def diffuse_push_heat(T, t, eps_push, column):
@@ -262,28 +309,50 @@ def diffuse_push_heat(T, t, eps_push, column):
                       rounds_threshold=k_max, rounds_drain=0)
 
 
+def _push_certificate(cols):
+    """Error and cost accounting of push columns, aggregated over columns."""
+    if not cols:
+        return {}
+    return {
+        "residual_l1_max": max(c.residual_l1 for c in cols),
+        "support_mean": float(np.mean([c.support for c in cols])),
+        "touched_mean": float(np.mean([c.touched for c in cols])),
+        "drain_rounds_mean": float(np.mean([c.rounds_drain for c in cols])),
+    }
+
+
 def diffuse_push_matrix(T, spec, eps_push, threads=0):
     """All columns of a push approximation, assembled into CSC.
 
-    Columns are independent; they are computed in a thread pool and written
-    to disjoint slots, so the result does not depend on scheduling.
+    Geometric columns are pushed in consecutive blocks of PUSH_BLOCK
+    sources, heat columns one at a time. Blocks are independent and run in
+    a thread pool (threads=1 runs serially, 0 picks the pool size
+    automatically); the block products release the interpreter lock. Each
+    column's result is the same whatever block or thread computes it. The
+    certificate aggregates the per-column residual and cost accounting.
     """
     n = T.n
     if isinstance(spec, Ppr):
-        def one(j):
-            return diffuse_push_ppr(T, spec.alpha, eps_push, j)
+        starts = range(0, n, PUSH_BLOCK)
+
+        def one(lo):
+            return _push_ppr_block(T, spec.alpha, eps_push,
+                                   np.arange(lo, min(lo + PUSH_BLOCK, n)))
     elif isinstance(spec, Heat):
+        starts = range(n)
+
         def one(j):
-            return diffuse_push_heat(T, spec.t, eps_push, j)
+            return [diffuse_push_heat(T, spec.t, eps_push, j)]
     else:
         raise InputError("push mode supports the geometric and heat families only")
 
     workers = threads if threads and threads > 0 else None
     if workers == 1:
-        cols = [one(j) for j in range(n)]
+        chunks = [one(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cols = list(pool.map(one, range(n)))
+            chunks = list(pool.map(one, starts))
+    cols = [c for chunk in chunks for c in chunk]
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     for j, c in enumerate(cols):
@@ -292,7 +361,8 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
     data = np.concatenate([c.values for c in cols]) if n else np.array([])
     mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     return DiffusionMatrix(data=mat, spec=spec, kind=T.kind,
-                           exactness=f"push:{eps_push:g}")
+                           exactness=f"push:{eps_push:g}",
+                           certificate=_push_certificate(cols))
 
 
 def diffuse(T, spec, mode="exact", series_k=None, eps_push=None,

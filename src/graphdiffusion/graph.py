@@ -123,12 +123,6 @@ class SparseGraph:
         np.add.at(out, self.column_of_entry(), self.values)
         return out
 
-    def in_degrees(self):
-        """Weighted row sums; differs from degrees() only for directed graphs."""
-        out = np.zeros(self.n)
-        np.add.at(out, self.row_idx, self.values)
-        return out
-
     def column(self, j):
         """(row indices, weights) of column j."""
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
@@ -286,7 +280,11 @@ def save_edge_list(path, g, metadata=None):
         lines.append(f"{int(c)} {int(r)} {float(v)!r}\n")
     with open(path, "w") as fh:
         fh.writelines(lines)
+    write_meta(path, edge_list_meta(g, metadata))
 
+
+def edge_list_meta(g, metadata=None):
+    """Sidecar fields describing g, followed by (and overridden by) metadata."""
     meta = {
         "nodes": g.n,
         "edges": g.edge_count,
@@ -295,6 +293,11 @@ def save_edge_list(path, g, metadata=None):
     }
     if metadata:
         meta.update(metadata)
+    return meta
+
+
+def write_meta(path, meta):
+    """Write meta as flat 'key = value' lines to the sidecar path + '.meta'."""
     with open(str(path) + ".meta", "w") as fh:
         for k, v in meta.items():
             fh.write(f"{k} = {v}\n")

@@ -208,6 +208,27 @@ class TestTransform:
         np.testing.assert_allclose(g.to_scipy().toarray(),
                                    0.4 * np.eye(3) + 0.2, atol=1e-5)
 
+    @pytest.mark.parametrize("extra,keys", [
+        ([], ["certificate_residual_max"]),
+        (["--transition", "rw", "--push", "1e-6"],
+         ["certificate_residual_l1_max", "certificate_support_mean",
+          "certificate_touched_mean", "certificate_drain_rounds_mean"]),
+    ])
+    def test_sidecar_certificate_and_export_time(self, tmp_path, extra, keys):
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n2 0\n2 3\n")
+        out = tmp_path / "out.txt"
+        rc = main(["transform", "--input", inp.as_posix(), "--output", str(out),
+                   "--sparsify", "topk:3"] + extra)
+        assert rc == 0
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "out.txt.meta").read_text().splitlines())
+        for key in keys:
+            assert 0.0 <= float(meta[key]) < 1e6
+        assert float(meta["stage_seconds_export"]) >= 0.0
+        assert meta["nodes"] == "4"
+        assert meta["id_map"] == "0,1,2,3"
+
 
 class TestOtherCommands:
     def test_convert_coeffs_round_trip(self, tmp_path):

@@ -190,8 +190,11 @@ class TestEval:
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=2)
         a = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=1)
         b = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=3)
+        c = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=0)
         np.testing.assert_array_equal(a.raw_acc, b.raw_acc)
         np.testing.assert_array_equal(a.gdc_acc, b.gdc_acc)
+        np.testing.assert_array_equal(a.raw_acc, c.raw_acc)
+        np.testing.assert_array_equal(a.gdc_acc, c.gdc_acc)
 
     def test_improvement_in_sparse_regime(self):
         # sparse graphs are where the extra diffusion reach pays off;

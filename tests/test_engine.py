@@ -44,6 +44,13 @@ class TestExactGeometric:
         resid = 0.1 * np.eye(50) - (s - 0.9 * (t.matrix @ s))
         assert np.abs(resid).max() < 1e-10
 
+    def test_certificate_records_residual(self):
+        g = connected_er(40, 0.1, 3)
+        t = transition_matrix(g, RandomWalk())
+        s = diffuse_exact_ppr(t, 0.2)
+        resid = 0.2 * np.eye(40) - (s.data - 0.8 * (t.matrix @ s.data))
+        assert s.certificate == {"residual_max": float(np.abs(resid).max())}
+
     def test_non_convergence_reports_residual(self):
         g = connected_er(30, 0.15, 2)
         t = transition_matrix(g, RandomWalk())

@@ -7,6 +7,7 @@ from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
                             diffuse_push_heat, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
                             transition_matrix)
+from graphdiffusion.engine import PUSH_BLOCK
 
 
 def rw(edges):
@@ -15,6 +16,18 @@ def rw(edges):
 
 def star(n):
     return load_graph([(0, i) for i in range(1, n)])
+
+
+def uneven_graph(n, seed):
+    """Connected sparse graph on n nodes: a ring plus 0-2 random chords per
+    node, so degrees (and with them the drain round counts) vary."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for i in range(n):
+        for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+    return rw(sorted(edges))
 
 
 def absorbing_single_node():
@@ -61,6 +74,40 @@ class TestPushGeometric:
         propagated = alpha * np.linalg.solve(
             np.eye(n) - (1 - alpha) * t.matrix.toarray(), r)
         np.testing.assert_allclose(p + propagated, exact, atol=1e-12)
+
+    def test_matches_per_column_reference(self):
+        # the former one-column loop, kept as the reference the block kernel
+        # must reproduce bit for bit
+        t = uneven_graph(90, seed=6)
+        alpha, eps = 0.15, 1e-5
+        m, thresholds = t.matrix, eps * t.degrees
+        for j in (0, 41, 89):
+            p, r = np.zeros(t.n), np.zeros(t.n)
+            r[j] = 1.0
+            touched = rounds = drains = 0
+            while True:
+                active = np.flatnonzero(r >= thresholds)
+                if active.size == 0:
+                    break
+                rounds += 1
+                touched += int(active.size)
+                ra = r[active]
+                p[active] += alpha * ra
+                r[active] = 0.0
+                r += (1 - alpha) * (m[:, active] @ ra)
+            mass = float(r.sum())
+            while mass > 50.0 * eps:
+                drains += 1
+                p += alpha * r
+                r = (1 - alpha) * (m @ r)
+                mass *= 1 - alpha
+            col = diffuse_push_ppr(t, alpha, eps, j)
+            nz = np.flatnonzero(p)
+            np.testing.assert_array_equal(col.indices, nz)
+            np.testing.assert_array_equal(col.values, p[nz])
+            assert col.residual_l1 == float(r.sum())
+            assert (col.touched, col.support, col.rounds_threshold,
+                    col.rounds_drain) == (touched, nz.size, rounds, drains)
 
     def test_residual_commitment(self):
         t = rw([(0, 1), (1, 2), (2, 0), (2, 3)])
@@ -149,3 +196,39 @@ class TestPushMatrix:
         t = rw([(0, 1)])
         with pytest.raises(InputError):
             diffuse_push_matrix(t, Explicit((1.0,)), 1e-6)
+
+    def test_block_columns_match_single_columns(self):
+        # N is not a multiple of the block width, so the last block is short
+        t = uneven_graph(150, seed=3)
+        assert t.n % PUSH_BLOCK != 0
+        m = diffuse_push_matrix(t, Ppr(0.2), 1e-5, threads=1).data
+        drains = []
+        for j in range(t.n):
+            col = diffuse_push_ppr(t, 0.2, 1e-5, j)
+            lo, hi = m.indptr[j], m.indptr[j + 1]
+            np.testing.assert_array_equal(m.indices[lo:hi], col.indices)
+            np.testing.assert_array_equal(m.data[lo:hi], col.values)
+            drains.append(col.rounds_drain)
+        # columns of every block finish their drain at different rounds, so
+        # the kernel's partial-live branch ran
+        for lo in range(0, t.n, PUSH_BLOCK):
+            assert len(set(drains[lo:lo + PUSH_BLOCK])) > 1
+
+    def test_threads_do_not_change_result_across_blocks(self):
+        t = uneven_graph(3 * PUSH_BLOCK + 5, seed=4)
+        a = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=1)
+        b = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=2)
+        assert (a.data != b.data).nnz == 0
+        assert a.certificate == b.certificate
+
+    def test_certificate(self):
+        t = uneven_graph(100, seed=5)
+        eps = 1e-5
+        m = diffuse_push_matrix(t, Ppr(0.2), eps)
+        cert = m.certificate
+        assert 0.0 < cert["residual_l1_max"] <= 50.0 * eps
+        cols = [diffuse_push_ppr(t, 0.2, eps, j) for j in range(t.n)]
+        assert cert["residual_l1_max"] == max(c.residual_l1 for c in cols)
+        assert cert["support_mean"] == m.data.nnz / t.n
+        assert cert["touched_mean"] >= cert["support_mean"]
+        assert cert["drain_rounds_mean"] == np.mean([c.rounds_drain for c in cols])
