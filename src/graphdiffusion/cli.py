@@ -353,7 +353,7 @@ def run_pipeline(cfg):
         rule = Threshold(eps)
     elif isinstance(rule, Threshold):
         eps_resolved = repr(rule.eps)
-    sparse_graph = sparsify(s, rule)
+    sparse_graph = sparsify(s, rule, original_ids=g.original_ids)
     timings["sparsify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -362,7 +362,7 @@ def run_pipeline(cfg):
 
     if isinstance(result, TransitionMatrix):
         out_graph = SparseGraph.from_scipy(result.matrix, directed=True,
-                                           original_ids=result.source.original_ids,
+                                           original_ids=g.original_ids,
                                            allow_loops=True)
     else:
         out_graph = result
@@ -390,7 +390,7 @@ def run_pipeline(cfg):
     meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     # the sidecar goes last so that it carries the export time; for edge
     # lists it replaces the plain sidecar save_edge_list wrote
-    write_meta(cfg.output, meta if cfg.fmt == "npz" else edge_list_meta(out_graph, meta))
+    write_meta(cfg.output, edge_list_meta(out_graph, meta))
     return meta
 
 

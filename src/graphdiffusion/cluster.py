@@ -9,10 +9,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .coeffs import Ppr
-from .engine import diffuse
-from .errors import InputError
+from .engine import diffuse, worker_count
+from .errors import ComputeError, InputError
 from .graph import (SparseGraph, SymmetricSelfLoop, TransitionMatrix,
                     largest_connected_component, transition_matrix)
 from .sparsify import PostProcess, SparsifyRule, TopK, postprocess, sparsify
@@ -148,6 +149,12 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
                        allow_disconnected=False):
     """Rows of the bottom eigenvectors of the symmetric normalized Laplacian.
 
+    The bottom num_clusters eigenvectors of I - D^-1/2 A D^-1/2 are the top
+    eigenvectors of the sparse normalized adjacency D^-1/2 A D^-1/2, found
+    by Lanczos iteration (ARPACK) from a fixed start vector, so repeated
+    calls return identical arrays. Memory is O(nnz + N * num_clusters); no
+    N x N array is formed. Columns run from the largest eigenvalue down.
+
     Disconnected input is refused by default; pass allow_disconnected when
     components are meaningful clusters themselves (sparsification of a
     diffusion graph can split blocks apart, and the component indicator
@@ -161,14 +168,24 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
                              "largest-connected-component extraction first")
     if num_clusters < 2:
         raise InputError("need at least 2 clusters")
+    if num_clusters >= n:
+        raise InputError(f"need fewer clusters than nodes, got {num_clusters} "
+                         f"clusters for {n} nodes")
     d = np.asarray(mat.sum(axis=0)).ravel()
     if np.any(d == 0):
         raise InputError("input has isolated nodes")
-    s = 1.0 / np.sqrt(d)
-    lap = np.eye(n) - (s[:, None] * mat.toarray()) * s[None, :]
-    lap = (lap + lap.T) * 0.5
-    _, vecs = np.linalg.eigh(lap)
-    emb = vecs[:, :num_clusters]
+    s = sp.diags(1.0 / np.sqrt(d))
+    a = s @ mat @ s
+    a = (a + a.T) * 0.5
+    # a fixed start vector makes the result a function of the input alone
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    try:
+        vals, vecs = eigsh(a, k=num_clusters, which="LA", v0=v0, tol=0)
+    except ArpackNoConvergence as exc:
+        raise ComputeError(f"Lanczos found {len(exc.eigenvalues)} of "
+                           f"{num_clusters} eigenvectors before its iteration "
+                           "limit") from exc
+    emb = vecs[:, np.argsort(-vals, kind="stable")]
     if normalize_rows:
         norms = np.linalg.norm(emb, axis=1)
         norms[norms == 0] = 1.0
@@ -265,8 +282,8 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
     Each seed runs independently on its own generator stream (master seed
     plus index). The report carries per-seed pairs, means and bootstrap
     95 percent intervals; the interval on the paired delta is the headline
-    number. Seeds run in a thread pool unless threads is 1; 0 picks the
-    pool size automatically. Results do not depend on the thread count.
+    number. Seeds run in a thread pool unless threads is 1; 0 uses one
+    worker per usable core. Results do not depend on the thread count.
     """
     if num_clusters is None:
         num_clusters = len(sbm_spec.block_sizes)
@@ -287,7 +304,7 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
         return raw, acc
 
     indices = range(seeds)
-    workers = threads if threads and threads > 0 else None
+    workers = worker_count(threads)
     if workers == 1:
         pairs = [one(i) for i in indices]
     else:

@@ -17,6 +17,7 @@ Three routes to S = sum_k theta_k T^k:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,6 +35,17 @@ PUSH_L1_FACTOR = 50.0
 # Sources pushed together by one block kernel call: each round is a single
 # T @ R product over this many residual columns.
 PUSH_BLOCK = 64
+
+
+def worker_count(threads):
+    """Pool size for a threads knob: itself if positive, else the usable cores.
+
+    Automatic (0 or negative) means one worker per core this process may
+    run on, so BLAS-heavy workers do not oversubscribe the machine.
+    """
+    if threads and threads > 0:
+        return int(threads)
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass
@@ -326,8 +338,8 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
 
     Geometric columns are pushed in consecutive blocks of PUSH_BLOCK
     sources, heat columns one at a time. Blocks are independent and run in
-    a thread pool (threads=1 runs serially, 0 picks the pool size
-    automatically); the block products release the interpreter lock. Each
+    a thread pool (threads=1 runs serially, 0 uses one worker per
+    usable core); the block products release the interpreter lock. Each
     column's result is the same whatever block or thread computes it. The
     certificate aggregates the per-column residual and cost accounting.
     """
@@ -346,7 +358,7 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
     else:
         raise InputError("push mode supports the geometric and heat families only")
 
-    workers = threads if threads and threads > 0 else None
+    workers = worker_count(threads)
     if workers == 1:
         chunks = [one(lo) for lo in starts]
     else:

@@ -74,14 +74,18 @@ class SparseGraph:
             raise InputError("column pointer array has wrong length")
         if np.any(self.values <= 0):
             raise InputError("edge weights must be strictly positive")
-        for j in range(self.n):
-            rows = self.row_idx[self.col_ptr[j]:self.col_ptr[j + 1]]
-            if rows.size > 1 and np.any(np.diff(rows) <= 0):
-                raise InputError(f"rows not sorted or duplicated in column {j}")
-        if not allow_loops:
-            cols = self.column_of_entry()
-            if np.any(self.row_idx == cols):
-                raise InputError("self-loops are not allowed in a base adjacency")
+        rows = self.row_idx
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.n:
+            raise InputError("row index out of range")
+        # with rows in range, (column, row) pairs are strictly increasing in
+        # storage order exactly when every column is sorted and duplicate-free
+        cols = self.column_of_entry()
+        bad = np.flatnonzero(np.diff(cols * self.n + rows) <= 0)
+        if bad.size:
+            raise InputError("rows not sorted or duplicated in column "
+                             f"{int(cols[bad[0] + 1])}")
+        if not allow_loops and np.any(rows == cols):
+            raise InputError("self-loops are not allowed in a base adjacency")
         if not self.directed:
             m = self.to_scipy()
             if (m != m.T).nnz != 0:

@@ -96,13 +96,14 @@ def epsilon_for_degree(S, avg_degree):
     return float(np.partition(vals, vals.size - m)[vals.size - m])
 
 
-def sparsify(S, rule):
+def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
     Top-k keeps exactly min(k, column nonzeros) entries per column.
     Thresholding keeps entries >= eps. TargetDegree resolves eps through
     epsilon_for_degree first. Diagonal mass survives like any other entry,
-    so the result may carry self-loops.
+    so the result may carry self-loops. original_ids labels the result's
+    nodes (by default 0..N-1), normally the ids of the diffused graph.
     """
     mat = _clean_entries(S)
     n = mat.shape[0]
@@ -129,7 +130,8 @@ def sparsify(S, rule):
         cols = np.concatenate(cols_out) if cols_out else np.array([], dtype=np.int64)
         vals = np.concatenate(vals_out) if vals_out else np.array([])
         out = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        return SparseGraph.from_scipy(out, directed=True, allow_loops=True)
+        return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
+                                      allow_loops=True)
 
     if isinstance(rule, TargetDegree):
         rule = Threshold(epsilon_for_degree(S, rule.avg_degree))
@@ -141,7 +143,8 @@ def sparsify(S, rule):
         keep = sp.csc_matrix(mat, copy=True)
         keep.data[keep.data < rule.eps] = 0.0
         keep.eliminate_zeros()
-        return SparseGraph.from_scipy(keep, directed=True, allow_loops=True)
+        return SparseGraph.from_scipy(keep, directed=True, original_ids=original_ids,
+                                      allow_loops=True)
 
     raise InputError(f"unknown sparsify rule {rule!r}")
 

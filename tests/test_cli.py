@@ -195,6 +195,19 @@ class TestTransform:
         m = sp.load_npz(out)
         assert m.shape == (2, 2)
 
+    @pytest.mark.parametrize("fmt", ["edges", "npz"])
+    def test_original_ids_in_sidecar(self, tmp_path, fmt):
+        inp = tmp_path / "g.txt"
+        inp.write_text("10 20\n20 30\n30 40\n40 10\n")
+        out = tmp_path / f"out.{fmt}"
+        rc = main(["transform", "--input", inp.as_posix(), "--output", str(out),
+                   "--format", fmt, "--sparsify", "topk:3"])
+        assert rc == 0
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / f"out.{fmt}.meta").read_text().splitlines())
+        assert meta["id_map"] == "10,20,30,40"
+        assert meta["nodes"] == "4"
+
     def test_push_mode_pipeline(self, tmp_path):
         inp = tmp_path / "g.txt"
         inp.write_text("0 1\n1 2\n2 0\n")

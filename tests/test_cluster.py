@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from graphdiffusion import (GdcConfig, InputError, SbmSpec, eval_gdc_clustering,
-                            generate_sbm, hungarian_accuracy, kmeans,
+from graphdiffusion import (ComputeError, GdcConfig, InputError, SbmSpec,
+                            eval_gdc_clustering, generate_sbm,
+                            hungarian_accuracy, kmeans,
                             largest_connected_component, load_graph,
                             spectral_cluster)
+from graphdiffusion import cluster as cluster_mod
 from graphdiffusion.cluster import _lloyd, spectral_embedding
 
 
@@ -91,6 +94,50 @@ class TestSpectralCluster:
         assert emb.shape == (40, 3)
         norms = np.linalg.norm(emb, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+
+
+class TestSparseEmbedding:
+    def sbm(self):
+        g, _ = generate_sbm(SbmSpec((40, 40, 40), 0.3, 0.03, seed=5))
+        return largest_connected_component(g)[0]
+
+    def test_spans_dense_bottom_eigenspace(self):
+        g = self.sbm()
+        emb = spectral_embedding(g, 3, normalize_rows=False)
+        a = g.to_scipy().toarray()
+        s = 1.0 / np.sqrt(a.sum(axis=0))
+        lap = np.eye(g.n) - (s[:, None] * a) * s[None, :]
+        vals, vecs = np.linalg.eigh((lap + lap.T) * 0.5)
+        assert vals[3] - vals[2] > 0.1
+        ref = vecs[:, :3]
+        np.testing.assert_allclose(emb @ emb.T, ref @ ref.T, atol=1e-8)
+
+    def test_repeated_calls_bit_identical(self):
+        g = self.sbm()
+        assert np.array_equal(spectral_embedding(g, 3), spectral_embedding(g, 3))
+
+    def test_clusters_not_below_nodes(self):
+        g = load_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(InputError, match="fewer clusters than nodes"):
+            spectral_embedding(g, 4)
+        assert spectral_embedding(g, 3).shape == (4, 3)
+
+    def test_disjoint_cliques_are_perfect(self):
+        edges = [(b + i, b + j) for b in (0, 8, 16)
+                 for i in range(8) for j in range(i + 1, 8)]
+        g = load_graph(edges)
+        labels = np.repeat([0, 1, 2], 8)
+        got = spectral_cluster(g, 3, seed=0, allow_disconnected=True)
+        assert hungarian_accuracy(got, labels).accuracy == 1.0
+
+    def test_non_convergence_is_compute_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(1),
+                                      np.zeros((1, 1)))
+        monkeypatch.setattr(cluster_mod, "eigsh", stalled)
+        g = self.sbm()
+        with pytest.raises(ComputeError, match="1 of 3"):
+            spectral_embedding(g, 3)
 
 
 class TestKmeans:

@@ -59,6 +59,25 @@ class TestLoadGraph:
         np.testing.assert_array_equal(rows, [1])
 
 
+class TestValidate:
+    @pytest.mark.parametrize("rows,col", [
+        ([1, 2, 0, 0, 1], 1),   # column 1 unsorted
+        ([1, 0, 2, 1, 1], 2),   # column 2 holds row 1 twice
+        ([1, 2, 0, 1, 0], 1),   # both; the first offending column is named
+    ])
+    def test_unsorted_and_duplicate_rows_rejected(self, rows, col):
+        with pytest.raises(InputError, match=f"sorted or duplicated in column {col}$"):
+            SparseGraph(3, [0, 1, 3, 5], rows, np.ones(5), directed=True)
+
+    def test_sorted_columns_accepted(self):
+        g = SparseGraph(3, [0, 1, 3, 5], [1, 0, 2, 0, 1], np.ones(5), directed=True)
+        assert g.nnz == 5
+
+    def test_row_out_of_range_rejected(self):
+        with pytest.raises(InputError, match="out of range"):
+            SparseGraph(2, [0, 1, 2], [1, 2], [1.0, 1.0], directed=True)
+
+
 class TestLcc:
     def test_drops_isolated(self):
         g = load_graph([(0, 1), (1, 2), (2, 0)], n_hint=4)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
                             diffuse_push_heat, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
                             transition_matrix)
-from graphdiffusion.engine import PUSH_BLOCK
+from graphdiffusion.engine import PUSH_BLOCK, worker_count
 
 
 def rw(edges):
@@ -190,6 +192,12 @@ class TestPushMatrix:
         a = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=1)
         b = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=4)
         assert (a.data != b.data).nnz == 0
+
+    def test_worker_count(self):
+        cores = len(os.sched_getaffinity(0))
+        assert worker_count(0) == worker_count(-1) == worker_count(None) == cores
+        assert worker_count(1) == 1
+        assert worker_count(3) == 3
 
     def test_explicit_rejected(self):
         from graphdiffusion import Explicit
