@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -210,6 +209,10 @@ class ClusteringResult:
 
 def hungarian_accuracy(assignment, labels):
     """Best cluster-to-class matching accuracy on the contingency table."""
+    # imported here: scipy.optimize pulls in the slow-to-import
+    # scipy.special, which no other command needs
+    from scipy.optimize import linear_sum_assignment
+
     assignment = np.asarray(assignment)
     labels = np.asarray(labels)
     if assignment.shape != labels.shape:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError
 
@@ -100,6 +99,10 @@ def theta_tail(spec, K):
     if isinstance(spec, Ppr):
         return (1.0 - spec.alpha) ** (K + 1)
     if isinstance(spec, Heat):
+        # imported here: scipy.special is slow to import and only heat
+        # runs need it
+        from scipy import special
+
         # Poisson upper tail P[X > K] via the regularized incomplete gamma
         return float(special.gammainc(K + 1, spec.t))
     if isinstance(spec, Explicit):

@@ -2,10 +2,9 @@
 
 Three routes to S = sum_k theta_k T^k:
 
-* exact geometric diffusion solves (I - (1-a)T) s_j = a e_j for every
-  column, densely (LU) at small sizes or by the stationary Richardson
-  iteration above that; either way the iterate is a dense N x N array,
-  so memory is O(N^2);
+* exact geometric diffusion inverts I - (1-a)T densely at every size:
+  by Cholesky when T is symmetric, by LU otherwise. The result is a dense
+  N x N array, so memory is O(N^2) and time O(N^3);
 * truncated series accumulates Horner style, never materializing T^k;
 * push approximations expand mass only where the residual is large, with
   an explicit residual certifying the error. Only the threshold-phase
@@ -23,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .coeffs import DiffusionSpec, Heat, Ppr, theta_tail, theta_vector, truncation_k
 from .errors import ComputeError, InputError
-from .graph import RandomWalk, TransitionKind, TransitionMatrix
+from .graph import (RandomWalk, Symmetric, SymmetricSelfLoop, TransitionKind,
+                    TransitionMatrix)
 
-DENSE_SOLVE_CAP = 1500
 # After threshold pushes finish, residual is drained until its total mass
 # is below PUSH_L1_FACTOR * eps_push, tying the column's L1 error to eps.
 PUSH_L1_FACTOR = 50.0
@@ -82,35 +82,47 @@ def _check_alpha(alpha):
         raise InputError(f"teleport probability must be in (0, 1), got {alpha}")
 
 
-def diffuse_exact_ppr(T, alpha, mode="auto", tol=1e-10, max_iter=100_000):
-    """Exact geometric diffusion a (I - (1-a) T)^-1.
+def _cholesky_inverse(a):
+    """Inverse of the symmetric positive definite a, computed in place.
 
-    mode 'dense' factorizes densely (verification path, small graphs);
-    'iterative' runs the Richardson iteration X <- a I + (1-a) T X whose
-    error contracts by (1-a) per step. 'auto' picks dense below
-    DENSE_SOLVE_CAP nodes. The per-column residual infinity norm is checked
-    against tol either way.
+    dpotrf factors a = L L^T and dpotri forms (L L^T)^-1 in the lower
+    triangle; mirroring it into the upper one makes the result symmetric
+    bit for bit. a must be symmetric, so its transpose is the
+    Fortran-ordered view LAPACK overwrites without a copy.
+    """
+    c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ComputeError(f"Cholesky inversion failed (LAPACK info {info}); "
+                           "the system matrix is not positive definite")
+    for j in range(c.shape[0] - 1):
+        c[j, j + 1:] = c[j + 1:, j]
+    return c
+
+
+def diffuse_exact_ppr(T, alpha, tol=1e-10):
+    """Exact geometric diffusion a (I - (1-a) T)^-1, dense at every size.
+
+    When T is symmetric (a symmetric kind on an undirected graph) the
+    system matrix I - (1-a) T is symmetric positive definite, since T's
+    spectrum lies in [-1, 1] and so every eigenvalue is at least a; it is
+    inverted by Cholesky, and the result is symmetric bit for bit. Any
+    other T (random walk, or a directed source) goes through an LU solve.
+    The per-column residual infinity norm is checked against tol either
+    way. Memory is O(N^2), time O(N^3).
     """
     _check_alpha(alpha)
     n = T.n
     m = T.matrix
-    if mode == "auto":
-        mode = "dense" if n <= DENSE_SOLVE_CAP else "iterative"
-
-    if mode == "dense":
-        a = np.eye(n) - (1.0 - alpha) * m.toarray()
-        x = np.linalg.solve(a, alpha * np.eye(n))
-    elif mode == "iterative":
-        aye = alpha * np.eye(n)
-        x = aye.copy()
-        step = (1.0 - alpha)
-        # entries of the residual shrink like a (1-a)^(k+1); iterate past the
-        # analytic estimate, then confirm on the true residual
-        est = int(np.ceil(np.log(tol / alpha) / np.log1p(-alpha))) + 2
-        for _ in range(min(est, max_iter)):
-            x = aye + step * (m @ x)
+    a = np.eye(n) - (1.0 - alpha) * m.toarray()
+    if isinstance(T.kind, (Symmetric, SymmetricSelfLoop)) and not T.source.directed:
+        # transition_matrix makes these bit-symmetric
+        x = _cholesky_inverse(a)
+        x *= alpha
     else:
-        raise InputError(f"unknown solve mode {mode!r}")
+        x = np.linalg.solve(a, alpha * np.eye(n))
+    del a  # LU path: free the system matrix before the residual's temporaries
 
     resid = alpha * np.eye(n) - (x - (1.0 - alpha) * (m @ x))
     worst = float(np.abs(resid).max()) if n else 0.0

@@ -15,6 +15,9 @@ from .engine import DiffusionMatrix
 from .errors import InputError
 from .graph import RandomWalk, SparseGraph, Symmetric, TransitionMatrix
 
+# Columns handled by one top-k kernel call; its temporaries are N x TOPK_BLOCK.
+TOPK_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TopK:
@@ -78,6 +81,60 @@ def _clean_entries(S):
     return sp.csc_matrix(np.maximum(arr, 0.0))
 
 
+def _topk_mask(cols, k):
+    """Mask of the k largest positive entries in each row of cols (b x n).
+
+    The k-th largest value of a row comes from one partition: entries above
+    it are kept, and of those equal to it the first k - (count above) in
+    row order, so the smaller index wins a tie. Only positive entries
+    count, so a row with fewer than k of them keeps all of them.
+    """
+    n = cols.shape[1]
+    kth = np.partition(cols, n - k, axis=1)[:, n - k, None]
+    keep = cols > kth
+    tie = cols == kth
+    need = k - keep.sum(axis=1, keepdims=True)
+    keep |= tie & (np.cumsum(tie, axis=1) <= need)
+    keep &= cols > 0
+    return keep
+
+
+def _sparsify_topk(S, k, original_ids):
+    """Top-k of every column, computed over blocks of TOPK_BLOCK columns.
+
+    Dense input is read in place; sparse input is densified one block at a
+    time, so temporaries stay O(N * TOPK_BLOCK).
+    """
+    mat = S.data if isinstance(S, DiffusionMatrix) else S
+    if sp.issparse(mat):
+        mat = sp.csc_matrix(mat, dtype=np.float64)
+    else:
+        mat = np.asarray(mat, dtype=np.float64)
+    n = mat.shape[0]
+    if k > n:
+        raise InputError(f"top-k count {k} exceeds node count {n}")
+    counts, rows, vals = [], [], []
+    for lo in range(0, n, TOPK_BLOCK):
+        hi = min(lo + TOPK_BLOCK, n)
+        # row i of cols is column lo + i of S
+        if sp.issparse(mat):
+            cols = mat[:, lo:hi].T.toarray()
+        else:
+            cols = np.ascontiguousarray(mat[:, lo:hi].T)
+        if cols.min() < -1e-12:
+            raise InputError("diffusion entries must be non-negative")
+        keep = _topk_mask(cols, k)
+        counts.append(keep.sum(axis=1))
+        rows.append(np.nonzero(keep)[1])
+        vals.append(cols[keep])
+    # k <= n and k > 0, so there is at least one block
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    out = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                        shape=(n, n))
+    return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
+                                  allow_loops=True)
+
+
 def epsilon_for_degree(S, avg_degree):
     """Threshold whose survivors have about avg_degree entries per column.
 
@@ -99,40 +156,19 @@ def epsilon_for_degree(S, avg_degree):
 def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
-    Top-k keeps exactly min(k, column nonzeros) entries per column.
-    Thresholding keeps entries >= eps. TargetDegree resolves eps through
-    epsilon_for_degree first. Diagonal mass survives like any other entry,
-    so the result may carry self-loops. original_ids labels the result's
-    nodes (by default 0..N-1), normally the ids of the diffused graph.
+    Top-k keeps the min(k, positive entries) largest entries of each
+    column, the smaller row winning a tie; each column's k-th value comes
+    from one partition per block of TOPK_BLOCK columns, and dense input is
+    read in place. Thresholding keeps entries >= eps. TargetDegree
+    resolves eps through epsilon_for_degree first. Diagonal mass survives
+    like any other entry, so the result may carry self-loops. original_ids
+    labels the result's nodes (by default 0..N-1), normally the ids of the
+    diffused graph.
     """
-    mat = _clean_entries(S)
-    n = mat.shape[0]
-
     if isinstance(rule, TopK):
-        if rule.k > n:
-            raise InputError(f"top-k count {rule.k} exceeds node count {n}")
-        cols_out = []
-        rows_out = []
-        vals_out = []
-        for j in range(n):
-            lo, hi = mat.indptr[j], mat.indptr[j + 1]
-            rows = mat.indices[lo:hi]
-            vals = mat.data[lo:hi]
-            if vals.size > rule.k:
-                # stable lexsort: heaviest first, smaller row wins ties
-                order = np.lexsort((rows, -vals))[:rule.k]
-                rows = rows[order]
-                vals = vals[order]
-            cols_out.append(np.full(rows.size, j, dtype=np.int64))
-            rows_out.append(rows)
-            vals_out.append(vals)
-        rows = np.concatenate(rows_out) if rows_out else np.array([], dtype=np.int64)
-        cols = np.concatenate(cols_out) if cols_out else np.array([], dtype=np.int64)
-        vals = np.concatenate(vals_out) if vals_out else np.array([])
-        out = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
-                                      allow_loops=True)
+        return _sparsify_topk(S, rule.k, original_ids)
 
+    mat = _clean_entries(S)
     if isinstance(rule, TargetDegree):
         rule = Threshold(epsilon_for_degree(S, rule.avg_degree))
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import graphdiffusion
 from graphdiffusion import (Heat, Ppr, RandomWalk, SymmetricSelfLoop,
                             TargetDegree, Threshold, TopK, load_edge_list)
 from graphdiffusion.cli import (PipelineConfig, UsageError, build_parser, main,
@@ -313,3 +318,16 @@ class TestOtherCommands:
         assert 0.0 <= float(row[1]) <= 1.0 and 0.0 <= float(row[2]) <= 1.0
         report = capsys.readouterr().out
         assert "delta mean" in report
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # scipy.special and scipy.optimize are imported only where heat tails
+    # and clustering accuracy need them, so start-up does not pay for them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphdiffusion.__file__)))
+    code = ("import sys, graphdiffusion.cli\n"
+            "print([m for m in ('scipy.special', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from graphdiffusion import (ComputeError, Explicit, Heat, InputError, Ppr,
                             RandomWalk, Symmetric, SymmetricSelfLoop, diffuse,
                             diffuse_exact_ppr, diffuse_series, eigen,
                             load_graph, transition_matrix, truncation_k)
+from graphdiffusion import engine
 from conftest import connected_er
 
 
@@ -30,13 +31,6 @@ class TestExactGeometric:
         s = diffuse_exact_ppr(t_of([(0, 1), (1, 2)]), 1 - 1e-12)
         np.testing.assert_allclose(s.toarray(), np.eye(3), atol=1e-9)
 
-    def test_iterative_matches_dense(self):
-        g = connected_er(60, 0.1, 0)
-        t = transition_matrix(g, RandomWalk())
-        a = diffuse_exact_ppr(t, 0.2, mode="dense")
-        b = diffuse_exact_ppr(t, 0.2, mode="iterative")
-        assert np.abs(a.toarray() - b.toarray()).max() < 1e-9
-
     def test_residual_contract(self):
         g = connected_er(50, 0.1, 1)
         t = transition_matrix(g, RandomWalk())
@@ -51,11 +45,15 @@ class TestExactGeometric:
         resid = 0.2 * np.eye(40) - (s.data - 0.8 * (t.matrix @ s.data))
         assert s.certificate == {"residual_max": float(np.abs(resid).max())}
 
-    def test_non_convergence_reports_residual(self):
-        g = connected_er(30, 0.15, 2)
-        t = transition_matrix(g, RandomWalk())
+    def test_inaccurate_inverse_reports_residual(self, monkeypatch):
+        # a factorization that returns a perturbed inverse must fail the
+        # residual check
+        true_inverse = engine._cholesky_inverse
+        monkeypatch.setattr(engine, "_cholesky_inverse",
+                            lambda a: true_inverse(a) + 1e-6)
+        t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
         with pytest.raises(ComputeError, match="residual"):
-            diffuse_exact_ppr(t, 0.05, mode="iterative", max_iter=3)
+            diffuse_exact_ppr(t, 0.05)
 
     def test_alpha_validated(self):
         with pytest.raises(InputError):
@@ -76,6 +74,68 @@ class TestExactGeometric:
         t = transition_matrix(g, SymmetricSelfLoop(1.0))
         s = diffuse_exact_ppr(t, 0.1)
         assert s.toarray().min() >= -1e-12
+
+
+def count_cholesky_calls(monkeypatch):
+    calls = []
+    real = engine._cholesky_inverse
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(engine, "_cholesky_inverse", counted)
+    return calls
+
+
+def lu_reference(t, alpha):
+    a = np.eye(t.n) - (1.0 - alpha) * t.matrix.toarray()
+    return np.linalg.solve(a, alpha * np.eye(t.n))
+
+
+def residual_max(t, alpha, x):
+    return float(np.abs(alpha * np.eye(t.n)
+                        - (x - (1.0 - alpha) * (t.matrix @ x))).max())
+
+
+class TestExactSolvers:
+    """Cholesky inverts symmetric transitions; LU solves all others."""
+
+    @pytest.mark.parametrize("kind", [Symmetric(), SymmetricSelfLoop(1.0)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.15, 0.6])
+    def test_cholesky_matches_solve(self, kind, alpha, monkeypatch):
+        t = transition_matrix(connected_er(80, 0.08, 11), kind)
+        calls = count_cholesky_calls(monkeypatch)
+        s = diffuse_exact_ppr(t, alpha)
+        assert calls == [(80, 80)]
+        assert np.abs(s.data - lu_reference(t, alpha)).max() < 1e-12
+        assert np.array_equal(s.data, s.data.T)
+        assert s.certificate == {"residual_max": residual_max(t, alpha, s.data)}
+        assert s.certificate["residual_max"] < 1e-12
+
+    def test_random_walk_solves_by_lu(self, monkeypatch):
+        t = transition_matrix(connected_er(60, 0.1, 12), RandomWalk())
+        calls = count_cholesky_calls(monkeypatch)
+        s = diffuse_exact_ppr(t, 0.2)
+        assert calls == []
+        np.testing.assert_array_equal(s.data, lu_reference(t, 0.2))
+        np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_directed_symmetric_solves_by_lu(self, monkeypatch):
+        # a directed cycle with chords: D^-1/2 A D^-1/2 is not symmetric
+        edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 5), (3, 9), (7, 2)]
+        g = load_graph(edges, directed=True)
+        t = transition_matrix(g, Symmetric())
+        assert (t.matrix != t.matrix.T).nnz
+        calls = count_cholesky_calls(monkeypatch)
+        s = diffuse_exact_ppr(t, 0.15)
+        assert calls == []
+        np.testing.assert_array_equal(s.data, lu_reference(t, 0.15))
+        assert s.certificate["residual_max"] < 1e-12
+
+    def test_cholesky_rejects_indefinite(self):
+        with pytest.raises(ComputeError, match="positive definite"):
+            engine._cholesky_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestSeries:

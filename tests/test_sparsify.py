@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,9 @@ from graphdiffusion import (DiffusionMatrix, InputError, PostProcess, Ppr,
                             sparsify, transition_matrix)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from graphdiffusion.graph import Symmetric, largest_connected_component
+
+# the package exports the function sparsify under the module's name
+sparsify_module = importlib.import_module("graphdiffusion.sparsify")
 
 
 def as_diffusion(arr):
@@ -106,6 +111,76 @@ class TestSparsify:
         d = DiffusionMatrix(data=m, spec=None, kind=None, exactness="push:1e-4")
         g = sparsify(d, Threshold(0.35))
         assert g.nnz == 2
+
+
+def topk_by_column_loop(arr, k):
+    """Reference top-k: one stable lexsort per column, heaviest first and
+    the smaller row winning a tie, over the positive entries only."""
+    mat = sp.csc_matrix(np.maximum(arr, 0.0))
+    n = mat.shape[0]
+    rows_out, cols_out, vals_out = [], [], []
+    for j in range(n):
+        lo, hi = mat.indptr[j], mat.indptr[j + 1]
+        rows, vals = mat.indices[lo:hi], mat.data[lo:hi]
+        if vals.size > k:
+            order = np.lexsort((rows, -vals))[:k]
+            rows, vals = rows[order], vals[order]
+        rows_out.append(rows)
+        cols_out.append(np.full(rows.size, j))
+        vals_out.append(vals)
+    out = sp.csc_matrix((np.concatenate(vals_out),
+                         (np.concatenate(rows_out), np.concatenate(cols_out))),
+                        shape=(n, n))
+    out.sort_indices()
+    return out
+
+
+def topk_cases():
+    rng = np.random.default_rng(12)
+    ties = rng.choice([0.0, 0.25, 0.5], size=(37, 37))
+    short = rng.random((40, 40)) * (rng.random((40, 40)) < 0.1)
+    tiny = np.finfo(float).smallest_subnormal
+    subnormal = rng.choice([0.0, tiny, 3 * tiny, 1e-310, 0.2], size=(30, 30))
+    dense = rng.random((25, 25))
+    return [("ties", ties, 1), ("ties", ties, 5), ("ties", ties, 37),
+            ("short", short, 3), ("short", short, 40),
+            ("subnormal", subnormal, 2), ("subnormal", subnormal, 12),
+            ("dense", dense, 1), ("dense", dense, 7), ("dense", dense, 25)]
+
+
+class TestTopKAgainstColumnLoop:
+    @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
+    @pytest.mark.parametrize("layout", ["dense", "fortran", "csc"])
+    @pytest.mark.parametrize("name,arr,k", topk_cases(),
+                             ids=[f"{c[0]}-k{c[2]}" for c in topk_cases()])
+    def test_identical_to_loop(self, name, arr, k, layout, block, monkeypatch):
+        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        data = {"dense": arr, "fortran": np.asfortranarray(arr),
+                "csc": sp.csc_matrix(arr)}[layout]
+        g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(k))
+        ref = topk_by_column_loop(arr, k)
+        np.testing.assert_array_equal(g.col_ptr, ref.indptr)
+        np.testing.assert_array_equal(g.row_idx, ref.indices)
+        np.testing.assert_array_equal(g.values, ref.data)
+
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_negative_entries_rejected(self, layout):
+        m = np.full((5, 5), 0.1)
+        m[3, 4] = -1e-9
+        data = sp.csc_matrix(m) if layout == "csc" else m
+        with pytest.raises(InputError, match="non-negative"):
+            sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(2))
+
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_negative_noise_dropped(self, layout):
+        m = np.full((5, 5), 0.1)
+        # the 3rd largest entry of column 4 is noise below zero
+        m[:, 4] = [-1e-13, 0.3, -1e-13, -2e-13, 0.0]
+        data = sp.csc_matrix(m) if layout == "csc" else m
+        g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(3))
+        rows, vals = g.column(4)
+        np.testing.assert_array_equal(rows, [1])
+        np.testing.assert_array_equal(vals, [0.3])
 
 
 class TestEpsilonForDegree:
