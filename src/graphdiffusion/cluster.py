@@ -208,23 +208,32 @@ class ClusteringResult:
 
 
 def hungarian_accuracy(assignment, labels):
-    """Best cluster-to-class matching accuracy on the contingency table."""
-    # imported here: scipy.optimize pulls in the slow-to-import
-    # scipy.special, which no other command needs
-    from scipy.optimize import linear_sum_assignment
+    """Best cluster-to-class matching accuracy on the contingency table.
 
+    The matching is a minimum-weight full bipartite matching (LAPJVsp,
+    Jonker and Volgenant 1987, as scipy.sparse.csgraph runs it) on
+    max(table) + 1 - table. Every entry of that complement is at least 1,
+    so none reads as a missing edge and a full matching of min(clusters,
+    classes) pairs always exists; each one subtracts the same constant
+    from the complement's total, so the lightest is the heaviest on the
+    table. When several matchings tie, matched_permutation names one of
+    them; the accuracy is the same for all.
+    """
     assignment = np.asarray(assignment)
     labels = np.asarray(labels)
     if assignment.shape != labels.shape:
         raise InputError("assignment and labels must have equal length")
     n = assignment.size
+    if n and min(assignment.min(), labels.min()) < 0:
+        raise InputError("cluster and class ids must be non-negative")
     nclu = int(assignment.max()) + 1 if n else 0
     ncls = int(labels.max()) + 1 if n else 0
     if max(nclu, ncls) > 64:
         raise InputError("cluster/class counts above 64 are not supported")
     table = np.zeros((nclu, ncls))
     np.add.at(table, (assignment, labels), 1.0)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = csgraph.min_weight_full_bipartite_matching(
+        sp.csr_matrix(table.max(initial=0) + 1.0 - table))
     matched = {int(r): int(c) for r, c in zip(rows, cols)}
     acc = float(table[rows, cols].sum() / n) if n else 0.0
     return ClusteringResult(assignment=assignment, accuracy=acc,

@@ -110,22 +110,38 @@ def diffuse_exact_ppr(T, alpha, tol=1e-10):
     inverted by Cholesky, and the result is symmetric bit for bit. Any
     other T (random walk, or a directed source) goes through an LU solve.
     The per-column residual infinity norm is checked against tol either
-    way. Memory is O(N^2), time O(N^3).
+    way. Time is O(N^3). Peak memory is two N x N arrays on the Cholesky
+    path (the system matrix, inverted in place, and the residual) and
+    three on the LU path (system matrix, right-hand side and solution),
+    besides LAPACK's own workspace on the LU path.
     """
     _check_alpha(alpha)
     n = T.n
     m = T.matrix
-    a = np.eye(n) - (1.0 - alpha) * m.toarray()
+    a = m.toarray()
+    a *= -(1.0 - alpha)
+    a.flat[::n + 1] += 1.0
     if isinstance(T.kind, (Symmetric, SymmetricSelfLoop)) and not T.source.directed:
         # transition_matrix makes these bit-symmetric
         x = _cholesky_inverse(a)
         x *= alpha
+        # x is Fortran-ordered and symmetric bit for bit, so its transpose
+        # is the same matrix in the C order a sparse product reads as is
+        xc = x.T
     else:
-        x = np.linalg.solve(a, alpha * np.eye(n))
-    del a  # LU path: free the system matrix before the residual's temporaries
+        b = np.zeros((n, n))
+        b.flat[::n + 1] = alpha
+        x = xc = np.linalg.solve(a, b)
+        del b
+    del a  # LU path: free the system matrix before the residual
 
-    resid = alpha * np.eye(n) - (x - (1.0 - alpha) * (m @ x))
-    worst = float(np.abs(resid).max()) if n else 0.0
+    # alpha I - (x - (1-alpha) m x), in the one buffer the product returns
+    resid = m @ xc
+    resid *= 1.0 - alpha
+    resid -= xc
+    resid.flat[::n + 1] += alpha
+    # abs folds a -0.0 maximum of an all-zero residual into 0.0
+    worst = abs(float(max(resid.max(), -resid.min()))) if n else 0.0
     if worst > tol:
         raise ComputeError(f"linear solve did not reach tolerance {tol:g}; "
                            f"worst column residual {worst:g}")

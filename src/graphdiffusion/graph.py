@@ -144,11 +144,12 @@ def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
     """Build a SparseGraph from (src, dst[, weight]) tuples.
 
     Node ids are densified to 0..N-1 unless n_hint fixes the node count, in
-    which case ids are used as-is. Repeated identical (src, dst) lines merge
-    by weight summation. For undirected input an edge may be listed in one
-    or both orientations; the stored weight of {i, j} is the larger of the
-    two directed totals, so mirrored listings do not double their weight
-    while genuinely repeated lines still accumulate.
+    which case ids are used as-is. Weights must be positive and finite.
+    Repeated identical (src, dst) lines merge by weight summation. For
+    undirected input an edge may be listed in one or both orientations;
+    the stored weight of {i, j} is the larger of the two directed totals,
+    so mirrored listings do not double their weight while genuinely
+    repeated lines still accumulate.
     """
     src, dst, wgt = [], [], []
     for e in edges:
@@ -160,8 +161,9 @@ def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
         s, d, w = int(s), int(d), float(w)
         if s < 0 or d < 0:
             raise InputError(f"node ids must be non-negative, got ({s}, {d})")
-        if w <= 0:
-            raise InputError(f"edge weight must be positive, got {w} on ({s}, {d})")
+        if not 0 < w < np.inf:
+            raise InputError(f"edge weight must be positive and finite, got {w} "
+                             f"on ({s}, {d})")
         if s == d and not allow_self_loops:
             raise InputError(f"self-loop on node {s} rejected")
         src.append(s)
@@ -275,15 +277,15 @@ def save_edge_list(path, g, metadata=None):
     directed graphs emit every entry. Weights use shortest-round-trip
     formatting so a reload reproduces the exact float values.
     """
-    cols = g.column_of_entry()
-    lines = []
-    for r, c, v in zip(g.row_idx, cols, g.values):
-        if not g.directed and r > c:
-            continue
-        # edge line is "src dst weight" with src = column (origin of mass)
-        lines.append(f"{int(c)} {int(r)} {float(v)!r}\n")
+    rows, cols, vals = g.row_idx, g.column_of_entry(), g.values
+    if not g.directed:
+        upper = rows <= cols
+        rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    # edge line is "src dst weight" with src = column (origin of mass)
+    text = "".join(f"{c} {r} {v!r}\n"
+                   for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write(text)
     write_meta(path, edge_list_meta(g, metadata))
 
 
@@ -311,7 +313,8 @@ def read_edge_list(path):
     """Parse an edge-list file into (src, dst, weight) tuples.
 
     Lines are whitespace separated, '#' starts a comment, weights default
-    to 1.0.
+    to 1.0. A line without two integer ids and an optional float weight
+    raises InputError naming path and line number.
     """
     edges = []
     with open(path) as fh:
@@ -322,8 +325,12 @@ def read_edge_list(path):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise InputError(f"{path}:{lineno}: expected 'src dst [weight]'")
-            s, d = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            try:
+                s, d = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: expected "
+                                 "'src dst [weight]'") from None
             edges.append((s, d, w))
     return edges
 

@@ -84,17 +84,23 @@ def _clean_entries(S):
 def _topk_mask(cols, k):
     """Mask of the k largest positive entries in each row of cols (b x n).
 
-    The k-th largest value of a row comes from one partition: entries above
-    it are kept, and of those equal to it the first k - (count above) in
-    row order, so the smaller index wins a tie. Only positive entries
-    count, so a row with fewer than k of them keeps all of them.
+    The k-th largest value of a row comes from one partition, and every
+    entry at or above it is kept: at least k entries. Only in a row where
+    ties at that value overshoot k does a running count keep just the
+    first k - (count above) of the ties in row order, so the smaller index
+    wins a tie. Only positive entries count, so a row with fewer than k of
+    them keeps all of them.
     """
     n = cols.shape[1]
     kth = np.partition(cols, n - k, axis=1)[:, n - k, None]
-    keep = cols > kth
-    tie = cols == kth
-    need = k - keep.sum(axis=1, keepdims=True)
-    keep |= tie & (np.cumsum(tie, axis=1) <= need)
+    keep = cols >= kth
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    if over.size:
+        sub, cut = cols[over], kth[over]
+        above = sub > cut
+        tie = sub == cut
+        need = k - above.sum(axis=1, keepdims=True)
+        keep[over] = above | (tie & (np.cumsum(tie, axis=1) <= need))
     keep &= cols > 0
     return keep
 

@@ -127,6 +127,17 @@ class TestTransform:
         assert rc == 2
         assert capsys.readouterr().err.startswith("E_IO:")
 
+    @pytest.mark.parametrize("bad", ["a b", "0 1 x"])
+    def test_malformed_edge_line_exit_1(self, tmp_path, capsys, bad):
+        inp = tmp_path / "g.txt"
+        inp.write_text(f"0 1\n1 2\n{bad}\n")
+        rc = main(["transform", "--input", str(inp),
+                   "--output", str(tmp_path / "o.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"E_COMPUTE: {inp}:3: expected 'src dst [weight]'"]
+
     def test_compute_error_exit_1(self, tmp_path, capsys):
         inp = tmp_path / "g.txt"
         inp.write_text("0 1\n1 2\n")
@@ -321,10 +332,13 @@ class TestOtherCommands:
 
 
 def test_cli_import_skips_slow_scipy_modules():
-    # scipy.special and scipy.optimize are imported only where heat tails
-    # and clustering accuracy need them, so start-up does not pay for them
+    # scipy.special is imported only where heat tails need it, and the
+    # clustering accuracy matches on csgraph, so neither start-up nor
+    # eval-cluster pays for scipy.special or scipy.optimize
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphdiffusion.__file__)))
     code = ("import sys, graphdiffusion.cli\n"
+            "from graphdiffusion import hungarian_accuracy\n"
+            "hungarian_accuracy([0, 1, 1, 2], [1, 0, 0, 2])\n"
             "print([m for m in ('scipy.special', 'scipy.optimize') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code],

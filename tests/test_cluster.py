@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -215,6 +217,37 @@ class TestHungarian:
         assign = np.array([1, 1, 0, 0])
         res = hungarian_accuracy(assign, labels)
         assert res.matched_permutation == {0: 1, 1: 0}
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(InputError, match="non-negative"):
+            hungarian_accuracy([0, -1, 1], [0, 1, 1])
+        with pytest.raises(InputError, match="non-negative"):
+            hungarian_accuracy([0, 1, 1], [0, -1, 1])
+
+    def test_matches_brute_force(self):
+        # square, rectangular and heavily tied tables of up to 6 x 6
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            nclu, ncls = rng.integers(1, 7, size=2)
+            if trial % 3 == 0:
+                ncls = nclu
+            size = int(rng.integers(1, 40))
+            assign = rng.integers(0, nclu, size=size)
+            labels = rng.integers(0, ncls if trial % 2 else 2, size=size)
+            table = np.zeros((assign.max() + 1, labels.max() + 1), dtype=int)
+            np.add.at(table, (assign, labels), 1)
+            small, large = sorted(table.shape)
+            best = 0
+            for perm in itertools.permutations(range(large), small):
+                pairs = (zip(range(small), perm) if table.shape[0] == small
+                         else zip(perm, range(small)))
+                best = max(best, sum(table[r, c] for r, c in pairs))
+            res = hungarian_accuracy(assign, labels)
+            assert res.accuracy == best / size
+            matched = res.matched_permutation
+            assert len(matched) == small
+            assert len(set(matched.values())) == small
+            assert sum(table[r, c] for r, c in matched.items()) == best
 
 
 class TestEval:

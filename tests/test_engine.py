@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,21 @@ class TestExactSolvers:
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(ComputeError, match="positive definite"):
             engine._cholesky_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("kind, buffers", [(SymmetricSelfLoop(1.0), 2.2),
+                                           (RandomWalk(), 3.2)])
+def test_exact_solve_peak_memory(kind, buffers):
+    # the docstring's budget: two N x N arrays with Cholesky, three with LU
+    t = transition_matrix(connected_er(300, 0.05, 13), kind)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        diffuse_exact_ppr(t, 0.15)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers * t.n ** 2 * 8
 
 
 class TestSeries:

@@ -41,6 +41,11 @@ class TestLoadGraph:
         with pytest.raises(InputError):
             load_graph([(-1, 2)])
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(InputError, match=r"finite, got (nan|inf) on \(0, 1\)"):
+            load_graph([(0, 1, 1.0), (0, 1, w)])
+
     def test_n_hint_keeps_isolated(self):
         g = load_graph([(0, 1)], n_hint=4)
         assert g.n == 4
