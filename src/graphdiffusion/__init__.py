@@ -16,7 +16,7 @@ from .cluster import (ClusteringResult, EvalReport, GdcConfig, SbmSpec,
                       eval_gdc_clustering, generate_sbm, hungarian_accuracy,
                       kmeans, spectral_cluster, spectral_embedding)
 from .sparsify import (PostProcess, TargetDegree, Threshold, TopK,
-                       epsilon_for_degree, postprocess, sparsify)
+                       diffuse_graph, epsilon_for_degree, postprocess, sparsify)
 from .spectral import (RANDOM_WALK, SYMMETRIC, UNNORMALIZED, SpectrumDelta,
                        SpectrumReport, apply_poly_filter, eigen,
                        eigen_of_transition, eigenvalue_map,

@@ -22,13 +22,11 @@ import scipy.sparse as sp
 
 from . import coeffs as cf
 from .cluster import GdcConfig, SbmSpec, eval_gdc_clustering, generate_sbm
-from .engine import diffuse
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
-                    load_edge_list, save_edge_list, transition_matrix, write_meta)
-from .sparsify import (PostProcess, TargetDegree, Threshold, TopK,
-                       epsilon_for_degree, postprocess, sparsify)
+                    load_edge_list, save_edge_list, write_meta)
+from .sparsify import PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
 from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
 
 TOOL_VERSION = "0.1.0"
@@ -184,14 +182,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--format", dest="fmt", choices=["edges", "npz"])
 
 
-def _merged_value(ns_value, file_values, key, default):
-    if ns_value is not None:
-        return ns_value
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
 def parse_config(ns):
     """Resolve flags plus optional config file into a PipelineConfig.
 
@@ -205,7 +195,8 @@ def parse_config(ns):
             raise UsageError(f"unknown config key {key!r}")
 
     def get(key, default=None):
-        return _merged_value(getattr(ns, key, None), file_values, key, default)
+        flag = getattr(ns, key, None)
+        return flag if flag is not None else file_values.get(key, default)
 
     input_path = get("input")
     output_path = get("output")
@@ -285,10 +276,16 @@ def parse_config(ns):
     if isinstance(unweighted, str):
         unweighted = _as_bool(unweighted, "unweighted")
     renorm = get("renorm", "rw")
+    if renorm not in ("sym", "rw", "none"):
+        raise UsageError(f"unknown renormalization {renorm!r}; use sym, rw or none")
     if renorm == "none":
         renorm = None
     post = PostProcess(symmetrize=bool(symmetrize), unweighted=bool(unweighted),
                        renorm=renorm)
+
+    fmt = get("fmt", file_values.get("format", "edges"))
+    if fmt not in ("edges", "npz"):
+        raise UsageError(f"unknown output format {fmt!r}; use edges or npz")
 
     seed = int(get("seed", 0))
     threads = get("threads")
@@ -297,8 +294,7 @@ def parse_config(ns):
     return PipelineConfig(input=str(input_path), output=str(output_path),
                           transition=transition, spec=spec, mode=mode,
                           series_k=series_k, eps_push=eps_push, rule=rule,
-                          post=post, seed=seed, threads=int(threads),
-                          fmt=get("fmt", file_values.get("format", "edges")))
+                          post=post, seed=seed, threads=int(threads), fmt=fmt)
 
 
 def _read_vector(path):
@@ -335,30 +331,10 @@ def run_pipeline(cfg):
         print("warning: diffusion weights are the identity; the output graph "
               "contains only self-loops", file=sys.stderr)
 
-    t0 = time.perf_counter()
-    t_matrix = transition_matrix(g, cfg.transition)
-    timings["transition"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    s = diffuse(t_matrix, cfg.spec, mode=cfg.mode, series_k=cfg.series_k,
-                eps_push=cfg.eps_push, threads=cfg.threads)
-    timings["diffuse"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rule = cfg.rule
-    eps_resolved = ""
-    if isinstance(rule, TargetDegree):
-        eps = epsilon_for_degree(s, rule.avg_degree)
-        eps_resolved = repr(eps)
-        rule = Threshold(eps)
-    elif isinstance(rule, Threshold):
-        eps_resolved = repr(rule.eps)
-    sparse_graph = sparsify(s, rule, original_ids=g.original_ids)
-    timings["sparsify"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    result = postprocess(sparse_graph, cfg.post)
-    timings["postprocess"] = time.perf_counter() - t0
+    result, s, eps, stage_seconds = diffuse_graph(
+        g, cfg.transition, cfg.spec, cfg.rule, cfg.post, mode=cfg.mode,
+        series_k=cfg.series_k, eps_push=cfg.eps_push, threads=cfg.threads)
+    timings.update(stage_seconds)
 
     if isinstance(result, TransitionMatrix):
         out_graph = SparseGraph.from_scipy(result.matrix, directed=True,
@@ -369,7 +345,7 @@ def run_pipeline(cfg):
 
     meta = dict(cfg.items())
     meta.update({
-        "epsilon_resolved": eps_resolved,
+        "epsilon_resolved": repr(eps) if eps is not None else "",
         "nodes_input": str(int(index_map.size)),
         "nodes": str(out_graph.n),
         "lcc_dropped": str(int(np.sum(index_map < 0))),
@@ -406,13 +382,9 @@ def cmd_spectrum(ns):
     g, _ = largest_connected_component(g)
     before = eigen(laplacian(g, SYMMETRIC), source="input L_sym")
 
-    t_matrix = transition_matrix(g, cfg.transition)
-    s = diffuse(t_matrix, cfg.spec, mode=cfg.mode, series_k=cfg.series_k,
-                eps_push=cfg.eps_push, threads=cfg.threads)
-    rule = cfg.rule
-    if isinstance(rule, TargetDegree):
-        rule = Threshold(epsilon_for_degree(s, rule.avg_degree))
-    result = postprocess(sparsify(s, rule), cfg.post)
+    result = diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, cfg.post,
+                           mode=cfg.mode, series_k=cfg.series_k,
+                           eps_push=cfg.eps_push, threads=cfg.threads)[0]
     if isinstance(result, TransitionMatrix):
         if isinstance(result.kind, RandomWalk) and not result.source.directed:
             # I - T_rw of a symmetric graph shares its spectrum with the
@@ -420,9 +392,8 @@ def cmd_spectrum(ns):
             after = eigen(laplacian(result.source, SYMMETRIC),
                           source="output L_sym (similar to rw form)")
         else:
-            lap = sp.identity(result.matrix.shape[0], format="csc") - result.matrix
-            lap = (lap + lap.T) * 0.5
-            after = eigen(lap, source="output Laplacian (symmetrized)")
+            lap = laplacian(result)
+            after = eigen((lap + lap.T) * 0.5, source="output Laplacian (symmetrized)")
     else:
         after = eigen(laplacian(result, SYMMETRIC), source="output L_sym")
 

@@ -11,11 +11,11 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .coeffs import Ppr
-from .engine import diffuse, worker_count
+from .engine import worker_count
 from .errors import ComputeError, InputError
 from .graph import (SparseGraph, SymmetricSelfLoop, TransitionMatrix,
-                    largest_connected_component, transition_matrix)
-from .sparsify import PostProcess, SparsifyRule, TopK, postprocess, sparsify
+                    largest_connected_component, scaled)
+from .sparsify import PostProcess, SparsifyRule, TopK, diffuse_graph
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -118,8 +118,8 @@ def _lloyd(points, centers, max_iter):
     return labels, trace[-1], trace
 
 
-def kmeans(points, k, seed=0, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
-    """Plain k-means with plus-plus seeding and best-of-restarts selection."""
+def kmeans(points, k, seed=0):
+    """Plain k-means with plus-plus seeding, best of KMEANS_RESTARTS runs."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -128,19 +128,20 @@ def kmeans(points, k, seed=0, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER
         raise InputError(f"cannot form {k} clusters from {n} points")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia, _ = _lloyd(points, centers, max_iter)
+        labels, inertia, _ = _lloyd(points, centers, KMEANS_MAX_ITER)
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels
 
 
 def _weighted_adjacency(obj):
+    """(matrix, node count, whether the matrix may be asymmetric)."""
     if isinstance(obj, TransitionMatrix):
-        return obj.matrix, obj.n
+        return obj.matrix, obj.n, True
     if isinstance(obj, SparseGraph):
-        return obj.to_scipy(), obj.n
+        return obj.to_scipy(), obj.n, obj.directed
     raise InputError("expected a SparseGraph or TransitionMatrix")
 
 
@@ -159,7 +160,7 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     diffusion graph can split blocks apart, and the component indicator
     vectors are then exactly the right embedding).
     """
-    mat, n = _weighted_adjacency(obj)
+    mat, n, directed = _weighted_adjacency(obj)
     if not allow_disconnected:
         ncomp, _ = csgraph.connected_components(mat, directed=False)
         if ncomp != 1:
@@ -173,9 +174,10 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     d = np.asarray(mat.sum(axis=0)).ravel()
     if np.any(d == 0):
         raise InputError("input has isolated nodes")
-    s = sp.diags(1.0 / np.sqrt(d))
-    a = s @ mat @ s
-    a = (a + a.T) * 0.5
+    a = scaled(mat, 1.0 / np.sqrt(d))
+    if directed:
+        # undirected input gives a symmetric a bit for bit already
+        a = (a + a.T) * 0.5
     # a fixed start vector makes the result a function of the input alone
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
@@ -275,16 +277,13 @@ def _bootstrap_ci(samples, rng, resamples=BOOTSTRAP_RESAMPLES):
 
 
 def run_gdc_for_clustering(g, cfg):
-    """Apply the diffusion pipeline and return the graph handed to clustering."""
-    t = transition_matrix(g, cfg.transition)
-    s = diffuse(t, cfg.spec, mode="exact")
+    """The graph handed to clustering: diffuse_graph, exact, not renormalized."""
     rule = cfg.rule
     if isinstance(rule, TopK) and rule.k > g.n:
         rule = TopK(g.n)
-    sparse_graph = sparsify(s, rule)
     opts = PostProcess(symmetrize=cfg.symmetrize, unweighted=cfg.unweighted,
                        renorm=None)
-    return postprocess(sparse_graph, opts)
+    return diffuse_graph(g, cfg.transition, cfg.spec, rule, opts)[0]
 
 
 def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,

@@ -35,6 +35,8 @@ PUSH_L1_FACTOR = 50.0
 # Sources pushed together by one block kernel call: each round is a single
 # T @ R product over this many residual columns.
 PUSH_BLOCK = 64
+# Largest infinity-norm residual the exact solve may leave in any column.
+EXACT_TOL = 1e-10
 
 
 def worker_count(threads):
@@ -68,11 +70,6 @@ class DiffusionMatrix:
             return self.data.toarray()
         return self.data
 
-    def column(self, j):
-        if sp.issparse(self.data):
-            return np.asarray(self.data[:, [j]].todense()).ravel()
-        return self.data[:, j]
-
     def is_sparse(self):
         return sp.issparse(self.data)
 
@@ -101,7 +98,7 @@ def _cholesky_inverse(a):
     return c
 
 
-def diffuse_exact_ppr(T, alpha, tol=1e-10):
+def diffuse_exact_ppr(T, alpha):
     """Exact geometric diffusion a (I - (1-a) T)^-1, dense at every size.
 
     When T is symmetric (a symmetric kind on an undirected graph) the
@@ -109,11 +106,12 @@ def diffuse_exact_ppr(T, alpha, tol=1e-10):
     spectrum lies in [-1, 1] and so every eigenvalue is at least a; it is
     inverted by Cholesky, and the result is symmetric bit for bit. Any
     other T (random walk, or a directed source) goes through an LU solve.
-    The per-column residual infinity norm is checked against tol either
-    way. Time is O(N^3). Peak memory is two N x N arrays on the Cholesky
-    path (the system matrix, inverted in place, and the residual) and
-    three on the LU path (system matrix, right-hand side and solution),
-    besides LAPACK's own workspace on the LU path.
+    The per-column residual infinity norm is checked against EXACT_TOL
+    either way; a NaN residual fails the check. Time is O(N^3). Peak
+    memory is two N x N arrays on the Cholesky path (the system matrix,
+    inverted in place, and the residual) and three on the LU path (system
+    matrix, right-hand side and solution), besides LAPACK's own workspace
+    on the LU path.
     """
     _check_alpha(alpha)
     n = T.n
@@ -142,8 +140,8 @@ def diffuse_exact_ppr(T, alpha, tol=1e-10):
     resid.flat[::n + 1] += alpha
     # abs folds a -0.0 maximum of an all-zero residual into 0.0
     worst = abs(float(max(resid.max(), -resid.min()))) if n else 0.0
-    if worst > tol:
-        raise ComputeError(f"linear solve did not reach tolerance {tol:g}; "
+    if not worst <= EXACT_TOL:
+        raise ComputeError(f"linear solve did not reach tolerance {EXACT_TOL:g}; "
                            f"worst column residual {worst:g}")
     return DiffusionMatrix(data=x, spec=Ppr(alpha), kind=T.kind, exactness="exact",
                            certificate={"residual_max": worst})
@@ -199,7 +197,7 @@ def _require_random_walk(T):
                          "random-walk transition matrix")
 
 
-def _push_ppr_block(T, alpha, eps_push, columns, l1_factor=PUSH_L1_FACTOR):
+def _push_ppr_block(T, alpha, eps_push, columns):
     """Geometric push for a block of source columns at once.
 
     Residuals R and estimates P of the sources are dense n x b arrays, so
@@ -242,7 +240,7 @@ def _push_ppr_block(T, alpha, eps_push, columns, l1_factor=PUSH_L1_FACTOR):
 
     # per-column drain round counts, from the same 1-D sum a single column
     # takes, so the mass schedule does not depend on the block layout
-    cap = l1_factor * eps_push
+    cap = PUSH_L1_FACTOR * eps_push
     rounds_drain = np.zeros(b, dtype=np.int64)
     for k, col in enumerate(np.ascontiguousarray(r.T)):
         mass = float(col.sum())
@@ -270,7 +268,7 @@ def _push_ppr_block(T, alpha, eps_push, columns, l1_factor=PUSH_L1_FACTOR):
     return out
 
 
-def diffuse_push_ppr(T, alpha, eps_push, column, l1_factor=PUSH_L1_FACTOR):
+def diffuse_push_ppr(T, alpha, eps_push, column):
     """Approximate one geometric-diffusion column by residual pushing.
 
     Phase one repeatedly expands every node whose residual exceeds
@@ -279,8 +277,8 @@ def diffuse_push_ppr(T, alpha, eps_push, column, l1_factor=PUSH_L1_FACTOR):
     max_i r_i / degree_i < eps_push, and its push events are bounded
     independently of N. Phase two propagates the leftover residual mass (a
     plain damped full-graph matvec per round, no thresholds) until its
-    total is at most l1_factor * eps_push, which caps the column's L1 error
-    at that value. The identity exact = p + a (I - (1-a)T)^-1 r holds
+    total is at most PUSH_L1_FACTOR * eps_push, which caps the column's L1
+    error at that value. The identity exact = p + a (I - (1-a)T)^-1 r holds
     throughout. This is the block kernel run on a block of one column;
     diffuse_push_matrix runs it on blocks of PUSH_BLOCK columns with the
     same per-column result.
@@ -288,7 +286,7 @@ def diffuse_push_ppr(T, alpha, eps_push, column, l1_factor=PUSH_L1_FACTOR):
     n = T.n
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
-    return _push_ppr_block(T, alpha, eps_push, [column], l1_factor)[0]
+    return _push_ppr_block(T, alpha, eps_push, [column])[0]
 
 
 def diffuse_push_heat(T, t, eps_push, column):

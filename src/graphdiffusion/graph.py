@@ -1,9 +1,9 @@
 """Sparse graph container, connectivity helpers and transition matrices.
 
 Graphs are stored column-major (compressed sparse column). All weights are
-strictly positive, row indices are sorted within each column, and duplicate
-coordinates are merged at load time. Undirected graphs store every edge in
-both triangles so the matrix is exactly symmetric.
+strictly positive and finite, row indices are sorted within each column,
+and duplicate coordinates are merged at load time. Undirected graphs store
+every edge in both triangles so the matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ class SparseGraph:
     def _validate(self, allow_loops):
         if self.col_ptr.shape != (self.n + 1,):
             raise InputError("column pointer array has wrong length")
-        if np.any(self.values <= 0):
-            raise InputError("edge weights must be strictly positive")
+        vals = self.values
+        # min and max propagate NaN, which fails both comparisons
+        if vals.size and not 0 < vals.min() <= vals.max() < np.inf:
+            raise InputError("edge weights must be strictly positive and finite")
         rows = self.row_idx
         if rows.size and not 0 <= rows.min() <= rows.max() < self.n:
             raise InputError("row index out of range")
@@ -238,6 +240,19 @@ class TransitionMatrix:
         return self.matrix.shape[0]
 
 
+def scaled(m, left, right=None):
+    """Entries m_ij * (left_i * right_j) on the pattern of m, as CSC.
+
+    right defaults to left. The factor product is formed first, so with
+    right = left a symmetric m gives a result symmetric bit for bit.
+    """
+    m = sp.csc_matrix(m)
+    right = left if right is None else right
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    vals = m.data * (left[m.indices] * right[cols])
+    return sp.csc_matrix((vals, m.indices.copy(), m.indptr.copy()), shape=m.shape)
+
+
 def transition_matrix(g, kind):
     """Construct T_rw, T_sym or the self-loop adjusted symmetric variant."""
     d = g.degrees()
@@ -246,24 +261,16 @@ def transition_matrix(g, kind):
         raise InputError(f"node {int(zero[0])} has degree 0; "
                          "extract the largest connected component first")
 
-    rows = g.row_idx
-    cols = g.column_of_entry()
     if isinstance(kind, RandomWalk):
-        vals = g.values / d[cols]
-        m = sp.csc_matrix((vals, rows.copy(), g.col_ptr.copy()), shape=(g.n, g.n))
+        vals = g.values / d[g.column_of_entry()]
+        m = sp.csc_matrix((vals, g.row_idx.copy(), g.col_ptr.copy()),
+                          shape=(g.n, g.n))
     elif isinstance(kind, Symmetric):
-        s = 1.0 / np.sqrt(d)
-        # s[rows] * s[cols] is computed first so mirrored entries round
-        # identically and the matrix is symmetric bit for bit.
-        vals = g.values * (s[rows] * s[cols])
-        m = sp.csc_matrix((vals, rows.copy(), g.col_ptr.copy()), shape=(g.n, g.n))
+        m = scaled(g.to_scipy(), 1.0 / np.sqrt(d))
     elif isinstance(kind, SymmetricSelfLoop):
         w = float(kind.w_loop)
         s = 1.0 / np.sqrt(w + d)
-        vals = g.values * (s[rows] * s[cols])
-        off = sp.csc_matrix((vals, rows.copy(), g.col_ptr.copy()), shape=(g.n, g.n))
-        diag = sp.diags(w * (s * s), format="csc")
-        m = (off + diag).tocsc()
+        m = (scaled(g.to_scipy(), s) + sp.diags(w * (s * s), format="csc")).tocsc()
         m.sort_indices()
     else:
         raise InputError(f"unknown transition kind {kind!r}")

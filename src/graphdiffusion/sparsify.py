@@ -1,19 +1,21 @@
-"""Truncation of dense diffusion matrices and renormalization of the result.
-
-Pipeline order is fixed: sparsify, then optional unweighting, then optional
-symmetrization, then optional renormalization into a transition matrix.
+"""Sparsification and renormalization of diffusion matrices, and diffuse_graph,
+the whole operator in its fixed stage order: transition matrix, diffusion,
+target degree resolved to a threshold, sparsification, then optional
+unweighting, symmetrization and renormalization into a transition matrix.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import DiffusionMatrix
+from .engine import DiffusionMatrix, diffuse
 from .errors import InputError
-from .graph import RandomWalk, SparseGraph, Symmetric, TransitionMatrix
+from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
+                    transition_matrix)
 
 # Columns handled by one top-k kernel call; its temporaries are N x TOPK_BLOCK.
 TOPK_BLOCK = 256
@@ -228,12 +230,35 @@ def postprocess(g, opts):
         if isolated.size:
             raise InputError("sparsification isolated node(s) "
                              f"{isolated.tolist()}; cannot renormalize")
-        s = 1.0 / np.sqrt(d)
-        cols = np.repeat(np.arange(result.n), np.diff(mat.indptr))
-        # paired scale factors first, so mirrored entries round identically
-        vals = mat.data * (s[mat.indices] * s[cols])
-        t = sp.csc_matrix((vals, mat.indices.copy(), mat.indptr.copy()),
-                          shape=mat.shape)
-        return TransitionMatrix(matrix=t, kind=Symmetric(), source=result,
-                                degrees=d)
+        return TransitionMatrix(matrix=scaled(mat, 1.0 / np.sqrt(d)),
+                                kind=Symmetric(), source=result, degrees=d)
     raise InputError(f"unknown renormalization {opts.renorm!r}")
+
+
+def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,
+                  eps_push=None, threads=0):
+    """The diffusion operator on g: transition, diffuse, sparsify, postprocess.
+
+    mode, series_k, eps_push and threads go to engine.diffuse. A
+    TargetDegree rule is resolved into a Threshold on the diffusion first,
+    within the sparsify stage. The sparsified graph keeps g's original_ids.
+    Returns (result, diffusion, eps, seconds): the postprocess result, the
+    DiffusionMatrix, the threshold applied (None for top-k) and the wall
+    time of each stage by name.
+    """
+    t0 = time.perf_counter()
+    t = transition_matrix(g, transition)
+    t1 = time.perf_counter()
+    s = diffuse(t, spec, mode=mode, series_k=series_k, eps_push=eps_push,
+                threads=threads)
+    t2 = time.perf_counter()
+    eps = rule.eps if isinstance(rule, Threshold) else None
+    if isinstance(rule, TargetDegree):
+        eps = epsilon_for_degree(s, rule.avg_degree)
+        rule = Threshold(eps)
+    sparse_graph = sparsify(s, rule, original_ids=g.original_ids)
+    t3 = time.perf_counter()
+    result = postprocess(sparse_graph, post)
+    seconds = {"transition": t1 - t0, "diffuse": t2 - t1, "sparsify": t3 - t2,
+               "postprocess": time.perf_counter() - t3}
+    return result, s, eps, seconds

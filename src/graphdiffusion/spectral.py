@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from .coeffs import Explicit, Heat, Ppr
 from .errors import InputError
-from .graph import RandomWalk, SparseGraph, Symmetric, TransitionMatrix
+from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
+                    transition_matrix)
 
 DENSE_EIGEN_CAP = 3000
 
@@ -22,8 +23,9 @@ def laplacian(obj, kind=SYMMETRIC):
     """Graph Laplacian of a SparseGraph, or I - T of a TransitionMatrix.
 
     kinds: 'unnormalized' (D - A), 'rw' (I - A D^-1) and 'sym'
-    (I - D^-1/2 A D^-1/2). The rw Laplacian is asymmetric; analyze it
-    through the symmetric kind, which shares its spectrum.
+    (I - D^-1/2 A D^-1/2); the normalized kinds are I - T of the
+    transition matrix of that kind. The rw Laplacian is asymmetric;
+    analyze it through the symmetric kind, which shares its spectrum.
     """
     if isinstance(obj, TransitionMatrix):
         return (sp.identity(obj.n, format="csc") - obj.matrix).tocsc()
@@ -37,17 +39,10 @@ def laplacian(obj, kind=SYMMETRIC):
         bad = int(np.flatnonzero(d == 0)[0])
         raise InputError(f"node {bad} has degree 0; normalized Laplacians "
                          "need positive degrees")
-    rows = g.row_idx
-    cols = g.column_of_entry()
-    if kind == RANDOM_WALK:
-        vals = g.values / d[cols]
-    elif kind == SYMMETRIC:
-        s = 1.0 / np.sqrt(d)
-        vals = g.values * (s[rows] * s[cols])
-    else:
+    kinds = {RANDOM_WALK: RandomWalk(), SYMMETRIC: Symmetric()}
+    if kind not in kinds:
         raise InputError(f"unknown Laplacian kind {kind!r}")
-    t = sp.csc_matrix((vals, rows.copy(), g.col_ptr.copy()), shape=(g.n, g.n))
-    return (sp.identity(g.n, format="csc") - t).tocsc()
+    return laplacian(transition_matrix(g, kinds[kind]))
 
 
 @dataclass
@@ -90,7 +85,7 @@ def eigen_of_transition(t, want_vectors=False, cap=DENSE_EIGEN_CAP):
     """Spectrum of a TransitionMatrix; RW kinds go through T_sym."""
     if isinstance(t.kind, RandomWalk):
         s = np.sqrt(t.degrees)
-        sim = sp.diags(1.0 / s) @ t.matrix @ sp.diags(s)
+        sim = scaled(t.matrix, 1.0 / s, s)
         sim = (sim + sim.T) * 0.5
         return eigen(sim, want_vectors, source="T_rw (via symmetric similar form)",
                      cap=cap)

@@ -85,6 +85,17 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="unknown config key"):
             parse(["--config", str(conf)])
 
+    @pytest.mark.parametrize("line,what", [("format = csv", "output format"),
+                                           ("renorm = bogus", "renormalization")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line, what):
+        inp = write_k2(tmp_path)
+        out = tmp_path / "out.txt"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {inp}\noutput = {out}\n{line}\n")
+        assert main(["transform", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.startswith(f"E_USAGE: unknown {what}")
+        assert not out.exists()
+
     def test_hash_stable_and_sensitive(self):
         a = parse(["--input", "a", "--output", "b"])
         b = parse(["--input", "a", "--output", "b"])

@@ -2,15 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from graphdiffusion import (ComputeError, GdcConfig, InputError, SbmSpec,
-                            eval_gdc_clustering, generate_sbm,
-                            hungarian_accuracy, kmeans,
+                            SparseGraph, TopK, eval_gdc_clustering,
+                            generate_sbm, hungarian_accuracy, kmeans,
                             largest_connected_component, load_graph,
                             spectral_cluster)
 from graphdiffusion import cluster as cluster_mod
-from graphdiffusion.cluster import _lloyd, spectral_embedding
+from graphdiffusion.cluster import _lloyd, run_gdc_for_clustering, spectral_embedding
 
 
 class TestSbm:
@@ -131,6 +131,22 @@ class TestSparseEmbedding:
         labels = np.repeat([0, 1, 2], 8)
         got = spectral_cluster(g, 3, seed=0, allow_disconnected=True)
         assert hungarian_accuracy(got, labels).accuracy == 1.0
+
+    def test_operator_bit_symmetric_on_undirected_graph(self, monkeypatch):
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return eigsh(a, *args, **kwargs)
+        monkeypatch.setattr(cluster_mod, "eigsh", recording)
+        g = self.sbm()
+        rng = np.random.default_rng(3)
+        m = g.to_scipy()
+        m.data = rng.uniform(0.1, 7.0, m.data.size)
+        weighted = SparseGraph.from_scipy(m.maximum(m.T), directed=False)
+        spectral_embedding(weighted, 3)
+        (a,) = seen
+        assert (a != a.T).nnz == 0
 
     def test_non_convergence_is_compute_error(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -275,6 +291,13 @@ class TestEval:
         np.testing.assert_array_equal(a.gdc_acc, b.gdc_acc)
         np.testing.assert_array_equal(a.raw_acc, c.raw_acc)
         np.testing.assert_array_equal(a.gdc_acc, c.gdc_acc)
+
+    def test_diffused_graph_keeps_original_ids(self):
+        ids = [10, 20, 30, 40, 50]
+        g = load_graph([(10, 20), (20, 30), (30, 40), (40, 50), (50, 10),
+                        (10, 30)])
+        out = run_gdc_for_clustering(g, GdcConfig(rule=TopK(3)))
+        np.testing.assert_array_equal(out.original_ids, ids)
 
     def test_improvement_in_sparse_regime(self):
         # sparse graphs are where the extra diffusion reach pays off;

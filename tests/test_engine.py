@@ -57,6 +57,13 @@ class TestExactGeometric:
         with pytest.raises(ComputeError, match="residual"):
             diffuse_exact_ppr(t, 0.05)
 
+    def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
+        monkeypatch.setattr(engine, "_cholesky_inverse",
+                            lambda a: np.full_like(a, np.nan))
+        t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
+        with pytest.raises(ComputeError, match="residual nan"):
+            diffuse_exact_ppr(t, 0.05)
+
     def test_alpha_validated(self):
         with pytest.raises(InputError):
             diffuse_exact_ppr(t_of([(0, 1)]), 0.0)

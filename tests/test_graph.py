@@ -6,6 +6,7 @@ from graphdiffusion import (InputError, RandomWalk, SparseGraph, Symmetric,
                             SymmetricSelfLoop, largest_connected_component,
                             load_edge_list, load_graph, read_edge_list,
                             save_edge_list, transition_matrix)
+from graphdiffusion.graph import scaled
 from conftest import er_graph
 
 
@@ -81,6 +82,38 @@ class TestValidate:
     def test_row_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             SparseGraph(2, [0, 1, 2], [1, 2], [1.0, 1.0], directed=True)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        m = sp.csc_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, w],
+                                    [1.0, 0.0, 0.0]]))
+        with pytest.raises(InputError, match="strictly positive and finite"):
+            SparseGraph.from_scipy(m, directed=True)
+
+
+def random_symmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    m = sp.random(n, n, density=0.2, random_state=rng, format="csc")
+    m.data = rng.uniform(0.1, 3.0, m.data.size)
+    return (m + m.T).tocsc(), rng
+
+
+class TestScaled:
+    def test_matches_diagonal_products(self):
+        m, rng = random_symmetric(40, 1)
+        left, right = rng.uniform(0.01, 5.0, 40), rng.uniform(0.01, 5.0, 40)
+        ref = (sp.diags(left) @ m @ sp.diags(right)).toarray()
+        out = scaled(m, left, right)
+        assert out.format == "csc"
+        np.testing.assert_allclose(out.toarray(), ref, rtol=1e-15, atol=0)
+
+    def test_symmetric_bit_for_bit(self):
+        m, rng = random_symmetric(60, 2)
+        s = 1.0 / np.sqrt(rng.uniform(0.5, 50.0, 60))
+        out = scaled(m, s)
+        assert (out != out.T).nnz == 0
+        np.testing.assert_array_equal(out.indices, m.indices)
+        np.testing.assert_array_equal(out.indptr, m.indptr)
 
 
 class TestLcc:

@@ -38,9 +38,19 @@ class TestLaplacian:
         lap = laplacian(t).toarray()
         np.testing.assert_allclose(lap, np.eye(3) - t.matrix.toarray())
 
+    @pytest.mark.parametrize("name,kind", [(RANDOM_WALK, RandomWalk()),
+                                           (SYMMETRIC, Symmetric())])
+    def test_normalized_is_identity_minus_transition(self, name, kind):
+        rng = np.random.default_rng(4)
+        g = load_graph([(i, j, rng.uniform(0.1, 5.0)) for i in range(30)
+                        for j in range(i + 1, 30) if rng.random() < 0.3])
+        lap = laplacian(g, name).toarray()
+        expected = np.eye(g.n) - transition_matrix(g, kind).matrix.toarray()
+        np.testing.assert_array_equal(lap, expected)
+
     def test_zero_degree_rejected(self):
         g = load_graph([(0, 1)], n_hint=3)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="normalized Laplacians"):
             laplacian(g, SYMMETRIC)
         # unnormalized form tolerates isolated nodes
         lap = laplacian(g, UNNORMALIZED).toarray()
