@@ -137,11 +137,10 @@ def kmeans(points, k, seed=0):
 
 
 def _weighted_adjacency(obj):
-    """(matrix, node count, whether the matrix may be asymmetric)."""
     if isinstance(obj, TransitionMatrix):
-        return obj.matrix, obj.n, True
+        return obj.matrix, obj.n
     if isinstance(obj, SparseGraph):
-        return obj.to_scipy(), obj.n, obj.directed
+        return obj.to_scipy(), obj.n
     raise InputError("expected a SparseGraph or TransitionMatrix")
 
 
@@ -160,7 +159,7 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     diffusion graph can split blocks apart, and the component indicator
     vectors are then exactly the right embedding).
     """
-    mat, n, directed = _weighted_adjacency(obj)
+    mat, n = _weighted_adjacency(obj)
     if not allow_disconnected:
         ncomp, _ = csgraph.connected_components(mat, directed=False)
         if ncomp != 1:
@@ -175,9 +174,7 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     if np.any(d == 0):
         raise InputError("input has isolated nodes")
     a = scaled(mat, 1.0 / np.sqrt(d))
-    if directed:
-        # undirected input gives a symmetric a bit for bit already
-        a = (a + a.T) * 0.5
+    a = (a + a.T) * 0.5
     # a fixed start vector makes the result a function of the input alone
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
