@@ -156,6 +156,14 @@ def _as_bool(val, key):
     raise UsageError(f"bad boolean for {key}: {val!r}")
 
 
+def _number(val, key, kind=float):
+    """val as a kind (int or float); a value that does not parse is a usage error."""
+    try:
+        return kind(val)
+    except ValueError as exc:
+        raise UsageError(f"bad {kind.__name__} for {key}: {val!r}") from exc
+
+
 def _add_pipeline_flags(p):
     p.add_argument("--input", help="edge-list file to transform")
     p.add_argument("--output", help="destination path")
@@ -212,7 +220,8 @@ def parse_config(ns):
     elif trans_name == "sym":
         transition = Symmetric()
     elif trans_name == "symloop":
-        transition = SymmetricSelfLoop(float(wloop) if wloop is not None else 1.0)
+        w_loop = _number(wloop, "wloop") if wloop is not None else 1.0
+        transition = SymmetricSelfLoop(w_loop)
     else:
         raise UsageError(f"unknown transition {trans_name!r}")
 
@@ -225,13 +234,13 @@ def parse_config(ns):
     if method == "ppr":
         if t_val is not None or theta_file:
             raise UsageError("--t/--theta-file conflict with method ppr")
-        spec = cf.Ppr(float(alpha) if alpha is not None else 0.15)
+        spec = cf.Ppr(_number(alpha, "alpha") if alpha is not None else 0.15)
     elif method == "heat":
         if alpha is not None or theta_file:
             raise UsageError("--alpha/--theta-file conflict with method heat")
         if t_val is None:
             raise UsageError("method heat requires --t")
-        spec = cf.Heat(float(t_val))
+        spec = cf.Heat(_number(t_val, "t"))
     elif method == "explicit":
         if alpha is not None or t_val is not None:
             raise UsageError("--alpha/--t conflict with method explicit")
@@ -254,13 +263,13 @@ def parse_config(ns):
         mode = "exact"
     if mode == "series" and series_k is None:
         sk = get("series_k")
-        series_k = int(sk) if sk is not None else None
+        series_k = _number(sk, "series_k", int) if sk is not None else None
     if mode == "push":
         if eps_push is None:
             ep = get("eps_push")
             if ep is None:
                 raise UsageError("push mode requires an epsilon")
-            eps_push = float(ep)
+            eps_push = _number(ep, "eps_push")
         if not isinstance(transition, RandomWalk):
             raise UsageError("push mode requires --transition rw")
     if mode not in ("exact", "series", "push"):
@@ -269,32 +278,26 @@ def parse_config(ns):
     rule_text = get("sparsify", "topk:64")
     rule = _parse_rule(rule_text) if isinstance(rule_text, str) else rule_text
 
-    symmetrize = get("symmetrize", True)
-    if isinstance(symmetrize, str):
-        symmetrize = _as_bool(symmetrize, "symmetrize")
-    unweighted = get("unweighted", False)
-    if isinstance(unweighted, str):
-        unweighted = _as_bool(unweighted, "unweighted")
+    symmetrize = _as_bool(get("symmetrize", True), "symmetrize")
+    unweighted = _as_bool(get("unweighted", False), "unweighted")
     renorm = get("renorm", "rw")
     if renorm not in ("sym", "rw", "none"):
         raise UsageError(f"unknown renormalization {renorm!r}; use sym, rw or none")
     if renorm == "none":
         renorm = None
-    post = PostProcess(symmetrize=bool(symmetrize), unweighted=bool(unweighted),
-                       renorm=renorm)
+    post = PostProcess(symmetrize=symmetrize, unweighted=unweighted, renorm=renorm)
 
     fmt = get("fmt", file_values.get("format", "edges"))
     if fmt not in ("edges", "npz"):
         raise UsageError(f"unknown output format {fmt!r}; use edges or npz")
 
-    seed = int(get("seed", 0))
-    threads = get("threads")
-    if threads is None:
-        threads = int(os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
+    seed = _number(get("seed", 0), "seed", int)
+    threads = get("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
     return PipelineConfig(input=str(input_path), output=str(output_path),
                           transition=transition, spec=spec, mode=mode,
                           series_k=series_k, eps_push=eps_push, rule=rule,
-                          post=post, seed=seed, threads=int(threads), fmt=fmt)
+                          post=post, seed=seed,
+                          threads=_number(threads, "threads", int), fmt=fmt)
 
 
 def _read_vector(path):
@@ -316,7 +319,9 @@ def _write_vector(path, values):
 
 
 def _is_identity_spec(spec):
-    return isinstance(spec, cf.Explicit) and all(v == 0.0 for v in spec.theta[1:])
+    # theta_0 I with theta_0 = 0 is the zero matrix, which keeps no self-loop
+    return (isinstance(spec, cf.Explicit) and spec.theta[0] != 0.0
+            and all(v == 0.0 for v in spec.theta[1:]))
 
 
 def run_pipeline(cfg):
@@ -430,7 +435,7 @@ def cmd_convert_coeffs(ns):
 
 
 def cmd_gen_sbm(ns):
-    blocks = tuple(int(b) for b in ns.blocks.split(","))
+    blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
     spec = SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
     g, labels = generate_sbm(spec)
     save_edge_list(ns.output, g, metadata={
@@ -448,7 +453,7 @@ def cmd_gen_sbm(ns):
 
 
 def cmd_eval_cluster(ns):
-    blocks = tuple(int(b) for b in ns.blocks.split(","))
+    blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
     sbm = SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
     gdc = GdcConfig(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
                     unweighted=ns.unweighted)
@@ -509,8 +514,9 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--topk", type=int, default=64)
     p.add_argument("--unweighted", action="store_true")
+    # argparse converts a string default with type only when the command runs
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("GRAPHDIFFUSION_THREADS", "0")))
+                   default=os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
     p.add_argument("--output", help="per-seed CSV report")
     p.set_defaults(func=cmd_eval_cluster)
     return parser

@@ -293,6 +293,8 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
     number. Seeds run in a thread pool unless threads is 1; 0 uses one
     worker per usable core. Results do not depend on the thread count.
     """
+    if seeds < 1:
+        raise InputError(f"need at least one seed, got {seeds}")
     if num_clusters is None:
         num_clusters = len(sbm_spec.block_sizes)
 

@@ -37,6 +37,8 @@ PUSH_L1_FACTOR = 50.0
 PUSH_BLOCK = 64
 # Largest infinity-norm residual the exact solve may leave in any column.
 EXACT_TOL = 1e-10
+# Largest analytic tail weight a series of derived order may drop.
+SERIES_TAIL_TOL = 1e-12
 
 
 def worker_count(threads):
@@ -392,9 +394,7 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
             chunks = list(pool.map(one, starts))
     cols = [c for chunk in chunks for c in chunk]
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for j, c in enumerate(cols):
-        indptr[j + 1] = indptr[j] + c.indices.size
+    indptr = np.cumsum([0] + [c.indices.size for c in cols], dtype=np.int64)
     indices = np.concatenate([c.indices for c in cols]) if n else np.array([], dtype=np.int64)
     data = np.concatenate([c.values for c in cols]) if n else np.array([])
     mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
@@ -403,21 +403,21 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
                            certificate=_push_certificate(cols))
 
 
-def diffuse(T, spec, mode="exact", series_k=None, eps_push=None,
-            tail_tol=1e-12, threads=0):
+def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):
     """Dispatch to the exact, series or push computation of the diffusion.
 
     'exact' requires the geometric family (other specs fall back to a
-    series truncated at tail_tol). 'series' uses series_k or derives it
-    from tail_tol. 'push' requires eps_push and a random-walk transition.
+    series truncated at SERIES_TAIL_TOL). 'series' uses series_k or derives
+    it from SERIES_TAIL_TOL. 'push' requires eps_push and a random-walk
+    transition.
     """
     if mode == "exact":
         if isinstance(spec, Ppr):
             return diffuse_exact_ppr(T, spec.alpha)
-        k = truncation_k(spec, tail_tol)
+        k = truncation_k(spec, SERIES_TAIL_TOL)
         return diffuse_series(T, spec, k)
     if mode == "series":
-        k = series_k if series_k is not None else truncation_k(spec, tail_tol)
+        k = series_k if series_k is not None else truncation_k(spec, SERIES_TAIL_TOL)
         return diffuse_series(T, spec, k)
     if mode == "push":
         if eps_push is None:

@@ -2,6 +2,8 @@
 the whole operator in its fixed stage order: transition matrix, diffusion,
 target degree resolved to a threshold, sparsification, then optional
 unweighting, symmetrization and renormalization into a transition matrix.
+Every sparsify rule is one masking kernel over blocks of TOPK_BLOCK columns,
+which never copies the whole diffusion matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
                     transition_matrix)
 
-# Columns handled by one top-k kernel call; its temporaries are N x TOPK_BLOCK.
+# Columns masked at once by sparsify, for every rule; temporaries are N x TOPK_BLOCK.
 TOPK_BLOCK = 256
 
 
@@ -64,25 +66,6 @@ class PostProcess:
     renorm: str | None = None  # 'sym', 'rw' or None
 
 
-def _clean_entries(S):
-    """Entry array of a DiffusionMatrix with tiny negative noise clamped."""
-    if isinstance(S, DiffusionMatrix):
-        mat = S.data
-    else:
-        mat = S
-    if sp.issparse(mat):
-        mat = sp.csc_matrix(mat, copy=True)
-        if mat.data.size and mat.data.min() < -1e-12:
-            raise InputError("diffusion entries must be non-negative")
-        mat.data = np.maximum(mat.data, 0.0)
-        mat.eliminate_zeros()
-        return mat
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.size and arr.min() < -1e-12:
-        raise InputError("diffusion entries must be non-negative")
-    return sp.csc_matrix(np.maximum(arr, 0.0))
-
-
 def _topk_mask(cols, k):
     """Mask of the k largest positive entries in each row of cols (b x n).
 
@@ -93,6 +76,7 @@ def _topk_mask(cols, k):
     wins a tie. Only positive entries count, so a row with fewer than k of
     them keeps all of them.
     """
+    cols = np.ascontiguousarray(cols)
     n = cols.shape[1]
     kth = np.partition(cols, n - k, axis=1)[:, n - k, None]
     keep = cols >= kth
@@ -107,90 +91,98 @@ def _topk_mask(cols, k):
     return keep
 
 
-def _sparsify_topk(S, k, original_ids):
-    """Top-k of every column, computed over blocks of TOPK_BLOCK columns.
+def _sparsify_blocks(mat, mask_of):
+    """CSC of the entries of mat that mask_of keeps, TOPK_BLOCK columns at a time.
 
-    Dense input is read in place; sparse input is densified one block at a
-    time, so temporaries stay O(N * TOPK_BLOCK).
+    mask_of maps a block, whose row i is column lo + i of mat, to a boolean
+    mask. A dense block is a view of mat and a CSC block is densified.
     """
-    mat = S.data if isinstance(S, DiffusionMatrix) else S
-    if sp.issparse(mat):
-        mat = sp.csc_matrix(mat, dtype=np.float64)
-    else:
-        mat = np.asarray(mat, dtype=np.float64)
     n = mat.shape[0]
-    if k > n:
-        raise InputError(f"top-k count {k} exceeds node count {n}")
-    counts, rows, vals = [], [], []
+    # the leading 0 of indptr, and empty parts so that N = 0 needs no block
+    counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for lo in range(0, n, TOPK_BLOCK):
         hi = min(lo + TOPK_BLOCK, n)
-        # row i of cols is column lo + i of S
         if sp.issparse(mat):
             cols = mat[:, lo:hi].T.toarray()
         else:
-            cols = np.ascontiguousarray(mat[:, lo:hi].T)
+            cols = mat[:, lo:hi].T
         if cols.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
-        keep = _topk_mask(cols, k)
+        keep = mask_of(cols)
         counts.append(keep.sum(axis=1))
         rows.append(np.nonzero(keep)[1])
         vals.append(cols[keep])
-    # k <= n and k > 0, so there is at least one block
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    out = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
-                        shape=(n, n))
-    return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
-                                  allow_loops=True)
+    indptr = np.cumsum(np.concatenate(counts))
+    return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                         shape=(n, n))
+
+
+def _entries(S):
+    """The matrix of a DiffusionMatrix (or S itself) as float64 CSC or ndarray."""
+    mat = S.data if isinstance(S, DiffusionMatrix) else S
+    if sp.issparse(mat):
+        return sp.csc_matrix(mat, dtype=np.float64)
+    return np.asarray(mat, dtype=np.float64)
 
 
 def epsilon_for_degree(S, avg_degree):
     """Threshold whose survivors have about avg_degree entries per column.
 
-    Returns the ceil(N * avg_degree)-th largest stored entry; thresholding
-    at it keeps at least that many entries (ties may overshoot).
+    Returns the ceil(N * avg_degree)-th largest positive entry, or the
+    smallest one if there are fewer; thresholding at it keeps at least
+    that many entries (ties may overshoot). Reads the stored entries in
+    place and copies only the positive ones.
     """
-    mat = _clean_entries(S)
+    mat = _entries(S)
     n = mat.shape[0]
+    vals = mat.data if sp.issparse(mat) else mat
+    if vals.size and vals.min() < -1e-12:
+        raise InputError("diffusion entries must be non-negative")
     if not 0 < avg_degree <= n:
         raise InputError(f"average degree must be in (0, {n}], got {avg_degree}")
-    vals = mat.data
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        raise InputError("the diffusion has no positive entry; "
+                         f"no threshold gives average degree {avg_degree:g}")
     m = int(np.ceil(n * avg_degree))
     if m >= vals.size:
         return float(vals.min())
-    # m-th largest = (size - m)-th in ascending partition order
-    return float(np.partition(vals, vals.size - m)[vals.size - m])
+    # m-th largest = (size - m)-th in ascending order; vals is a copy
+    vals.partition(vals.size - m)
+    return float(vals[vals.size - m])
 
 
 def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
-    Top-k keeps the min(k, positive entries) largest entries of each
-    column, the smaller row winning a tie; each column's k-th value comes
-    from one partition per block of TOPK_BLOCK columns, and dense input is
-    read in place. Thresholding keeps entries >= eps. TargetDegree
-    resolves eps through epsilon_for_degree first. Diagonal mass survives
-    like any other entry, so the result may carry self-loops. original_ids
-    labels the result's nodes (by default 0..N-1), normally the ids of the
-    diffused graph.
+    Every rule is one pass over blocks of TOPK_BLOCK columns, each block
+    masked and appended to the CSC result: dense input is read in place,
+    CSC input densified one block at a time, so besides the result the
+    temporaries are O(N * TOPK_BLOCK). Top-k keeps the min(k, positive
+    entries) largest entries of each column, the smaller row winning a
+    tie; each column's k-th value comes from one partition per block.
+    Thresholding keeps entries >= eps. TargetDegree resolves eps through
+    epsilon_for_degree first. Diagonal mass survives like any other entry,
+    so the result may carry self-loops. original_ids labels the result's
+    nodes (by default 0..N-1), normally the ids of the diffused graph.
     """
-    if isinstance(rule, TopK):
-        return _sparsify_topk(S, rule.k, original_ids)
-
-    mat = _clean_entries(S)
     if isinstance(rule, TargetDegree):
         rule = Threshold(epsilon_for_degree(S, rule.avg_degree))
-
-    if isinstance(rule, Threshold):
-        if mat.data.size == 0 or rule.eps > mat.data.max():
+    mat = _entries(S)
+    n = mat.shape[0]
+    if isinstance(rule, TopK):
+        if rule.k > n:
+            raise InputError(f"top-k count {rule.k} exceeds node count {n}")
+        out = _sparsify_blocks(mat, lambda cols: _topk_mask(cols, rule.k))
+    elif isinstance(rule, Threshold):
+        out = _sparsify_blocks(mat, lambda cols: cols >= rule.eps)
+        if out.nnz == 0:
             raise InputError(f"threshold {rule.eps:g} exceeds the largest entry; "
                              "the sparsified graph would be empty")
-        keep = sp.csc_matrix(mat, copy=True)
-        keep.data[keep.data < rule.eps] = 0.0
-        keep.eliminate_zeros()
-        return SparseGraph.from_scipy(keep, directed=True, original_ids=original_ids,
-                                      allow_loops=True)
-
-    raise InputError(f"unknown sparsify rule {rule!r}")
+    else:
+        raise InputError(f"unknown sparsify rule {rule!r}")
+    return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
+                                  allow_loops=True)
 
 
 def postprocess(g, opts):
@@ -203,7 +195,6 @@ def postprocess(g, opts):
     """
     mat = g.to_scipy().astype(np.float64)
     if opts.unweighted:
-        mat = sp.csc_matrix(mat, copy=True)
         mat.data = np.ones_like(mat.data)
     if opts.symmetrize:
         mat = ((mat + mat.T) * 0.5).tocsc()

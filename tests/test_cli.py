@@ -96,6 +96,41 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith(f"E_USAGE: unknown {what}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,line,message", [
+        ("transform", "alpha = abc", "bad float for alpha: 'abc'"),
+        ("transform", "threads = two", "bad int for threads: 'two'"),
+        ("transform", "seed = 1.5", "bad int for seed: '1.5'"),
+        ("gen-sbm", None, "bad int for --blocks: 'abc'"),
+        ("eval-cluster", None, "bad int for --blocks: 'abc'")],
+        ids=["alpha", "threads", "seed", "gen-sbm", "eval-cluster"])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, command, line,
+                                       message):
+        out = tmp_path / "out.txt"
+        if line is None:
+            argv = [command, "--blocks", "40,abc", "--p-in", "0.5",
+                    "--p-out", "0.1", "--output", str(out)]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\n"
+                            f"{line}\n")
+            argv = [command, "--config", str(conf)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
+
+    def test_bad_threads_variable_is_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("GRAPHDIFFUSION_THREADS", "two")
+        out = tmp_path / "out.txt"
+        assert main(["transform", "--input", write_k2(tmp_path),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: bad int for threads: 'two'"]
+        assert main(["eval-cluster", "--blocks", "10,10", "--p-in", "0.5",
+                     "--p-out", "0.1", "--output", str(out)]) == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_stable_and_sensitive(self):
         a = parse(["--input", "a", "--output", "b"])
         b = parse(["--input", "a", "--output", "b"])
@@ -157,6 +192,19 @@ class TestTransform:
                    "--sparsify", "eps:2.0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("E_COMPUTE:")
+
+    def test_degree_on_zero_diffusion_exit_1(self, tmp_path, capsys):
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n2 3\n3 0\n")
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0\n")
+        rc = main(["transform", "--input", str(inp),
+                   "--output", str(tmp_path / "o.txt"), "--method", "explicit",
+                   "--theta-file", str(theta), "--sparsify", "degree:4"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "E_COMPUTE: the diffusion has no positive entry; "
+            "no threshold gives average degree 4"]
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", "a", "--output", "b",

@@ -282,6 +282,12 @@ class TestEval:
         assert rep.seeds == 1
         assert rep.delta_ci[0] == rep.delta_ci[1]
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_no_seed_rejected(self, seeds):
+        sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
+        with pytest.raises(InputError, match="at least one seed"):
+            eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=seeds)
+
     def test_threads_do_not_change_results(self):
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=2)
         a = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=1)

@@ -224,9 +224,10 @@ class TestDispatch:
         assert s.exactness.startswith("series:")
         np.testing.assert_allclose(s.toarray().sum(axis=0), 1.0, atol=1e-10)
 
-    def test_series_order_derived_from_tail(self):
+    def test_series_order_derived_from_tail(self, monkeypatch):
+        monkeypatch.setattr(engine, "SERIES_TAIL_TOL", 0.1)
         t = t_of([(0, 1)])
-        s = diffuse(t, Ppr(0.5), mode="series", tail_tol=0.1)
+        s = diffuse(t, Ppr(0.5), mode="series")
         assert s.exactness == "series:3"
 
     def test_push_mode(self):

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,122 @@ class TestTopKAgainstColumnLoop:
         np.testing.assert_array_equal(vals, [0.3])
 
 
+def clean_entries(arr):
+    """CSC copy of arr with tiny negative noise clamped: the input of the
+    former threshold path."""
+    mat = sp.csc_matrix(arr, copy=True)
+    if mat.data.size and mat.data.min() < -1e-12:
+        raise InputError("diffusion entries must be non-negative")
+    mat.data = np.maximum(mat.data, 0.0)
+    mat.eliminate_zeros()
+    return mat
+
+
+def threshold_by_copy(arr, eps):
+    """Reference threshold: the former whole-matrix copy and mask."""
+    mat = clean_entries(arr)
+    if mat.data.size == 0 or eps > mat.data.max():
+        raise InputError("the sparsified graph would be empty")
+    mat.data[mat.data < eps] = 0.0
+    mat.eliminate_zeros()
+    return mat
+
+
+def epsilon_by_copy(arr, avg_degree):
+    """Reference order statistic over the clamped stored entries."""
+    vals = clean_entries(arr).data
+    m = int(np.ceil(arr.shape[0] * avg_degree))
+    if m >= vals.size:
+        return float(vals.min())
+    return float(np.partition(vals, vals.size - m)[vals.size - m])
+
+
+def threshold_cases():
+    """(name, arr, thresholds, degrees); each case's last threshold
+    exceeds its largest entry."""
+    rng = np.random.default_rng(21)
+    noise = rng.random((30, 30)) * (rng.random((30, 30)) < 0.4)
+    noise[rng.random((30, 30)) < 0.2] = -5e-13
+    noise[0, :] = -0.0
+    tiny = np.finfo(float).smallest_subnormal
+    subnormal = rng.choice([0.0, tiny, 3 * tiny, 1e-310, 0.2], size=(30, 30))
+    at_eps = rng.choice([0.0, 0.1, 0.25, 0.5], size=(37, 37))
+    dense = rng.random((25, 25))
+    return [("noise", noise, (1e-3, 0.5, 1.5), (0.5, 3.0, 30.0)),
+            ("subnormal", subnormal, (tiny, 3 * tiny, 0.2, 0.3), (1.0, 30.0)),
+            ("at_eps", at_eps, (0.1, 0.25, 0.5, 0.75), (1.0, 5.5, 37.0)),
+            ("dense", dense, (0.3, 0.999, 2.0), (1.0, 7.0, 25.0))]
+
+
+class TestThresholdAgainstCopy:
+    @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
+    @pytest.mark.parametrize("layout", ["dense", "fortran", "csc"])
+    @pytest.mark.parametrize("name,arr,epss,degrees", threshold_cases(),
+                             ids=[c[0] for c in threshold_cases()])
+    def test_identical_to_copy(self, name, arr, epss, degrees, layout, block,
+                               monkeypatch):
+        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        data = {"dense": arr, "fortran": np.asfortranarray(arr),
+                "csc": sp.csc_matrix(arr)}[layout]
+        s = DiffusionMatrix(data, None, None, "exact")
+        for eps in epss[:-1]:
+            g = sparsify(s, Threshold(eps))
+            ref = threshold_by_copy(arr, eps)
+            np.testing.assert_array_equal(g.col_ptr, ref.indptr)
+            np.testing.assert_array_equal(g.row_idx, ref.indices)
+            np.testing.assert_array_equal(g.values, ref.data)
+        with pytest.raises(InputError, match="empty"):
+            threshold_by_copy(arr, epss[-1])
+        with pytest.raises(InputError, match="empty"):
+            sparsify(s, Threshold(epss[-1]))
+        for d in degrees:
+            eps = epsilon_by_copy(arr, d)
+            assert epsilon_for_degree(s, d) == eps
+            g = sparsify(s, TargetDegree(d))
+            ref = threshold_by_copy(arr, eps)
+            np.testing.assert_array_equal(g.col_ptr, ref.indptr)
+            np.testing.assert_array_equal(g.row_idx, ref.indices)
+            np.testing.assert_array_equal(g.values, ref.data)
+
+    @pytest.mark.parametrize("rule", [Threshold(0.05), TargetDegree(2.0)])
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_negative_entries_rejected(self, rule, layout):
+        m = np.full((5, 5), 0.1)
+        m[3, 4] = -1e-9
+        data = sp.csc_matrix(m) if layout == "csc" else m
+        with pytest.raises(InputError, match="non-negative"):
+            sparsify(DiffusionMatrix(data, None, None, "exact"), rule)
+
+
+@pytest.fixture(scope="module")
+def exact_s_1200():
+    g, _ = generate_sbm(SbmSpec((400, 400, 400), 0.05, 0.01, seed=3))
+    g, _ = largest_connected_component(g)
+    return diffuse_exact_ppr(transition_matrix(g, Symmetric()), 0.15).data
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("rule,buffers", [("eps", 0.25), ("degree", 2.2)])
+def test_sparsify_peak_memory(exact_s_1200, order, rule, buffers):
+    # dense input is read in place: a threshold needs block temporaries and
+    # the result, which at 16 entries per column is 0.03 N^2 * 8 bytes and
+    # takes about three times that to assemble and validate; degree:D adds
+    # one copy of the positive entries
+    s = DiffusionMatrix(np.array(exact_s_1200, order=order), None, None, "exact")
+    rule = (Threshold(epsilon_for_degree(s, 16.0)) if rule == "eps"
+            else TargetDegree(16.0))
+    n = s.data.shape[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = sparsify(s, rule)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.nnz >= 16 * n
+    assert peak <= buffers * n ** 2 * 8
+
+
 class TestEpsilonForDegree:
     def test_degenerate_ties(self):
         s = as_diffusion(np.full((4, 4), 0.1))
@@ -191,12 +308,16 @@ class TestEpsilonForDegree:
         g = sparsify(s, Threshold(eps))
         assert g.nnz == 16
 
-    def test_order_statistic_matches_sort_oracle(self):
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_order_statistic_matches_sort_oracle(self, layout):
         rng = np.random.default_rng(3)
-        s = as_diffusion(rng.random((12, 12)))
+        arr = rng.random((12, 12))
+        s = as_diffusion(arr)
+        if layout == "csc":
+            s = DiffusionMatrix(sp.csc_matrix(arr), None, None, "exact")
         for d in (1.0, 2.5, 5.0):
             m = int(np.ceil(12 * d))
-            oracle = np.sort(np.asarray(s.data).ravel())[::-1][m - 1]
+            oracle = np.sort(arr.ravel())[::-1][m - 1]
             assert epsilon_for_degree(s, d) == pytest.approx(oracle)
 
     def test_full_degree_keeps_everything(self):
@@ -206,6 +327,15 @@ class TestEpsilonForDegree:
         assert eps == pytest.approx(np.asarray(s.data).min())
         g = sparsify(s, Threshold(eps))
         assert g.nnz == 64
+
+    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    def test_no_positive_entry(self, layout):
+        arr = np.zeros((4, 4))
+        arr[1, 2] = -1e-13
+        data = sp.csc_matrix(arr) if layout == "csc" else arr
+        s = DiffusionMatrix(data, None, None, "exact")
+        with pytest.raises(InputError, match="no positive entry"):
+            epsilon_for_degree(s, 2.0)
 
     def test_range_validation(self):
         s = as_diffusion(np.eye(3))
