@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,15 @@ from .sparsify import PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
 from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
 
 TOOL_VERSION = "0.1.0"
+
+# One table per choice, read by the argparse choices, parse_config and the
+# sidecar's names. A rule maps to its class and the type of its argument.
+TRANSITIONS = {"rw": RandomWalk, "sym": Symmetric, "symloop": SymmetricSelfLoop}
+METHODS = {"ppr": cf.Ppr, "heat": cf.Heat, "explicit": cf.Explicit}
+RULES = {"topk": (TopK, int), "eps": (Threshold, float),
+         "degree": (TargetDegree, float)}
+RENORMS = ("sym", "rw", "none")
+FORMATS = ("edges", "npz")
 
 
 class UsageError(Exception):
@@ -56,9 +66,9 @@ class PipelineConfig:
         kv = {
             "input": self.input,
             "output": self.output,
-            "transition": _kind_name(self.transition),
+            "transition": _name_of(TRANSITIONS, self.transition),
             "w_loop": getattr(self.transition, "w_loop", ""),
-            "method": _family_name(self.spec),
+            "method": _name_of(METHODS, self.spec),
             "alpha": getattr(self.spec, "alpha", ""),
             "t": getattr(self.spec, "t", ""),
             "theta": ",".join(repr(v) for v in getattr(self.spec, "theta", ())),
@@ -80,48 +90,34 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _kind_name(kind):
-    if isinstance(kind, RandomWalk):
-        return "rw"
-    if isinstance(kind, Symmetric):
-        return "sym"
-    if isinstance(kind, SymmetricSelfLoop):
-        return "symloop"
-    return str(kind)
+def _name_of(table, obj):
+    """The name under which table holds the class of obj, else str(obj)."""
+    return next((name for name, cls in table.items() if isinstance(obj, cls)),
+                str(obj))
 
 
-def _family_name(spec):
-    if isinstance(spec, cf.Ppr):
-        return "ppr"
-    if isinstance(spec, cf.Heat):
-        return "heat"
-    if isinstance(spec, cf.Explicit):
-        return "explicit"
-    return str(spec)
+def _choice(name, names, what):
+    if name not in names:
+        raise UsageError(f"unknown {what} {name!r}; use one of {', '.join(names)}")
+    return name
 
 
 def _rule_name(rule):
-    if isinstance(rule, TopK):
-        return f"topk:{rule.k}"
-    if isinstance(rule, Threshold):
-        return f"eps:{rule.eps!r}"
-    if isinstance(rule, TargetDegree):
-        return f"degree:{rule.avg_degree!r}"
+    for name, (cls, _) in RULES.items():
+        if isinstance(rule, cls):
+            return f"{name}:{astuple(rule)[0]!r}"
     return str(rule)
 
 
 def _parse_rule(text):
+    name, _, arg = text.partition(":")
+    if name not in RULES:
+        raise UsageError(f"bad sparsify rule {text!r}; use topk:K, eps:E or degree:D")
+    cls, kind = RULES[name]
     try:
-        name, _, arg = text.partition(":")
-        if name == "topk":
-            return TopK(int(arg))
-        if name == "eps":
-            return Threshold(float(arg))
-        if name == "degree":
-            return TargetDegree(float(arg))
+        return cls(kind(arg))
     except (ValueError, InputError) as exc:
         raise UsageError(f"bad sparsify rule {text!r}: {exc}") from exc
-    raise UsageError(f"bad sparsify rule {text!r}; use topk:K, eps:E or degree:D")
 
 
 def _read_config_file(path):
@@ -168,9 +164,9 @@ def _add_pipeline_flags(p):
     p.add_argument("--input", help="edge-list file to transform")
     p.add_argument("--output", help="destination path")
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--transition", choices=["rw", "sym", "symloop"])
+    p.add_argument("--transition", choices=TRANSITIONS)
     p.add_argument("--wloop", type=float, help="self-loop weight for symloop")
-    p.add_argument("--method", choices=["ppr", "heat", "explicit"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--alpha", type=float, help="teleport probability (ppr)")
     p.add_argument("--t", type=float, help="diffusion time (heat)")
     p.add_argument("--theta-file", help="one weight per line (explicit)")
@@ -184,10 +180,10 @@ def _add_pipeline_flags(p):
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_const", const=True)
     sym.add_argument("--no-symmetrize", dest="symmetrize", action="store_const", const=False)
     p.add_argument("--unweighted", action="store_const", const=True, default=None)
-    p.add_argument("--renorm", choices=["sym", "rw", "none"])
+    p.add_argument("--renorm", choices=RENORMS)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, help="0 = automatic")
-    p.add_argument("--format", dest="fmt", choices=["edges", "npz"])
+    p.add_argument("--format", dest="fmt", choices=FORMATS)
 
 
 def parse_config(ns):
@@ -211,21 +207,15 @@ def parse_config(ns):
     if not input_path or not output_path:
         raise UsageError("--input and --output are required")
 
-    trans_name = get("transition", "symloop")
+    trans_name = _choice(get("transition", "symloop"), TRANSITIONS, "transition")
     wloop = get("wloop")
     if wloop is not None and trans_name != "symloop":
         raise UsageError("--wloop applies only to the symloop transition")
-    if trans_name == "rw":
-        transition = RandomWalk()
-    elif trans_name == "sym":
-        transition = Symmetric()
-    elif trans_name == "symloop":
-        w_loop = _number(wloop, "wloop") if wloop is not None else 1.0
-        transition = SymmetricSelfLoop(w_loop)
-    else:
-        raise UsageError(f"unknown transition {trans_name!r}")
+    # only symloop takes an argument, its self-loop weight (default 1.0)
+    args = () if wloop is None else (_number(wloop, "wloop"),)
+    transition = TRANSITIONS[trans_name](*args)
 
-    method = get("method", "ppr")
+    method = _choice(get("method", "ppr"), METHODS, "method")
     alpha = get("alpha")
     t_val = get("t")
     theta_file = get("theta_file")
@@ -241,14 +231,12 @@ def parse_config(ns):
         if t_val is None:
             raise UsageError("method heat requires --t")
         spec = cf.Heat(_number(t_val, "t"))
-    elif method == "explicit":
+    else:
         if alpha is not None or t_val is not None:
             raise UsageError("--alpha/--t conflict with method explicit")
         if not theta_file:
             raise UsageError("method explicit requires --theta-file")
         spec = cf.Explicit(tuple(_read_vector(theta_file)))
-    else:
-        raise UsageError(f"unknown method {method!r}")
 
     mode = get("mode")
     series_k = None
@@ -280,16 +268,13 @@ def parse_config(ns):
 
     symmetrize = _as_bool(get("symmetrize", True), "symmetrize")
     unweighted = _as_bool(get("unweighted", False), "unweighted")
-    renorm = get("renorm", "rw")
-    if renorm not in ("sym", "rw", "none"):
-        raise UsageError(f"unknown renormalization {renorm!r}; use sym, rw or none")
+    renorm = _choice(get("renorm", "rw"), RENORMS, "renormalization")
     if renorm == "none":
         renorm = None
     post = PostProcess(symmetrize=symmetrize, unweighted=unweighted, renorm=renorm)
 
-    fmt = get("fmt", file_values.get("format", "edges"))
-    if fmt not in ("edges", "npz"):
-        raise UsageError(f"unknown output format {fmt!r}; use edges or npz")
+    fmt = _choice(get("fmt", file_values.get("format", "edges")), FORMATS,
+                  "output format")
 
     seed = _number(get("seed", 0), "seed", int)
     threads = get("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
@@ -301,12 +286,20 @@ def parse_config(ns):
 
 
 def _read_vector(path):
+    """One finite number per line (a decimal or a fraction p/q); '#' comments."""
     out = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(float(Fraction(line)) if "/" in line else float(line))
+            if not line:
+                continue
+            try:
+                v = float(Fraction(line)) if "/" in line else float(line)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                v = math.nan
+            if not math.isfinite(v):
+                raise InputError(f"{path}:{lineno}: expected a finite number")
+            out.append(v)
     if not out:
         raise InputError(f"{path}: no numbers found")
     return out

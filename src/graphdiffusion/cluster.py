@@ -14,7 +14,7 @@ from .coeffs import Ppr
 from .engine import worker_count
 from .errors import ComputeError, InputError
 from .graph import (SparseGraph, SymmetricSelfLoop, TransitionMatrix,
-                    largest_connected_component, scaled)
+                    graph_from_edges, largest_connected_component, scaled)
 from .sparsify import PostProcess, SparsifyRule, TopK, diffuse_graph
 
 KMEANS_RESTARTS = 10
@@ -54,9 +54,9 @@ def generate_sbm(spec):
     rng = np.random.default_rng(spec.seed)
     sizes = spec.block_sizes
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = spec.n
     labels = np.concatenate([np.full(b, i) for i, b in enumerate(sizes)])
 
+    # p_in > 0, so every diagonal block adds a (possibly empty) part
     src_parts, dst_parts = [], []
     nblocks = len(sizes)
     for bi in range(nblocks):
@@ -71,15 +71,9 @@ def generate_sbm(spec):
             ii, jj = np.nonzero(draws)
             src_parts.append(ii + offsets[bi])
             dst_parts.append(jj + offsets[bj])
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        data = np.ones(src.size)
-        m = sp.csc_matrix((data, (dst, src)), shape=(n, n))
-        m = m.maximum(m.T)
-    else:
-        m = sp.csc_matrix((n, n))
-    g = SparseGraph.from_scipy(m, directed=False)
+    src = np.concatenate(src_parts)
+    g = graph_from_edges(src, np.concatenate(dst_parts), np.ones(src.size),
+                         n=spec.n)
     return g, labels
 
 

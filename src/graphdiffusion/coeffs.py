@@ -63,7 +63,7 @@ class Explicit:
         object.__setattr__(self, "theta", th)
         if not th:
             raise InputError("explicit weight list may not be empty")
-        if any(x < 0.0 or x > 1.0 for x in th):
+        if not all(0.0 <= x <= 1.0 for x in th):
             raise InputError("explicit weights must lie in [0, 1]")
         if math.fsum(th) > 1.0 + 1e-12:
             raise InputError("explicit weights must sum to at most 1")

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .coeffs import DiffusionSpec, Heat, Ppr, theta_tail, theta_vector, truncation_k
+from .coeffs import (DiffusionSpec, Heat, Ppr, theta, theta_tail, theta_vector,
+                     truncation_k)
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, Symmetric, SymmetricSelfLoop, TransitionKind,
                     TransitionMatrix)
@@ -150,15 +151,23 @@ def diffuse_exact_ppr(T, alpha):
 
 
 def diffuse_series(T, spec, K):
-    """Truncated series sum_{k=0..K} theta_k T^k, accumulated Horner style."""
+    """Truncated series sum_{k=0..K} theta_k T^k, accumulated Horner style.
+
+    Trailing zero weights leave the sum unchanged bit for bit and are
+    dropped. Ppr weights never increase, nor Heat ones past k = t, so they
+    stop at their first 0.0 and a huge K stays cheap.
+    """
     if K < 0:
         raise InputError(f"series order must be non-negative, got {K}")
-    th = theta_vector(spec, K)
+    th = []
+    for k in range(K + 1):
+        th.append(theta(spec, k))
+        decreasing = isinstance(spec, Ppr) or isinstance(spec, Heat) and k > spec.t
+        if th[-1] == 0.0 and decreasing:
+            break
+    while len(th) > 1 and th[-1] == 0.0:
+        th.pop()
     n = T.n
-    if len(th) == 1 or all(v == 0.0 for v in th[1:]):
-        # degenerate weights never touch T
-        x = th[0] * np.eye(n)
-        return DiffusionMatrix(data=x, spec=spec, kind=T.kind, exactness=f"series:{K}")
     m = T.matrix
     diag = np.arange(n)
     x = th[-1] * np.eye(n)

@@ -142,52 +142,39 @@ class SparseGraph:
                 and np.array_equal(self.values, other.values))
 
 
-def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
-    """Build a SparseGraph from (src, dst[, weight]) tuples.
+def graph_from_edges(src, dst, weight, n=None, directed=False,
+                     allow_self_loops=False):
+    """SparseGraph from edge columns: source ids, target ids and weights.
 
-    Node ids are densified to 0..N-1 unless n_hint fixes the node count, in
-    which case ids are used as-is. Weights must be positive and finite.
-    Repeated identical (src, dst) lines merge by weight summation. For
-    undirected input an edge may be listed in one or both orientations;
-    the stored weight of {i, j} is the larger of the two directed totals,
-    so mirrored listings do not double their weight while genuinely
-    repeated lines still accumulate.
+    Ids must be non-negative, weights positive and finite, and self-loops
+    are rejected unless allowed; the error names the first offending edge.
+    Ids are densified to 0..N-1 (original_ids keeps them) unless n fixes
+    the node count. Repeated (src, dst) edges sum their weights. Undirected
+    edge {i, j} stores the larger of its two directed totals, so a mirrored
+    listing does not double the weight while repeated lines accumulate.
     """
-    src, dst, wgt = [], [], []
-    for e in edges:
-        if len(e) == 2:
-            s, d = e
-            w = 1.0
-        else:
-            s, d, w = e
-        s, d, w = int(s), int(d), float(w)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    wgt = np.asarray(weight, dtype=np.float64)
+    ok = (src >= 0) & (dst >= 0) & (wgt > 0) & (wgt < np.inf)
+    bad = np.flatnonzero(~(ok & ((src != dst) | allow_self_loops)))
+    if bad.size:
+        s, d, w = int(src[bad[0]]), int(dst[bad[0]]), float(wgt[bad[0]])
         if s < 0 or d < 0:
             raise InputError(f"node ids must be non-negative, got ({s}, {d})")
         if not 0 < w < np.inf:
             raise InputError(f"edge weight must be positive and finite, got {w} "
                              f"on ({s}, {d})")
-        if s == d and not allow_self_loops:
-            raise InputError(f"self-loop on node {s} rejected")
-        src.append(s)
-        dst.append(d)
-        wgt.append(w)
+        raise InputError(f"self-loop on node {s} rejected")
 
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    wgt = np.asarray(wgt, dtype=np.float64)
-
-    if n_hint is not None:
-        n = int(n_hint)
+    if n is None:
+        original_ids, dense = np.unique(np.concatenate([src, dst]),
+                                        return_inverse=True)
+        src, dst, n = dense[:src.size], dense[src.size:], original_ids.size
+    else:
+        n, original_ids = int(n), None  # ids are 0..n-1
         if src.size and max(src.max(), dst.max()) >= n:
             raise InputError("node id exceeds n_hint")
-        original_ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = np.unique(np.concatenate([src, dst])) if src.size else np.array([], dtype=np.int64)
-        n = int(ids.size)
-        lookup = {int(v): i for i, v in enumerate(ids)}
-        src = np.array([lookup[int(v)] for v in src], dtype=np.int64)
-        dst = np.array([lookup[int(v)] for v in dst], dtype=np.int64)
-        original_ids = ids
 
     # Entries are (row, col) = (dst, src) so that column j holds the edges
     # leaving node j; for undirected graphs the distinction vanishes.
@@ -197,6 +184,20 @@ def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
         m = m.maximum(m.T)
     return SparseGraph.from_scipy(m, directed, original_ids=original_ids,
                                   allow_loops=allow_self_loops)
+
+
+def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
+    """graph_from_edges on (src, dst[, weight]) tuples, weight 1.0 by default."""
+    edges = list(edges)
+    if not set(map(len, edges)) <= {2, 3}:
+        bad = next(e for e in edges if len(e) not in (2, 3))
+        raise InputError(f"expected (src, dst[, weight]) edges, got {bad!r}")
+    src = np.array([int(e[0]) for e in edges], dtype=np.int64)
+    dst = np.array([int(e[1]) for e in edges], dtype=np.int64)
+    wgt = np.array([float(e[2]) if len(e) == 3 else 1.0 for e in edges],
+                   dtype=np.float64)
+    return graph_from_edges(src, dst, wgt, n=n_hint, directed=directed,
+                            allow_self_loops=allow_self_loops)
 
 
 def largest_connected_component(g):

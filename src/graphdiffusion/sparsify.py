@@ -92,10 +92,11 @@ def _topk_mask(cols, k):
 
 
 def _sparsify_blocks(mat, mask_of):
-    """CSC of the entries of mat that mask_of keeps, TOPK_BLOCK columns at a time.
+    """CSC arrays (indptr, rows, values) of the entries of mat that mask_of keeps.
 
-    mask_of maps a block, whose row i is column lo + i of mat, to a boolean
-    mask. A dense block is a view of mat and a CSC block is densified.
+    mask_of maps a block of TOPK_BLOCK columns, whose row i is column lo + i
+    of mat, to a boolean mask. A dense block is a view of mat and a CSC
+    block is densified. Rows come out sorted and unique in each column.
     """
     n = mat.shape[0]
     # the leading 0 of indptr, and empty parts so that N = 0 needs no block
@@ -112,9 +113,8 @@ def _sparsify_blocks(mat, mask_of):
         counts.append(keep.sum(axis=1))
         rows.append(np.nonzero(keep)[1])
         vals.append(cols[keep])
-    indptr = np.cumsum(np.concatenate(counts))
-    return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
-                         shape=(n, n))
+    return (np.cumsum(np.concatenate(counts)), np.concatenate(rows),
+            np.concatenate(vals))
 
 
 def _entries(S):
@@ -173,16 +173,17 @@ def sparsify(S, rule, original_ids=None):
     if isinstance(rule, TopK):
         if rule.k > n:
             raise InputError(f"top-k count {rule.k} exceeds node count {n}")
-        out = _sparsify_blocks(mat, lambda cols: _topk_mask(cols, rule.k))
+        indptr, rows, vals = _sparsify_blocks(
+            mat, lambda cols: _topk_mask(cols, rule.k))
     elif isinstance(rule, Threshold):
-        out = _sparsify_blocks(mat, lambda cols: cols >= rule.eps)
-        if out.nnz == 0:
+        indptr, rows, vals = _sparsify_blocks(mat, lambda cols: cols >= rule.eps)
+        if vals.size == 0:
             raise InputError(f"threshold {rule.eps:g} exceeds the largest entry; "
                              "the sparsified graph would be empty")
     else:
         raise InputError(f"unknown sparsify rule {rule!r}")
-    return SparseGraph.from_scipy(out, directed=True, original_ids=original_ids,
-                                  allow_loops=True)
+    return SparseGraph(n, indptr, rows, vals, directed=True,
+                       original_ids=original_ids, allow_loops=True)
 
 
 def postprocess(g, opts):

@@ -343,6 +343,23 @@ class TestOtherCommands:
         assert rc == 0
         assert open(out).read().split() == ["1", "-3/4", "1/4"]
 
+    @pytest.mark.parametrize("token", ["abc", "1/0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["transform", "float", "exact"])
+    def test_bad_vector_line_exit_1(self, tmp_path, capsys, command, token):
+        vec = tmp_path / "theta.txt"
+        vec.write_text(f"0.5\n{token}\n")
+        out = tmp_path / "out.txt"
+        if command == "transform":
+            argv = ["transform", "--input", write_k2(tmp_path), "--output", str(out),
+                    "--method", "explicit", "--theta-file", str(vec)]
+        else:
+            argv = ["convert-coeffs", "--input", str(vec), "--output", str(out),
+                    "--direction", "theta-to-xi", "--mode", command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"E_COMPUTE: {vec}:2: expected a finite number"]
+        assert not out.exists()
+
     def test_spectrum_outputs(self, tmp_path):
         inp = tmp_path / "g.txt"
         edges = [(i, j) for i in range(8) for j in range(i + 1, 8)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from graphdiffusion import (ComputeError, GdcConfig, InputError, SbmSpec,
@@ -13,7 +14,47 @@ from graphdiffusion import cluster as cluster_mod
 from graphdiffusion.cluster import _lloyd, run_gdc_for_clustering, spectral_embedding
 
 
+def generate_sbm_reference(spec):
+    """generate_sbm with the COO build of its own that graph_from_edges replaced."""
+    rng = np.random.default_rng(spec.seed)
+    sizes = spec.block_sizes
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n = spec.n
+    labels = np.concatenate([np.full(b, i) for i, b in enumerate(sizes)])
+    src_parts, dst_parts = [], []
+    for bi in range(len(sizes)):
+        for bj in range(bi, len(sizes)):
+            p = spec.p_in if bi == bj else spec.p_out
+            if p == 0.0:
+                continue
+            draws = rng.random((sizes[bi], sizes[bj])) < p
+            if bi == bj:
+                draws = np.triu(draws, k=1)
+            ii, jj = np.nonzero(draws)
+            src_parts.append(ii + offsets[bi])
+            dst_parts.append(jj + offsets[bj])
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    m = sp.csc_matrix((np.ones(src.size), (dst, src)), shape=(n, n))
+    m = m.maximum(m.T)
+    return SparseGraph.from_scipy(m, directed=False), labels
+
+
 class TestSbm:
+    @pytest.mark.parametrize("sizes,p_in,p_out,seed", [
+        ((40, 60, 50), 0.2, 0.05, 3),
+        ((30, 30), 0.3, 0.0, 4),          # no cross-block part
+        ((1, 25, 1), 0.5, 0.1, 5),        # single-node blocks
+        ((1,), 1.0, 0.0, 6),              # one node, no edge
+    ])
+    def test_matches_coo_build(self, sizes, p_in, p_out, seed):
+        spec = SbmSpec(sizes, p_in, p_out, seed=seed)
+        g, labels = generate_sbm(spec)
+        ref, ref_labels = generate_sbm_reference(spec)
+        assert g.same_structure(ref)
+        np.testing.assert_array_equal(g.original_ids, ref.original_ids)
+        np.testing.assert_array_equal(labels, ref_labels)
+
     def test_disjoint_triangles(self):
         g, labels = generate_sbm(SbmSpec((3, 3), 1.0, 0.0, seed=0))
         np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])

@@ -51,6 +51,9 @@ class TestTheta:
             Explicit((0.5, 0.6))
         with pytest.raises(InputError):
             Explicit((-0.1, 0.5))
+        for th in [(math.nan,), (0.5, math.nan)]:
+            with pytest.raises(InputError, match="lie in"):
+                Explicit(th)
         # a deficit is allowed and kept as-is
         assert Explicit((0.2, 0.3)).theta == (0.2, 0.3)
 

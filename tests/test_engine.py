@@ -6,7 +6,8 @@ import pytest
 from graphdiffusion import (ComputeError, Explicit, Heat, InputError, Ppr,
                             RandomWalk, Symmetric, SymmetricSelfLoop, diffuse,
                             diffuse_exact_ppr, diffuse_series, eigen,
-                            load_graph, transition_matrix, truncation_k)
+                            load_graph, theta_vector, transition_matrix,
+                            truncation_k)
 from graphdiffusion import engine
 from conftest import connected_er
 
@@ -210,6 +211,28 @@ class TestSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
             diffuse_series(t_of([(0, 1)]), Ppr(0.5), -1)
+
+    @pytest.mark.parametrize("spec", [Ppr(0.15), Heat(3.0)])
+    def test_huge_order_stops_at_underflow(self, spec):
+        # Ppr(0.15) weights are 0.0 from k = 4573 on, Heat(3) ones from 224
+        t = t_of([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        # the Horner sum over every weight up to K = 5000, trailing zeros too
+        th = theta_vector(spec, 5000)
+        full = th[-1] * np.eye(t.n)
+        for coef in reversed(th[:-1]):
+            full = t.matrix @ full
+            full[np.diag_indices(t.n)] += coef
+        tracemalloc.start()
+        try:
+            huge = diffuse_series(t, spec, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(huge.toarray(), full)
+        assert np.array_equal(diffuse_series(t, spec, 5000).toarray(), full)
+        assert huge.exactness == "series:1000000"
+        # a list of 10**6 weights alone takes over 30 MB
+        assert peak < 2 * 2 ** 20
 
 
 class TestDispatch:

@@ -6,8 +6,118 @@ from graphdiffusion import (InputError, RandomWalk, SparseGraph, Symmetric,
                             SymmetricSelfLoop, largest_connected_component,
                             load_edge_list, load_graph, read_edge_list,
                             save_edge_list, transition_matrix)
-from graphdiffusion.graph import scaled
+from graphdiffusion.graph import graph_from_edges, scaled
 from conftest import er_graph
+
+
+def load_graph_reference(edges, n_hint=None, directed=False,
+                         allow_self_loops=False):
+    """The per-edge loop and id dict that load_graph replaced by array code."""
+    src, dst, wgt = [], [], []
+    for e in edges:
+        if len(e) == 2:
+            s, d = e
+            w = 1.0
+        else:
+            s, d, w = e
+        s, d, w = int(s), int(d), float(w)
+        if s < 0 or d < 0:
+            raise InputError(f"node ids must be non-negative, got ({s}, {d})")
+        if not 0 < w < np.inf:
+            raise InputError(f"edge weight must be positive and finite, got {w} "
+                             f"on ({s}, {d})")
+        if s == d and not allow_self_loops:
+            raise InputError(f"self-loop on node {s} rejected")
+        src.append(s)
+        dst.append(d)
+        wgt.append(w)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    wgt = np.asarray(wgt, dtype=np.float64)
+    if n_hint is not None:
+        n = int(n_hint)
+        if src.size and max(src.max(), dst.max()) >= n:
+            raise InputError("node id exceeds n_hint")
+        original_ids = np.arange(n, dtype=np.int64)
+    else:
+        ids = (np.unique(np.concatenate([src, dst])) if src.size
+               else np.array([], dtype=np.int64))
+        n = int(ids.size)
+        lookup = {int(v): i for i, v in enumerate(ids)}
+        src = np.array([lookup[int(v)] for v in src], dtype=np.int64)
+        dst = np.array([lookup[int(v)] for v in dst], dtype=np.int64)
+        original_ids = ids
+    m = sp.csc_matrix((wgt, (dst, src)), shape=(n, n))
+    m.sum_duplicates()
+    if not directed:
+        m = m.maximum(m.T)
+    return SparseGraph.from_scipy(m, directed, original_ids=original_ids,
+                                  allow_loops=allow_self_loops)
+
+
+def assert_same_graph(a, b):
+    assert a.same_structure(b)
+    assert a.original_ids.dtype == b.original_ids.dtype
+    np.testing.assert_array_equal(a.original_ids, b.original_ids)
+
+
+BIG = 2 ** 53
+
+
+class TestLoadGraphAgainstLoop:
+    @pytest.mark.parametrize("edges,kwargs", [
+        ([(0, 1), (1, 2, 0.5), (2, 0), (3, 1, 2.25)], {}),
+        ([(4, 9, 1.0), (4, 9, 2.0), (9, 4, 1.5), (9, 4), (7, 4, 0.1),
+          (4, 7, 0.1)], {}),
+        ([(4, 9, 1.0), (4, 9, 2.0), (9, 4, 1.5), (7, 4), (7, 4)],
+         {"directed": True}),
+        ([(0, 0, 2.0), (0, 1), (1, 1, 0.5), (1, 1, 0.25)],
+         {"allow_self_loops": True}),
+        ([(0, 1), (2, 1, 3.0), (1, 0)], {"n_hint": 6}),
+        ([(BIG + 1, BIG + 3, 0.5), (BIG + 3, 7), (2 ** 63 - 1, BIG + 1)], {}),
+        ([], {}),
+        ([], {"n_hint": 3}),
+    ], ids=["mixed-tuples", "duplicates-mirrored", "directed", "self-loops",
+            "n-hint", "ids-above-2**53", "empty", "empty-n-hint"])
+    def test_matches_per_edge_loop(self, edges, kwargs):
+        assert_same_graph(load_graph(edges, **kwargs),
+                          load_graph_reference(edges, **kwargs))
+
+    def test_random_multigraph(self):
+        rng = np.random.default_rng(5)
+        ids = rng.choice(10 ** 6, 300, replace=False)
+        edges = [(int(s), int(d), float(w)) for s, d, w in
+                 zip(rng.choice(ids, 2000), rng.choice(ids, 2000),
+                     rng.uniform(0.1, 2.0, 2000)) if s != d]
+        edges += [(d, s) for s, d, _ in edges[::7]]
+        assert_same_graph(load_graph(edges), load_graph_reference(edges))
+
+    @pytest.mark.parametrize("edges,n_hint", [
+        ([(0, 1), (2, 3, -1.0), (-4, 5)], None),    # weight before a later id
+        ([(0, 1), (-2, 3, np.nan)], None),           # id before weight, same edge
+        ([(0, 1), (2, 2, 0.0), (3, 3)], None),      # weight before self-loop
+        ([(0, 1), (2, 2), (3, 4, np.inf)], None),   # self-loop before a later weight
+        ([(0, 1), (1, 2), (2, 9)], 5),              # id beyond n_hint
+    ])
+    def test_first_offending_edge_named(self, edges, n_hint):
+        with pytest.raises(InputError) as ref:
+            load_graph_reference(edges, n_hint=n_hint)
+        with pytest.raises(InputError) as new:
+            load_graph(edges, n_hint=n_hint)
+        assert str(new.value) == str(ref.value)
+
+    def test_bad_weight_wins_over_later_negative_id(self):
+        with pytest.raises(InputError, match=r"finite, got -1\.0 on \(2, 3\)"):
+            load_graph([(0, 1), (2, 3, -1.0), (-4, 5)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 1.0, 2.0), (0,)])
+    def test_wrong_tuple_length_rejected(self, edge):
+        with pytest.raises(InputError, match=r"\(src, dst\[, weight\]\) edges, got"):
+            load_graph([(0, 1), edge])
+
+    def test_graph_from_edges_takes_columns(self):
+        g = graph_from_edges(np.array([3, 5]), np.array([5, 8]), np.ones(2))
+        assert_same_graph(g, load_graph_reference([(3, 5), (5, 8)]))
 
 
 class TestLoadGraph:
