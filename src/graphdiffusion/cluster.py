@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +10,10 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .coeffs import Ppr
-from .engine import worker_count
+from .engine import pool_map
 from .errors import ComputeError, InputError
-from .graph import (SparseGraph, SymmetricSelfLoop, TransitionMatrix,
-                    graph_from_edges, largest_connected_component, scaled)
+from .graph import (Symmetric, SymmetricSelfLoop, graph_from_edges,
+                    largest_connected_component, transition_matrix)
 from .sparsify import PostProcess, SparsifyRule, TopK, diffuse_graph
 
 KMEANS_RESTARTS = 10
@@ -130,22 +129,15 @@ def kmeans(points, k, seed=0):
     return best_labels
 
 
-def _weighted_adjacency(obj):
-    if isinstance(obj, TransitionMatrix):
-        return obj.matrix, obj.n
-    if isinstance(obj, SparseGraph):
-        return obj.to_scipy(), obj.n
-    raise InputError("expected a SparseGraph or TransitionMatrix")
-
-
-def spectral_embedding(obj, num_clusters, normalize_rows=True,
+def spectral_embedding(g, num_clusters, normalize_rows=True,
                        allow_disconnected=False):
     """Rows of the bottom eigenvectors of the symmetric normalized Laplacian.
 
     The bottom num_clusters eigenvectors of I - D^-1/2 A D^-1/2 are the top
-    eigenvectors of the sparse normalized adjacency D^-1/2 A D^-1/2, found
-    by Lanczos iteration (ARPACK) from a fixed start vector, so repeated
-    calls return identical arrays. Memory is O(nnz + N * num_clusters); no
+    eigenvectors of a = transition_matrix(g, Symmetric()), symmetrized as
+    (a + a.T) / 2, found by Lanczos iteration (ARPACK) from a fixed start
+    vector, so repeated calls return identical arrays. A node of degree 0
+    raises InputError naming it. Memory is O(nnz + N * num_clusters); no
     N x N array is formed. Columns run from the largest eigenvalue down.
 
     Disconnected input is refused by default; pass allow_disconnected when
@@ -153,9 +145,9 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     diffusion graph can split blocks apart, and the component indicator
     vectors are then exactly the right embedding).
     """
-    mat, n = _weighted_adjacency(obj)
+    n = g.n
     if not allow_disconnected:
-        ncomp, _ = csgraph.connected_components(mat, directed=False)
+        ncomp, _ = csgraph.connected_components(g.to_scipy(), directed=False)
         if ncomp != 1:
             raise InputError(f"input has {ncomp} connected components; run the "
                              "largest-connected-component extraction first")
@@ -164,10 +156,7 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     if num_clusters >= n:
         raise InputError(f"need fewer clusters than nodes, got {num_clusters} "
                          f"clusters for {n} nodes")
-    d = np.asarray(mat.sum(axis=0)).ravel()
-    if np.any(d == 0):
-        raise InputError("input has isolated nodes")
-    a = scaled(mat, 1.0 / np.sqrt(d))
+    a = transition_matrix(g, Symmetric()).matrix
     a = (a + a.T) * 0.5
     # a fixed start vector makes the result a function of the input alone
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
@@ -185,10 +174,10 @@ def spectral_embedding(obj, num_clusters, normalize_rows=True,
     return emb
 
 
-def spectral_cluster(obj, num_clusters, seed=0, normalize_rows=True,
+def spectral_cluster(g, num_clusters, seed=0, normalize_rows=True,
                      allow_disconnected=False):
     """K-means labels on the spectral embedding of a connected graph."""
-    emb = spectral_embedding(obj, num_clusters, normalize_rows=normalize_rows,
+    emb = spectral_embedding(g, num_clusters, normalize_rows=normalize_rows,
                              allow_disconnected=allow_disconnected)
     return kmeans(emb, num_clusters, seed=seed)
 
@@ -307,13 +296,7 @@ def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
         acc = hungarian_accuracy(gdc_labels, labels).accuracy
         return raw, acc
 
-    indices = range(seeds)
-    workers = worker_count(threads)
-    if workers == 1:
-        pairs = [one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, indices))
+    pairs = pool_map(one, range(seeds), threads)
 
     raw = np.array([p[0] for p in pairs])
     acc = np.array([p[1] for p in pairs])

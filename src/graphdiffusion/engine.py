@@ -53,6 +53,15 @@ def worker_count(threads):
     return len(os.sched_getaffinity(0))
 
 
+def pool_map(fn, items, threads):
+    """[fn(x) for x in items] on worker_count(threads) threads; inline for one."""
+    workers = worker_count(threads)
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass
 class DiffusionMatrix:
     """Columns of the diffusion operator with their generating recipe."""
@@ -249,17 +258,15 @@ def _push_ppr_block(T, alpha, eps_push, columns):
         rows = np.flatnonzero(active.any(axis=1))
         r += spread * (m[:, rows] @ ra[rows])
 
-    # per-column drain round counts, from the same 1-D sum a single column
-    # takes, so the mass schedule does not depend on the block layout
+    # a column drains while its mass, damped by spread per round, is above
+    # the cap; mass is the same sum of a contiguous row that a single column
+    # takes, so the schedule does not depend on the block layout
     cap = PUSH_L1_FACTOR * eps_push
+    mass = np.ascontiguousarray(r.T).sum(axis=1)
     rounds_drain = np.zeros(b, dtype=np.int64)
-    for k, col in enumerate(np.ascontiguousarray(r.T)):
-        mass = float(col.sum())
-        while mass > cap:
-            rounds_drain[k] += 1
-            mass *= spread
-    for step in range(int(rounds_drain.max(initial=0))):
-        live = rounds_drain > step
+    while (live := mass > cap).any():
+        rounds_drain += live
+        mass *= spread
         if live.all():
             p += alpha * r
             r = spread * (m @ r)
@@ -395,13 +402,7 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
     else:
         raise InputError("push mode supports the geometric and heat families only")
 
-    workers = worker_count(threads)
-    if workers == 1:
-        chunks = [one(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, starts))
-    cols = [c for chunk in chunks for c in chunk]
+    cols = [c for chunk in pool_map(one, starts, threads) for c in chunk]
 
     indptr = np.cumsum([0] + [c.indices.size for c in cols], dtype=np.int64)
     indices = np.concatenate([c.indices for c in cols]) if n else np.array([], dtype=np.int64)

@@ -124,10 +124,8 @@ class SparseGraph:
         return np.repeat(np.arange(self.n), np.diff(self.col_ptr))
 
     def degrees(self):
-        """Weighted degree per node (column sums; row sums when symmetric)."""
-        out = np.zeros(self.n)
-        np.add.at(out, self.column_of_entry(), self.values)
-        return out
+        """Weighted degree per node: scipy's column sum (= row sum if symmetric)."""
+        return np.asarray(self.to_scipy().sum(axis=0)).ravel()
 
     def column(self, j):
         """(row indices, weights) of column j."""
@@ -192,8 +190,12 @@ def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
     if not set(map(len, edges)) <= {2, 3}:
         bad = next(e for e in edges if len(e) not in (2, 3))
         raise InputError(f"expected (src, dst[, weight]) edges, got {bad!r}")
-    src = np.array([int(e[0]) for e in edges], dtype=np.int64)
-    dst = np.array([int(e[1]) for e in edges], dtype=np.int64)
+    try:
+        src = np.array([int(e[0]) for e in edges], dtype=np.int64)
+        dst = np.array([int(e[1]) for e in edges], dtype=np.int64)
+    except OverflowError:
+        bad = next(e for e in edges if not all(-2**63 <= int(i) < 2**63 for i in e[:2]))
+        raise InputError(f"node id does not fit in int64 in edge {bad!r}") from None
     wgt = np.array([float(e[2]) if len(e) == 3 else 1.0 for e in edges],
                    dtype=np.float64)
     return graph_from_edges(src, dst, wgt, n=n_hint, directed=directed,
@@ -255,7 +257,11 @@ def scaled(m, left, right=None):
 
 
 def transition_matrix(g, kind):
-    """Construct T_rw, T_sym or the self-loop adjusted symmetric variant."""
+    """T_rw, T_sym or the self-loop variant: g scaled by its degrees d = g.degrees().
+
+    Every normalization but postprocess's directed 'sym' (by in-degrees)
+    comes from here; D^-1 is formed as 1.0 / d.
+    """
     d = g.degrees()
     zero = np.flatnonzero(d == 0)
     if isinstance(kind, (RandomWalk, Symmetric)) and zero.size:
@@ -263,9 +269,7 @@ def transition_matrix(g, kind):
                          "extract the largest connected component first")
 
     if isinstance(kind, RandomWalk):
-        vals = g.values / d[g.column_of_entry()]
-        m = sp.csc_matrix((vals, g.row_idx.copy(), g.col_ptr.copy()),
-                          shape=(g.n, g.n))
+        m = scaled(g.to_scipy(), np.ones(g.n), 1.0 / d)
     elif isinstance(kind, Symmetric):
         m = scaled(g.to_scipy(), 1.0 / np.sqrt(d))
     elif isinstance(kind, SymmetricSelfLoop):

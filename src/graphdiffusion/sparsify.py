@@ -189,10 +189,13 @@ def sparsify(S, rule, original_ids=None):
 def postprocess(g, opts):
     """Unweight, symmetrize and renormalize a sparsified graph.
 
-    Renormalization fails loudly if sparsification isolated a node (zero
-    degree); silently inserting self-loops would change the spectrum.
-    Returns a SparseGraph when renorm is None, else a TransitionMatrix on
-    the processed graph.
+    Renormalization is transition_matrix of the processed graph: 'rw' is
+    A D^-1 and 'sym' is D^-1/2 A D^-1/2 with D its column sums (degrees).
+    A directed graph (symmetrize off) under 'sym' is the one exception: D
+    is its row sums, the in-degrees. Renormalization fails loudly if
+    sparsification isolated a node (zero degree); silently inserting
+    self-loops would change the spectrum. Returns a SparseGraph when
+    renorm is None, else a TransitionMatrix on the processed graph.
     """
     mat = g.to_scipy().astype(np.float64)
     if opts.unweighted:
@@ -204,27 +207,22 @@ def postprocess(g, opts):
                                     original_ids=g.original_ids, allow_loops=True)
     if opts.renorm is None:
         return result
+    kinds = {"rw": RandomWalk(), "sym": Symmetric()}
+    if opts.renorm not in kinds:
+        raise InputError(f"unknown renormalization {opts.renorm!r}")
 
+    # a directed graph under sym is normalized by its row sums (in-degrees)
+    in_degrees = directed and opts.renorm == "sym"
     mat = result.to_scipy()
-    col_sums = np.asarray(mat.sum(axis=0)).ravel()
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    if opts.renorm == "rw":
-        isolated = np.flatnonzero(col_sums == 0)
-        if isolated.size:
-            raise InputError("sparsification isolated node(s) "
-                             f"{isolated.tolist()}; cannot renormalize")
-        t = (mat @ sp.diags(1.0 / col_sums)).tocsc()
-        return TransitionMatrix(matrix=t, kind=RandomWalk(), source=result,
-                                degrees=col_sums)
-    if opts.renorm == "sym":
-        d = row_sums if directed else col_sums
-        isolated = np.flatnonzero(d == 0)
-        if isolated.size:
-            raise InputError("sparsification isolated node(s) "
-                             f"{isolated.tolist()}; cannot renormalize")
+    d = np.asarray(mat.sum(axis=1)).ravel() if in_degrees else result.degrees()
+    isolated = np.flatnonzero(d == 0)
+    if isolated.size:
+        raise InputError("sparsification isolated node(s) "
+                         f"{isolated.tolist()}; cannot renormalize")
+    if in_degrees:
         return TransitionMatrix(matrix=scaled(mat, 1.0 / np.sqrt(d)),
                                 kind=Symmetric(), source=result, degrees=d)
-    raise InputError(f"unknown renormalization {opts.renorm!r}")
+    return transition_matrix(result, kinds[opts.renorm])
 
 
 def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from .coeffs import Explicit, Heat, Ppr
 from .errors import InputError
-from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
+from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix,
                     transition_matrix)
 
 DENSE_EIGEN_CAP = 3000
@@ -82,11 +82,13 @@ def eigen(matrix, want_vectors=False, source="", cap=DENSE_EIGEN_CAP):
 
 
 def eigen_of_transition(t, want_vectors=False, cap=DENSE_EIGEN_CAP):
-    """Spectrum of a TransitionMatrix; RW kinds go through T_sym."""
+    """Spectrum of a TransitionMatrix; RW kinds go through T_sym.
+
+    T_rw is similar to transition_matrix(t.source, Symmetric()), which is
+    symmetric only for an undirected source; eigen refuses a directed one.
+    """
     if isinstance(t.kind, RandomWalk):
-        s = np.sqrt(t.degrees)
-        sim = scaled(t.matrix, 1.0 / s, s)
-        sim = (sim + sim.T) * 0.5
+        sim = transition_matrix(t.source, Symmetric()).matrix
         return eigen(sim, want_vectors, source="T_rw (via symmetric similar form)",
                      cap=cap)
     return eigen(t.matrix, want_vectors, source=f"{type(t.kind).__name__}", cap=cap)

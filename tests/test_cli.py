@@ -184,6 +184,17 @@ class TestTransform:
         assert err.splitlines() == [
             f"E_COMPUTE: {inp}:3: expected 'src dst [weight]'"]
 
+    @pytest.mark.parametrize("big", ["99999999999999999999",
+                                     "-99999999999999999999"])
+    def test_id_beyond_int64_exit_1(self, tmp_path, capsys, big):
+        inp = tmp_path / "g.txt"
+        inp.write_text(f"0 1\n1 {big}\n")
+        rc = main(["transform", "--input", str(inp),
+                   "--output", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"E_COMPUTE: node id does not fit in int64 in edge (1, {big}, 1.0)"]
+
     def test_compute_error_exit_1(self, tmp_path, capsys):
         inp = tmp_path / "g.txt"
         inp.write_text("0 1\n1 2\n")

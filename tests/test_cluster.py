@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from graphdiffusion import (ComputeError, GdcConfig, InputError, SbmSpec,
-                            SparseGraph, TopK, eval_gdc_clustering,
+                            SparseGraph, Symmetric, TopK, eval_gdc_clustering,
                             generate_sbm, hungarian_accuracy, kmeans,
                             largest_connected_component, load_graph,
-                            spectral_cluster)
+                            spectral_cluster, transition_matrix)
 from graphdiffusion import cluster as cluster_mod
 from graphdiffusion.cluster import _lloyd, run_gdc_for_clustering, spectral_embedding
 
@@ -188,6 +188,28 @@ class TestSparseEmbedding:
         spectral_embedding(weighted, 3)
         (a,) = seen
         assert (a != a.T).nnz == 0
+
+    def test_operator_is_symmetrized_transition_matrix(self, monkeypatch):
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return eigsh(a, *args, **kwargs)
+        monkeypatch.setattr(cluster_mod, "eigsh", recording)
+        g = self.sbm()
+        rng = np.random.default_rng(4)
+        m = g.to_scipy()
+        m.data = rng.uniform(0.1, 7.0, m.data.size)
+        weighted = SparseGraph.from_scipy(m, directed=True)
+        spectral_embedding(weighted, 3)
+        t = transition_matrix(weighted, Symmetric()).matrix
+        (a,) = seen
+        assert (a != (t + t.T) * 0.5).nnz == 0
+
+    def test_isolated_node_named_when_disconnected_allowed(self):
+        g = load_graph([(0, 1), (1, 2), (2, 0), (4, 5)], n_hint=6)
+        with pytest.raises(InputError, match="node 3 has degree 0"):
+            spectral_embedding(g, 2, allow_disconnected=True)
 
     def test_non_convergence_is_compute_error(self, monkeypatch):
         def stalled(*args, **kwargs):

@@ -157,6 +157,12 @@ class TestLoadGraph:
         with pytest.raises(InputError, match=r"finite, got (nan|inf) on \(0, 1\)"):
             load_graph([(0, 1, 1.0), (0, 1, w)])
 
+    @pytest.mark.parametrize("big", [2 ** 63, -2 ** 63 - 1])
+    def test_id_beyond_int64_named(self, big):
+        edges = [(0, 1), (2, 3), (1, big, 2.0), (big, 4)]
+        with pytest.raises(InputError, match=rf"int64 in edge \(1, {big}, 2\.0\)"):
+            load_graph(edges)
+
     def test_n_hint_keeps_isolated(self):
         g = load_graph([(0, 1)], n_hint=4)
         assert g.n == 4
@@ -279,6 +285,17 @@ class TestTransitions:
         d = g.degrees()
         diag = t.matrix.diagonal()
         np.testing.assert_allclose(diag, w / (w + d), atol=1e-15)
+
+    def test_degrees_are_scipy_column_sums(self):
+        # the one degree sum: scipy's column sum, bit for bit, on columns
+        # long enough for summation order to matter
+        g = er_graph(300, 0.3, 4)
+        rng = np.random.default_rng(4)
+        m = g.to_scipy()
+        m.data = rng.uniform(0.1, 7.0, m.data.size)
+        weighted = SparseGraph.from_scipy(m.maximum(m.T), directed=False)
+        col_sums = np.asarray(weighted.to_scipy().sum(axis=0)).ravel()
+        assert np.array_equal(weighted.degrees(), col_sums)
 
     def test_zero_degree_rejected_by_name(self):
         g = load_graph([(0, 1)], n_hint=3)

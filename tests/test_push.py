@@ -9,7 +9,7 @@ from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
                             diffuse_push_heat, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
                             transition_matrix)
-from graphdiffusion.engine import PUSH_BLOCK, worker_count
+from graphdiffusion.engine import PUSH_BLOCK, _push_certificate, worker_count
 
 
 def rw(edges):
@@ -209,14 +209,18 @@ class TestPushMatrix:
         # N is not a multiple of the block width, so the last block is short
         t = uneven_graph(150, seed=3)
         assert t.n % PUSH_BLOCK != 0
-        m = diffuse_push_matrix(t, Ppr(0.2), 1e-5, threads=1).data
-        drains = []
+        out = diffuse_push_matrix(t, Ppr(0.2), 1e-5, threads=1)
+        m = out.data
+        singles = []
         for j in range(t.n):
             col = diffuse_push_ppr(t, 0.2, 1e-5, j)
             lo, hi = m.indptr[j], m.indptr[j + 1]
             np.testing.assert_array_equal(m.indices[lo:hi], col.indices)
             np.testing.assert_array_equal(m.data[lo:hi], col.values)
-            drains.append(col.rounds_drain)
+            singles.append(col)
+        # the block certificate aggregates exactly the single-column counts
+        assert out.certificate == _push_certificate(singles)
+        drains = [c.rounds_drain for c in singles]
         # columns of every block finish their drain at different rounds, so
         # the kernel's partial-live branch ran
         for lo in range(0, t.n, PUSH_BLOCK):

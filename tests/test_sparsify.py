@@ -381,6 +381,29 @@ class TestPostprocess:
         np.testing.assert_allclose(out.matrix.toarray(), oracle, atol=1e-14)
         assert np.abs(out.matrix.toarray() - out.matrix.toarray().T).max() == 0.0
 
+    @pytest.mark.parametrize("renorm,kind", [("rw", RandomWalk()),
+                                             ("sym", Symmetric())])
+    def test_undirected_renorm_is_transition_matrix(self, renorm, kind):
+        rng = np.random.default_rng(8)
+        g = sparsify(as_diffusion(rng.random((40, 40)) + 0.05), TopK(12))
+        out = postprocess(g, PostProcess(symmetrize=True, renorm=renorm))
+        ref = transition_matrix(out.source, kind)
+        assert out.kind == kind
+        assert np.array_equal(out.degrees, ref.degrees)
+        assert (out.matrix != ref.matrix).nnz == 0
+
+    def test_directed_sym_renorm_uses_in_degrees(self):
+        rng = np.random.default_rng(9)
+        g = sparsify(as_diffusion(rng.random((30, 30)) + 0.05), TopK(5))
+        out = postprocess(g, PostProcess(renorm="sym"))
+        assert out.source.directed
+        m = out.source.to_scipy().toarray()
+        d_row = m.sum(axis=1)
+        assert np.abs(d_row - m.sum(axis=0)).max() > 0.1
+        np.testing.assert_allclose(out.degrees, d_row, rtol=1e-14)
+        oracle = m / np.sqrt(np.outer(d_row, d_row))
+        np.testing.assert_allclose(out.matrix.toarray(), oracle, rtol=1e-14)
+
     def test_isolated_node_fails_loudly(self):
         m = np.zeros((3, 3))
         m[0, 0] = 0.5
