@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from . import coeffs as cf
 from .cluster import GdcConfig, SbmSpec, eval_gdc_clustering, generate_sbm
+from .engine import check_push_tolerance, check_series_order
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
@@ -262,6 +263,11 @@ def parse_config(ns):
             raise UsageError("push mode requires --transition rw")
     if mode not in ("exact", "series", "push"):
         raise UsageError(f"unknown mode {mode!r}")
+    # checked here, like alpha, so a bad value fails before any input is read
+    if eps_push is not None:
+        check_push_tolerance(eps_push)
+    if series_k is not None:
+        check_series_order(series_k)
 
     rule_text = get("sparsify", "topk:64")
     rule = _parse_rule(rule_text) if isinstance(rule_text, str) else rule_text

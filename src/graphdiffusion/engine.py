@@ -6,12 +6,15 @@ Three routes to S = sum_k theta_k T^k:
   by Cholesky when T is symmetric, by LU otherwise. The result is a dense
   N x N array, so memory is O(N^2) and time O(N^3);
 * truncated series accumulates Horner style, never materializing T^k;
-* push approximations expand mass only where the residual is large, with
-  an explicit residual certifying the error. Only the threshold-phase
-  push events have a ceiling independent of graph size; the drain phase
-  that follows is a full-graph matvec per round, so support and wall
-  time per column grow with N. Geometric columns are pushed in blocks of
-  PUSH_BLOCK sources, one sparse-by-dense product per round.
+  its certificate is the analytic tail of the dropped weights. Heat under
+  push is this series, truncated where that tail falls below the push
+  tolerance;
+* geometric push expands mass only where the residual is large, with an
+  explicit residual certifying the error. Only the threshold-phase push
+  events have a ceiling independent of graph size; the drain phase that
+  follows is a full-graph matvec per round, so support and wall time per
+  column grow with N. Columns are pushed in blocks of PUSH_BLOCK sources,
+  one sparse-by-dense product per round.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .coeffs import (DiffusionSpec, Heat, Ppr, theta, theta_tail, theta_vector,
-                     truncation_k)
+from .coeffs import DiffusionSpec, Heat, Ppr, theta, theta_tail, truncation_k
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, Symmetric, SymmetricSelfLoop, TransitionKind,
                     TransitionMatrix)
@@ -164,10 +166,11 @@ def diffuse_series(T, spec, K):
 
     Trailing zero weights leave the sum unchanged bit for bit and are
     dropped. Ppr weights never increase, nor Heat ones past k = t, so they
-    stop at their first 0.0 and a huge K stays cheap.
+    stop at their first 0.0 and a huge K stays cheap. The certificate is
+    the analytic tail sum_{k > K} theta_k, which bounds every column's L1
+    error when T is column-stochastic (the random walk).
     """
-    if K < 0:
-        raise InputError(f"series order must be non-negative, got {K}")
+    check_series_order(K)
     th = []
     for k in range(K + 1):
         th.append(theta(spec, k))
@@ -184,7 +187,8 @@ def diffuse_series(T, spec, K):
         x = m @ x
         if coef != 0.0:
             x[diag, diag] += coef
-    return DiffusionMatrix(data=x, spec=spec, kind=T.kind, exactness=f"series:{K}")
+    return DiffusionMatrix(data=x, spec=spec, kind=T.kind, exactness=f"series:{K}",
+                           certificate={"tail_mass": theta_tail(spec, K)})
 
 
 @dataclass
@@ -217,6 +221,16 @@ def _require_random_walk(T):
                          "random-walk transition matrix")
 
 
+def check_push_tolerance(eps_push):
+    if eps_push is None or not eps_push > 0:
+        raise InputError(f"push tolerance must be positive, got {eps_push}")
+
+
+def check_series_order(K):
+    if K < 0:
+        raise InputError(f"series order must be non-negative, got {K}")
+
+
 def _push_ppr_block(T, alpha, eps_push, columns):
     """Geometric push for a block of source columns at once.
 
@@ -231,8 +245,7 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     """
     _require_random_walk(T)
     _check_alpha(alpha)
-    if not eps_push > 0:
-        raise InputError(f"push tolerance must be positive, got {eps_push}")
+    check_push_tolerance(eps_push)
     m = T.matrix
     b = len(columns)
     thresholds = (eps_push * T.degrees)[:, None]
@@ -307,64 +320,6 @@ def diffuse_push_ppr(T, alpha, eps_push, column):
     return _push_ppr_block(T, alpha, eps_push, [column])[0]
 
 
-def diffuse_push_heat(T, t, eps_push, column):
-    """Approximate one heat-kernel column by staged residual expansion.
-
-    Stage k holds mass that still needs k more transition steps. Stages are
-    expanded in order; before expanding, the smallest residual entries
-    whose total fits the per-stage budget eps_push / (2 K) are dropped, and
-    the stage count K is chosen so the undone analytic tail is below
-    eps_push / 2. Every future reweighting factor is at most one, so the
-    returned column is within eps_push (and a fortiori eps_push * e^t) of
-    the exact column in L1.
-    """
-    _require_random_walk(T)
-    spec = Heat(t)
-    if not eps_push > 0:
-        raise InputError(f"push tolerance must be positive, got {eps_push}")
-    n = T.n
-    if not 0 <= column < n:
-        raise InputError(f"column {column} out of range for {n} nodes")
-    m = T.matrix
-
-    k_max = truncation_k(spec, eps_push / 2.0) + 1
-    th = theta_vector(spec, k_max)
-    budget = eps_push / (2.0 * max(1, k_max))
-
-    x = np.zeros(n)
-    r = np.zeros(n)
-    r[column] = 1.0
-    touched = 0
-    dropped = 0.0
-    for k in range(k_max):
-        idx = np.flatnonzero(r)
-        if idx.size == 0:
-            break
-        vals = r[idx]
-        order = np.argsort(vals, kind="stable")
-        cum = np.cumsum(vals[order])
-        ndrop = int(np.searchsorted(cum, budget, side="right"))
-        if ndrop:
-            dropped += float(cum[ndrop - 1])
-        keep = idx[order[ndrop:]]
-        if keep.size == 0:
-            r = np.zeros(n)
-            continue
-        kv = r[keep]
-        touched += int(keep.size)
-        x[keep] += th[k] * kv
-        r = np.asarray(m[:, keep] @ kv)
-    else:
-        # absorb the final stage's own weight; its onward tail is the cut
-        x += th[k_max] * r
-
-    nz = np.flatnonzero(x)
-    return PushColumn(indices=nz, values=x[nz],
-                      residual_l1=float(dropped + theta_tail(spec, k_max - 1)),
-                      touched=touched, support=int(nz.size),
-                      rounds_threshold=k_max, rounds_drain=0)
-
-
 def _push_certificate(cols):
     """Error and cost accounting of push columns, aggregated over columns."""
     if not cols:
@@ -378,31 +333,26 @@ def _push_certificate(cols):
 
 
 def diffuse_push_matrix(T, spec, eps_push, threads=0):
-    """All columns of a push approximation, assembled into CSC.
+    """All columns of a geometric push approximation, assembled into CSC.
 
-    Geometric columns are pushed in consecutive blocks of PUSH_BLOCK
-    sources, heat columns one at a time. Blocks are independent and run in
-    a thread pool (threads=1 runs serially, 0 uses one worker per
-    usable core); the block products release the interpreter lock. Each
-    column's result is the same whatever block or thread computes it. The
-    certificate aggregates the per-column residual and cost accounting.
+    Columns are pushed in consecutive blocks of PUSH_BLOCK sources. Blocks
+    are independent and run in a thread pool (threads=1 runs serially, 0
+    uses one worker per usable core); the block products release the
+    interpreter lock. Each column's result is the same whatever block or
+    thread computes it. The certificate aggregates the per-column residual
+    and cost accounting. Heat has no push kernel: see diffuse.
     """
+    if not isinstance(spec, Ppr):
+        raise InputError("the push kernel is geometric only; diffuse runs heat "
+                         "under push as a truncated series")
     n = T.n
-    if isinstance(spec, Ppr):
-        starts = range(0, n, PUSH_BLOCK)
 
-        def one(lo):
-            return _push_ppr_block(T, spec.alpha, eps_push,
-                                   np.arange(lo, min(lo + PUSH_BLOCK, n)))
-    elif isinstance(spec, Heat):
-        starts = range(n)
+    def one(lo):
+        return _push_ppr_block(T, spec.alpha, eps_push,
+                               np.arange(lo, min(lo + PUSH_BLOCK, n)))
 
-        def one(j):
-            return [diffuse_push_heat(T, spec.t, eps_push, j)]
-    else:
-        raise InputError("push mode supports the geometric and heat families only")
-
-    cols = [c for chunk in pool_map(one, starts, threads) for c in chunk]
+    cols = [c for chunk in pool_map(one, range(0, n, PUSH_BLOCK), threads)
+            for c in chunk]
 
     indptr = np.cumsum([0] + [c.indices.size for c in cols], dtype=np.int64)
     indices = np.concatenate([c.indices for c in cols]) if n else np.array([], dtype=np.int64)
@@ -414,23 +364,29 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
 
 
 def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):
-    """Dispatch to the exact, series or push computation of the diffusion.
+    """The diffusion by the one route spec and mode select.
 
-    'exact' requires the geometric family (other specs fall back to a
-    series truncated at SERIES_TAIL_TOL). 'series' uses series_k or derives
-    it from SERIES_TAIL_TOL. 'push' requires eps_push and a random-walk
-    transition.
+    Geometric 'exact' is the closed-form solve and geometric 'push' the
+    block push kernel. Everything else is diffuse_series: at series_k,
+    else at the order whose analytic tail is below eps_push for heat
+    'push' (push's per-column L1 <= eps_push on the random walk it
+    requires) and below SERIES_TAIL_TOL otherwise. Explicit weights have
+    no push route.
     """
-    if mode == "exact":
-        if isinstance(spec, Ppr):
-            return diffuse_exact_ppr(T, spec.alpha)
-        k = truncation_k(spec, SERIES_TAIL_TOL)
-        return diffuse_series(T, spec, k)
-    if mode == "series":
-        k = series_k if series_k is not None else truncation_k(spec, SERIES_TAIL_TOL)
-        return diffuse_series(T, spec, k)
     if mode == "push":
-        if eps_push is None:
-            raise InputError("push mode needs eps_push")
-        return diffuse_push_matrix(T, spec, eps_push, threads=threads)
-    raise InputError(f"unknown diffusion mode {mode!r}")
+        check_push_tolerance(eps_push)
+        if isinstance(spec, Ppr):
+            return diffuse_push_matrix(T, spec, eps_push, threads=threads)
+        if not isinstance(spec, Heat):
+            raise InputError("push mode supports the geometric and heat families only")
+        _require_random_walk(T)
+        k = truncation_k(spec, eps_push)
+    elif mode == "exact" and isinstance(spec, Ppr):
+        return diffuse_exact_ppr(T, spec.alpha)
+    elif mode == "series" and series_k is not None:
+        k = series_k
+    elif mode in ("exact", "series"):
+        k = truncation_k(spec, SERIES_TAIL_TOL)
+    else:
+        raise InputError(f"unknown diffusion mode {mode!r}")
+    return diffuse_series(T, spec, k)

@@ -31,18 +31,13 @@ def laplacian(obj, kind=SYMMETRIC):
         return (sp.identity(obj.n, format="csc") - obj.matrix).tocsc()
     if not isinstance(obj, SparseGraph):
         raise InputError("laplacian expects a SparseGraph or TransitionMatrix")
-    g = obj
-    d = g.degrees()
     if kind == UNNORMALIZED:
-        return (sp.diags(d, format="csc") - g.to_scipy()).tocsc()
-    if np.any(d == 0):
-        bad = int(np.flatnonzero(d == 0)[0])
-        raise InputError(f"node {bad} has degree 0; normalized Laplacians "
-                         "need positive degrees")
+        return (sp.diags(obj.degrees(), format="csc") - obj.to_scipy()).tocsc()
     kinds = {RANDOM_WALK: RandomWalk(), SYMMETRIC: Symmetric()}
     if kind not in kinds:
         raise InputError(f"unknown Laplacian kind {kind!r}")
-    return laplacian(transition_matrix(g, kinds[kind]))
+    # transition_matrix sums the degrees and rejects a zero one
+    return laplacian(transition_matrix(obj, kinds[kind]))
 
 
 @dataclass

@@ -7,7 +7,8 @@ import pytest
 
 import graphdiffusion
 from graphdiffusion import (Heat, Ppr, RandomWalk, SymmetricSelfLoop,
-                            TargetDegree, Threshold, TopK, load_edge_list)
+                            TargetDegree, Threshold, TopK, load_edge_list,
+                            truncation_k)
 from graphdiffusion.cli import (PipelineConfig, UsageError, build_parser, main,
                                 parse_config, run_pipeline)
 
@@ -217,6 +218,36 @@ class TestTransform:
             "E_COMPUTE: the diffusion has no positive entry; "
             "no threshold gives average degree 4"]
 
+    @pytest.mark.parametrize("flags,conf", [
+        (["--push", "-1"], ""),
+        (["--push", "nan"], ""),
+        ([], "mode = push\neps_push = 0\n"),
+    ])
+    def test_bad_push_tolerance_fails_before_input(self, tmp_path, capsys,
+                                                   flags, conf):
+        self._fails_before_input(tmp_path, capsys, flags, conf,
+                                 "E_COMPUTE: push tolerance must be positive")
+
+    @pytest.mark.parametrize("flags,conf", [
+        (["--series", "-1"], ""),
+        ([], "mode = series\nseries_k = -2\n"),
+    ])
+    def test_bad_series_order_fails_before_input(self, tmp_path, capsys,
+                                                 flags, conf):
+        self._fails_before_input(tmp_path, capsys, flags, conf,
+                                 "E_COMPUTE: series order must be non-negative")
+
+    @staticmethod
+    def _fails_before_input(tmp_path, capsys, flags, conf, message):
+        # the input does not exist, so reading it first would exit 2 with E_IO
+        config = tmp_path / "run.conf"
+        config.write_text(conf)
+        rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
+                   "--output", str(tmp_path / "o.txt"), "--transition", "rw",
+                   "--config", str(config)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_usage_error_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", "a", "--output", "b",
                    "--method", "heat"])
@@ -307,8 +338,29 @@ class TestTransform:
         np.testing.assert_allclose(g.to_scipy().toarray(),
                                    0.4 * np.eye(3) + 0.2, atol=1e-5)
 
+    def test_heat_push_is_series_at_truncation_order(self, tmp_path):
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n1 4\n")
+        k = truncation_k(Heat(3.0), 1e-4)
+        outs = []
+        for mode in (["--push", "1e-4"], ["--series", str(k)]):
+            out = tmp_path / f"out{len(outs)}.txt"
+            rc = main(["transform", "--input", inp.as_posix(), "--output",
+                       str(out), "--method", "heat", "--t", "3",
+                       "--transition", "rw", "--sparsify", "topk:3"] + mode)
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "out0.txt.meta").read_text().splitlines())
+        assert float(meta["certificate_tail_mass"]) <= 1e-4
+
     @pytest.mark.parametrize("extra,keys", [
         ([], ["certificate_residual_max"]),
+        (["--method", "heat", "--t", "3", "--exact"], ["certificate_tail_mass"]),
+        (["--series", "5"], ["certificate_tail_mass"]),
+        (["--method", "heat", "--t", "3", "--transition", "rw", "--push", "1e-4"],
+         ["certificate_tail_mass"]),
         (["--transition", "rw", "--push", "1e-6"],
          ["certificate_residual_l1_max", "certificate_support_mean",
           "certificate_touched_mean", "certificate_drain_rounds_mean"]),

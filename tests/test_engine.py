@@ -264,6 +264,10 @@ class TestDispatch:
         with pytest.raises(InputError):
             diffuse(t_of([(0, 1)]), Ppr(0.5), mode="push")
 
+    def test_push_rejects_explicit(self):
+        with pytest.raises(InputError, match="geometric and heat"):
+            diffuse(t_of([(0, 1)]), Explicit((1.0,)), mode="push", eps_push=1e-6)
+
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             diffuse(t_of([(0, 1)]), Ppr(0.5), mode="magic")

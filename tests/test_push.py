@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
-                            Symmetric, TransitionMatrix, diffuse_exact_ppr,
-                            diffuse_push_heat, diffuse_push_matrix,
+                            Symmetric, TransitionMatrix, diffuse,
+                            diffuse_exact_ppr, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
-                            transition_matrix)
+                            transition_matrix, truncation_k)
 from graphdiffusion.engine import PUSH_BLOCK, _push_certificate, worker_count
 
 
@@ -146,36 +146,42 @@ class TestPushGeometric:
         assert col.rounds_threshold >= 1
 
 
+def heat_push(t, t_val, eps):
+    """Heat under push: the series truncated where its tail drops below eps."""
+    return diffuse(t, Heat(t_val), mode="push", eps_push=eps)
+
+
 class TestPushHeat:
     def test_tiny_time_is_identity(self):
         t = rw([(0, 1)])
-        col = diffuse_push_heat(t, 1e-9, 1e-6, 0)
-        np.testing.assert_allclose(col.dense(2), [1.0, 0.0], atol=1e-6)
+        col = heat_push(t, 1e-9, 1e-6).toarray()[:, 0]
+        np.testing.assert_allclose(col, [1.0, 0.0], atol=1e-6)
 
     def test_k2(self):
-        col = diffuse_push_heat(rw([(0, 1)]), np.log(2.0), 1e-6, 0)
-        err = np.abs(col.dense(2) - np.array([0.625, 0.375])).sum()
+        col = heat_push(rw([(0, 1)]), np.log(2.0), 1e-6).toarray()[:, 0]
+        err = np.abs(col - np.array([0.625, 0.375])).sum()
         assert err < 1e-4
 
     def test_ring_against_series(self):
         t = rw([(i, (i + 1) % 50) for i in range(50)])
         series = diffuse_series(t, Heat(3.0), 200).toarray()[:, 0]
-        col = diffuse_push_heat(t, 3.0, 1e-5, 0)
-        assert np.abs(col.dense(50) - series).sum() < 1e-3
+        col = heat_push(t, 3.0, 1e-5).toarray()[:, 0]
+        assert np.abs(col - series).sum() < 1e-3
 
     @pytest.mark.parametrize("t_val,eps", [(1.0, 1e-4), (5.0, 1e-5)])
     def test_l1_contract(self, t_val, eps):
         t = rw([(i, j) for i in range(10) for j in range(i + 1, 10)
                 if (i * j) % 4 != 1])
-        k = 220
-        series = diffuse_series(t, Heat(t_val), k).toarray()[:, 3]
-        col = diffuse_push_heat(t, t_val, eps, 3)
-        assert np.abs(col.dense(t.n) - series).sum() < eps * np.exp(t_val)
+        series = diffuse_series(t, Heat(t_val), 220).toarray()
+        s = heat_push(t, t_val, eps)
+        assert s.exactness == f"series:{truncation_k(Heat(t_val), eps)}"
+        assert np.abs(s.toarray() - series).sum(axis=0).max() <= eps
+        assert s.certificate["tail_mass"] <= eps
 
     def test_requires_random_walk(self):
         t = transition_matrix(load_graph([(0, 1)]), Symmetric())
         with pytest.raises(InputError, match="random-walk"):
-            diffuse_push_heat(t, 1.0, 1e-6, 0)
+            heat_push(t, 1.0, 1e-6)
 
 
 class TestPushMatrix:
@@ -204,6 +210,9 @@ class TestPushMatrix:
         t = rw([(0, 1)])
         with pytest.raises(InputError):
             diffuse_push_matrix(t, Explicit((1.0,)), 1e-6)
+        # the push kernel is geometric only; heat under push is a series
+        with pytest.raises(InputError, match="geometric only"):
+            diffuse_push_matrix(t, Heat(1.0), 1e-6)
 
     def test_block_columns_match_single_columns(self):
         # N is not a multiple of the block width, so the last block is short

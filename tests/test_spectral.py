@@ -50,11 +50,24 @@ class TestLaplacian:
 
     def test_zero_degree_rejected(self):
         g = load_graph([(0, 1)], n_hint=3)
-        with pytest.raises(InputError, match="normalized Laplacians"):
+        with pytest.raises(InputError, match="node 2 has degree 0"):
             laplacian(g, SYMMETRIC)
         # unnormalized form tolerates isolated nodes
         lap = laplacian(g, UNNORMALIZED).toarray()
         assert lap[2, 2] == 0
+
+    def test_normalized_sums_degrees_once(self, monkeypatch):
+        g = load_graph([(0, 1), (1, 2), (2, 0)])
+        calls = []
+        real = type(g).degrees
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(type(g), "degrees", counted)
+        laplacian(g, SYMMETRIC)
+        assert len(calls) == 1
 
 
 class TestEigen:
