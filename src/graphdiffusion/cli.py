@@ -363,13 +363,12 @@ def run_pipeline(cfg):
     if cfg.fmt == "npz":
         sp.save_npz(cfg.output, out_graph.to_scipy())
     else:
-        save_edge_list(cfg.output, out_graph)
+        save_edge_list(cfg.output, out_graph, sidecar=False)
     timings["export"] = time.perf_counter() - t0
     for stage, secs in timings.items():
         meta[f"stage_seconds_{stage}"] = f"{secs:.6f}"
     meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    # the sidecar goes last so that it carries the export time; for edge
-    # lists it replaces the plain sidecar save_edge_list wrote
+    # the one sidecar write goes last so that it carries the export time
     write_meta(cfg.output, edge_list_meta(out_graph, meta))
     return meta
 

@@ -282,12 +282,13 @@ def transition_matrix(g, kind):
     return TransitionMatrix(matrix=m, kind=kind, source=g, degrees=d)
 
 
-def save_edge_list(path, g, metadata=None):
+def save_edge_list(path, g, metadata=None, sidecar=True):
     """Write g as whitespace-separated edge lines plus a .meta sidecar.
 
     Undirected graphs emit each edge once (upper triangle by stored order);
     directed graphs emit every entry. Weights use shortest-round-trip
-    formatting so a reload reproduces the exact float values.
+    formatting so a reload reproduces the exact float values. sidecar=False
+    leaves the sidecar to a caller that writes it once, with more keys.
     """
     rows, cols, vals = g.row_idx, g.column_of_entry(), g.values
     if not g.directed:
@@ -298,7 +299,8 @@ def save_edge_list(path, g, metadata=None):
                    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
     with open(path, "w") as fh:
         fh.write(text)
-    write_meta(path, edge_list_meta(g, metadata))
+    if sidecar:
+        write_meta(path, edge_list_meta(g, metadata))
 
 
 def edge_list_meta(g, metadata=None):

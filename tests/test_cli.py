@@ -380,6 +380,28 @@ class TestTransform:
         assert meta["nodes"] == "4"
         assert meta["id_map"] == "0,1,2,3"
 
+    @pytest.mark.parametrize("fmt", ["edges", "npz"])
+    def test_one_sidecar_write_per_transform(self, tmp_path, monkeypatch, fmt):
+        import graphdiffusion.cli as cli
+        import graphdiffusion.graph as graph
+        writes = []
+        real = graph.write_meta
+
+        def counting(path, meta):
+            writes.append(str(path))
+            return real(path, meta)
+
+        for module in (graph, cli):
+            monkeypatch.setattr(module, "write_meta", counting)
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n2 0\n2 3\n")
+        out = tmp_path / f"out.{fmt}"
+        rc = main(["transform", "--input", inp.as_posix(), "--output", str(out),
+                   "--format", fmt, "--sparsify", "topk:3"])
+        assert rc == 0
+        assert writes == [str(out)]
+        assert "stage_seconds_export" in (tmp_path / f"out.{fmt}.meta").read_text()
+
 
 class TestOtherCommands:
     def test_convert_coeffs_round_trip(self, tmp_path):

@@ -9,7 +9,9 @@ from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
                             diffuse_exact_ppr, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
                             transition_matrix, truncation_k)
-from graphdiffusion.engine import PUSH_BLOCK, _push_certificate, worker_count
+from graphdiffusion.cluster import SbmSpec, generate_sbm
+from graphdiffusion.engine import (PUSH_BLOCK, _push_certificate, _push_ppr_block,
+                                  worker_count)
 
 
 def rw(edges):
@@ -78,11 +80,12 @@ class TestPushGeometric:
         np.testing.assert_allclose(p + propagated, exact, atol=1e-12)
 
     def test_matches_per_column_reference(self):
-        # the former one-column loop, kept as the reference the block kernel
-        # must reproduce bit for bit
+        # a one-column threshold phase and Chebyshev drain, the reference
+        # the block kernel must reproduce bit for bit
         t = uneven_graph(90, seed=6)
         alpha, eps = 0.15, 1e-5
         m, thresholds = t.matrix, eps * t.degrees
+        half = 1 - alpha  # undirected: the spectrum of I - (1-a)T is [a, 2-a]
         for j in (0, 41, 89):
             p, r = np.zeros(t.n), np.zeros(t.n)
             r[j] = 1.0
@@ -97,17 +100,22 @@ class TestPushGeometric:
                 p[active] += alpha * ra
                 r[active] = 0.0
                 r += (1 - alpha) * (m[:, active] @ ra)
-            mass = float(r.sum())
-            while mass > 50.0 * eps:
+            d = np.zeros(t.n)
+            beta, omega, rho = 0.0, 1.0, half
+            while np.abs(r).sum() > 50.0 * eps:
                 drains += 1
-                p += alpha * r
-                r = (1 - alpha) * (m @ r)
-                mass *= 1 - alpha
+                d = beta * d + omega * r
+                p += alpha * d
+                r = r - d + (1 - alpha) * (m @ d)
+                omega = 2.0 / (2.0 - half * rho)
+                beta = rho * (half * omega / 2.0)
+                rho = half * omega / 2.0
+            p = np.maximum(p, 0.0)
             col = diffuse_push_ppr(t, alpha, eps, j)
             nz = np.flatnonzero(p)
             np.testing.assert_array_equal(col.indices, nz)
             np.testing.assert_array_equal(col.values, p[nz])
-            assert col.residual_l1 == float(r.sum())
+            assert col.residual_l1 == float(np.abs(r).sum())
             assert (col.touched, col.support, col.rounds_threshold,
                     col.rounds_drain) == (touched, nz.size, rounds, drains)
 
@@ -144,6 +152,69 @@ class TestPushGeometric:
         col = diffuse_push_ppr(t, 0.5, 1e-6, 0)
         assert col.touched >= col.support
         assert col.rounds_threshold >= 1
+
+
+class TestPushDrain:
+    def test_sbm_meets_cap_in_few_rounds(self):
+        # a Richardson drain takes about 30 rounds per column here
+        g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+        t = transition_matrix(g, RandomWalk())
+        assert t.n == 1000
+        eps = 1e-4
+        s = diffuse_push_matrix(t, Ppr(0.15), eps, threads=1)
+        exact = diffuse_exact_ppr(t, 0.15).toarray()
+        err = np.abs(s.toarray() - exact).sum(axis=0)
+        assert err.max() <= s.certificate["residual_l1_max"] + 1e-12
+        assert s.certificate["residual_l1_max"] <= 50.0 * eps
+        assert s.certificate["drain_rounds_mean"] <= 12
+
+    def test_directed_source_is_richardson(self):
+        # half-width 0: every drain round is p += a r, r <- (1-a) T r
+        rng = np.random.default_rng(8)
+        n, alpha, eps = 80, 0.15, 1e-5
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [(int(i), int(j)) for i, j in rng.integers(0, n, (3 * n, 2)) if i != j]
+        t = transition_matrix(load_graph(edges, directed=True), RandomWalk())
+        m, thresholds = t.matrix, eps * t.degrees
+        exact = diffuse_exact_ppr(t, alpha).toarray()
+        for j in (0, 33, 79):
+            col = diffuse_push_ppr(t, alpha, eps, j)
+            p, r = np.zeros(n), np.zeros(n)
+            r[j] = 1.0
+            while (active := np.flatnonzero(r >= thresholds)).size:
+                ra = r[active]
+                p[active] += alpha * ra
+                r[active] = 0.0
+                r += (1 - alpha) * (m[:, active] @ ra)
+            drains = 0
+            while np.abs(r).sum() > 50.0 * eps:
+                drains += 1
+                p += alpha * r
+                r = (1 - alpha) * (m @ r)
+            np.testing.assert_array_equal(col.dense(n), p)
+            assert col.rounds_drain == drains > 0
+            err = np.abs(col.dense(n) - exact[:, j]).sum()
+            assert err <= col.residual_l1 + 1e-12
+            assert col.residual_l1 <= 50.0 * eps
+
+    @pytest.mark.parametrize("edges", [
+        [(i, i + 1) for i in range(199)],
+        [(0, i) for i in range(1, 200)],
+        [(i, (i + 1) % 200) for i in range(200)],
+        [(i, j) for i in range(2) for j in range(2, 152)],
+    ], ids=["path", "star", "ring", "bipartite"])
+    @pytest.mark.parametrize("alpha,eps", [(0.05, 1e-3), (0.05, 1e-5), (0.15, 1e-5)])
+    def test_bipartite_and_long_diameter(self, edges, alpha, eps):
+        # T has eigenvalue -1 on each graph, an end of the drain's interval
+        t = rw(edges)
+        exact = diffuse_exact_ppr(t, alpha).toarray()
+        cols = _push_ppr_block(t, alpha, eps, np.arange(t.n))
+        assert any(col.rounds_drain for col in cols)
+        for j, col in enumerate(cols):
+            assert (col.values > 0).all()
+            err = np.abs(col.dense(t.n) - exact[:, j]).sum()
+            assert err <= col.residual_l1 + 1e-12
+            assert col.residual_l1 <= 50.0 * eps
 
 
 def heat_push(t, t_val, eps):
