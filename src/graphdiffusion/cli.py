@@ -361,7 +361,9 @@ def run_pipeline(cfg):
 
     t0 = time.perf_counter()
     if cfg.fmt == "npz":
-        sp.save_npz(cfg.output, out_graph.to_scipy())
+        # through a handle: given a path, save_npz appends '.npz' to it
+        with open(cfg.output, "wb") as fh:
+            sp.save_npz(fh, out_graph.to_scipy())
     else:
         save_edge_list(cfg.output, out_graph, sidecar=False)
     timings["export"] = time.perf_counter() - t0

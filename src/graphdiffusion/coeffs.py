@@ -124,12 +124,10 @@ def truncation_k(spec, tail_tol):
             k += 1
         return k
     if isinstance(spec, (Heat, Explicit)):
+        # an Explicit tail is 0 at K = len(theta) - 1, below any tail_tol > 0
         k = 0
-        limit = len(spec.theta) if isinstance(spec, Explicit) else None
         while theta_tail(spec, k) >= tail_tol:
             k += 1
-            if limit is not None and k >= limit:
-                break
         return k
     raise InputError(f"unknown diffusion spec {spec!r}")
 

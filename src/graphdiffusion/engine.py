@@ -1,6 +1,6 @@
 """Computation of the diffusion matrix: closed form, series and push modes.
 
-Three routes to S = sum_k theta_k T^k:
+Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
 
 * exact geometric diffusion inverts I - (1-a)T densely at every size:
   by Cholesky when T is symmetric, by LU otherwise. The result is a dense
@@ -16,7 +16,8 @@ Three routes to S = sum_k theta_k T^k:
   matvec per round, so support and wall time per column grow with N. Its
   residual is signed; its L1 norm still bounds the column's L1 error, and
   the estimate is clipped at 0. Columns are pushed in blocks of PUSH_BLOCK
-  sources, one sparse-by-dense product per round.
+  sources, one sparse-by-dense product per round, and each block is
+  written into its columns of the result.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .coeffs import DiffusionSpec, Heat, Ppr, theta, theta_tail, truncation_k
@@ -70,7 +70,7 @@ def pool_map(fn, items, threads):
 class DiffusionMatrix:
     """Columns of the diffusion operator with their generating recipe."""
 
-    data: object  # dense ndarray or scipy CSC
+    data: np.ndarray  # dense N x N; push fills it in Fortran order
     spec: DiffusionSpec | None
     kind: TransitionKind
     exactness: str  # 'exact', 'series:K', 'push:EPS'
@@ -80,14 +80,6 @@ class DiffusionMatrix:
     @property
     def n(self):
         return self.data.shape[0]
-
-    def toarray(self):
-        if sp.issparse(self.data):
-            return self.data.toarray()
-        return self.data
-
-    def is_sparse(self):
-        return sp.issparse(self.data)
 
 
 def _check_alpha(alpha):
@@ -256,6 +248,10 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     only columns whose own residual is still above the cap are updated,
     with scalars that depend on the round number alone, so each column's
     result does not depend on the other sources in its block.
+
+    Returns the clipped estimates (n x b) and, per column, the residual
+    L1, the threshold-phase push events (touched), and the threshold and
+    drain round counts.
     """
     _require_random_walk(T)
     _check_alpha(alpha)
@@ -325,16 +321,7 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     # the exact column is nonnegative, so clipping never increases an
     # entry's error and the residual still bounds the column's L1 error
     np.maximum(p, 0.0, out=p)
-    residual_l1 = _row_l1(r)
-    out = []
-    for k, pk in enumerate(np.ascontiguousarray(p.T)):
-        nz = np.flatnonzero(pk)
-        out.append(PushColumn(indices=nz, values=pk[nz],
-                              residual_l1=float(residual_l1[k]),
-                              touched=int(touched[k]), support=int(nz.size),
-                              rounds_threshold=int(rounds_threshold[k]),
-                              rounds_drain=int(rounds_drain[k])))
-    return out
+    return p, _row_l1(r), touched, rounds_threshold, rounds_drain
 
 
 def diffuse_push_ppr(T, alpha, eps_push, column):
@@ -363,50 +350,56 @@ def diffuse_push_ppr(T, alpha, eps_push, column):
     n = T.n
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
-    return _push_ppr_block(T, alpha, eps_push, [column])[0]
+    p, residual_l1, touched, rounds_threshold, rounds_drain = _push_ppr_block(
+        T, alpha, eps_push, [column])
+    nz = np.flatnonzero(p[:, 0])
+    return PushColumn(indices=nz, values=p[nz, 0], residual_l1=float(residual_l1[0]),
+                      touched=int(touched[0]), support=int(nz.size),
+                      rounds_threshold=int(rounds_threshold[0]),
+                      rounds_drain=int(rounds_drain[0]))
 
 
-def _push_certificate(cols):
-    """Error and cost accounting of push columns, aggregated over columns."""
-    if not cols:
-        return {}
+def _push_certificate(support, residual_l1, touched, rounds_drain):
+    """Error and cost accounting of push columns, from per-column arrays."""
     return {
-        "residual_l1_max": max(c.residual_l1 for c in cols),
-        "support_mean": float(np.mean([c.support for c in cols])),
-        "touched_mean": float(np.mean([c.touched for c in cols])),
-        "drain_rounds_mean": float(np.mean([c.rounds_drain for c in cols])),
+        "residual_l1_max": float(residual_l1.max()),
+        "support_mean": float(support.mean()),
+        "touched_mean": float(touched.mean()),
+        "drain_rounds_mean": float(rounds_drain.mean()),
     }
 
 
 def diffuse_push_matrix(T, spec, eps_push, threads=0):
-    """All columns of a geometric push approximation, assembled into CSC.
+    """All columns of a geometric push approximation, as one dense N x N array.
 
-    Columns are pushed in consecutive blocks of PUSH_BLOCK sources. Blocks
-    are independent and run in a thread pool (threads=1 runs serially, 0
-    uses one worker per usable core); the block products release the
+    Columns are pushed in consecutive blocks of PUSH_BLOCK sources, and
+    each block is written straight into its columns of a Fortran-ordered
+    result, so a block is one contiguous slice. Blocks are independent and
+    run in a thread pool (threads=1 runs serially, 0 uses one worker per
+    usable core), writing disjoint slices; the block products release the
     interpreter lock. Each column's result is the same whatever block or
-    thread computes it. The certificate aggregates the per-column residual
-    and cost accounting. Heat has no push kernel: see diffuse.
+    thread computes it. Peak memory is the result plus each running
+    block's N x PUSH_BLOCK temporaries. The certificate aggregates the
+    per-column residual and cost accounting; a column's support is its
+    count of nonzero entries. Heat has no push kernel: see diffuse.
     """
     if not isinstance(spec, Ppr):
         raise InputError("the push kernel is geometric only; diffuse runs heat "
                          "under push as a truncated series")
     n = T.n
+    out = np.empty((n, n), order="F")
 
     def one(lo):
-        return _push_ppr_block(T, spec.alpha, eps_push,
-                               np.arange(lo, min(lo + PUSH_BLOCK, n)))
+        hi = min(lo + PUSH_BLOCK, n)
+        p, residual_l1, touched, _, rounds_drain = _push_ppr_block(
+            T, spec.alpha, eps_push, np.arange(lo, hi))
+        out[:, lo:hi] = p
+        return np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain
 
-    cols = [c for chunk in pool_map(one, range(0, n, PUSH_BLOCK), threads)
-            for c in chunk]
-
-    indptr = np.cumsum([0] + [c.indices.size for c in cols], dtype=np.int64)
-    indices = np.concatenate([c.indices for c in cols]) if n else np.array([], dtype=np.int64)
-    data = np.concatenate([c.values for c in cols]) if n else np.array([])
-    mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    return DiffusionMatrix(data=mat, spec=spec, kind=T.kind,
-                           exactness=f"push:{eps_push:g}",
-                           certificate=_push_certificate(cols))
+    blocks = pool_map(one, range(0, n, PUSH_BLOCK), threads)
+    certificate = _push_certificate(*map(np.concatenate, zip(*blocks))) if n else {}
+    return DiffusionMatrix(data=out, spec=spec, kind=T.kind,
+                           exactness=f"push:{eps_push:g}", certificate=certificate)
 
 
 def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):

@@ -2,8 +2,8 @@
 the whole operator in its fixed stage order: transition matrix, diffusion,
 target degree resolved to a threshold, sparsification, then optional
 unweighting, symmetrization and renormalization into a transition matrix.
-Every sparsify rule is one masking kernel over blocks of TOPK_BLOCK columns,
-which never copies the whole diffusion matrix.
+Every sparsify rule is one masking kernel over blocks of TOPK_BLOCK columns
+of the dense diffusion matrix, read in place.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import DiffusionMatrix, diffuse
 from .errors import InputError
@@ -95,18 +94,15 @@ def _sparsify_blocks(mat, mask_of):
     """CSC arrays (indptr, rows, values) of the entries of mat that mask_of keeps.
 
     mask_of maps a block of TOPK_BLOCK columns, whose row i is column lo + i
-    of mat, to a boolean mask. A dense block is a view of mat and a CSC
-    block is densified. Rows come out sorted and unique in each column.
+    of mat, to a boolean mask. Every block is a view of mat. Rows come out
+    sorted and unique in each column.
     """
     n = mat.shape[0]
     # the leading 0 of indptr, and empty parts so that N = 0 needs no block
     counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for lo in range(0, n, TOPK_BLOCK):
         hi = min(lo + TOPK_BLOCK, n)
-        if sp.issparse(mat):
-            cols = mat[:, lo:hi].T.toarray()
-        else:
-            cols = mat[:, lo:hi].T
+        cols = mat[:, lo:hi].T
         if cols.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
         keep = mask_of(cols)
@@ -118,10 +114,8 @@ def _sparsify_blocks(mat, mask_of):
 
 
 def _entries(S):
-    """The matrix of a DiffusionMatrix (or S itself) as float64 CSC or ndarray."""
+    """The matrix of a DiffusionMatrix (or S itself) as a float64 ndarray."""
     mat = S.data if isinstance(S, DiffusionMatrix) else S
-    if sp.issparse(mat):
-        return sp.csc_matrix(mat, dtype=np.float64)
     return np.asarray(mat, dtype=np.float64)
 
 
@@ -130,12 +124,14 @@ def epsilon_for_degree(S, avg_degree):
 
     Returns the ceil(N * avg_degree)-th largest positive entry, or the
     smallest one if there are fewer; thresholding at it keeps at least
-    that many entries (ties may overshoot). Reads the stored entries in
-    place and copies only the positive ones.
+    that many entries (ties may overshoot). Reads the dense matrix in
+    place and copies only its positive entries.
     """
     mat = _entries(S)
     n = mat.shape[0]
-    vals = mat.data if sp.issparse(mat) else mat
+    # memory order: a view of a C- or Fortran-ordered (push) matrix, so the
+    # mask and the copy below read it contiguously
+    vals = mat.ravel(order="K")
     if vals.size and vals.min() < -1e-12:
         raise InputError("diffusion entries must be non-negative")
     if not 0 < avg_degree <= n:
@@ -155,16 +151,16 @@ def epsilon_for_degree(S, avg_degree):
 def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
-    Every rule is one pass over blocks of TOPK_BLOCK columns, each block
-    masked and appended to the CSC result: dense input is read in place,
-    CSC input densified one block at a time, so besides the result the
-    temporaries are O(N * TOPK_BLOCK). Top-k keeps the min(k, positive
-    entries) largest entries of each column, the smaller row winning a
-    tie; each column's k-th value comes from one partition per block.
-    Thresholding keeps entries >= eps. TargetDegree resolves eps through
-    epsilon_for_degree first. Diagonal mass survives like any other entry,
-    so the result may carry self-loops. original_ids labels the result's
-    nodes (by default 0..N-1), normally the ids of the diffused graph.
+    Every rule is one pass over blocks of TOPK_BLOCK columns of the dense
+    matrix, each block a view masked and appended to the CSC result, so
+    besides the result the temporaries are O(N * TOPK_BLOCK). Top-k keeps
+    the min(k, positive entries) largest entries of each column, the
+    smaller row winning a tie; each column's k-th value comes from one
+    partition per block. Thresholding keeps entries >= eps. TargetDegree
+    resolves eps through epsilon_for_degree first. Diagonal mass survives
+    like any other entry, so the result may carry self-loops. original_ids
+    labels the result's nodes (by default 0..N-1), normally the ids of the
+    diffused graph.
     """
     if isinstance(rule, TargetDegree):
         rule = Threshold(epsilon_for_degree(S, rule.avg_degree))

@@ -43,9 +43,9 @@ def test_criterion_1_series_exact_equivalence():
         for kind in kinds:
             t = transition_matrix(g, kind)
             for alpha in alphas:
-                exact = diffuse_exact_ppr(t, alpha).toarray()
+                exact = diffuse_exact_ppr(t, alpha).data
                 k = truncation_k(Ppr(alpha), 1e-12)
-                series = diffuse_series(t, Ppr(alpha), k).toarray()
+                series = diffuse_series(t, Ppr(alpha), k).data
                 worst = max(worst, float(np.abs(exact - series).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 30.0
@@ -134,7 +134,7 @@ def test_criterion_5_perturbation_bound():
         t = transition_matrix(g, Symmetric())
         s = diffuse_exact_ppr(t, 0.1)
         n = g.n
-        dense = s.toarray()
+        dense = s.data
         before = np.sort(np.linalg.eigvalsh(dense))
         for eps in (1e-4, 1e-3):
             trimmed = sparsify(s, Threshold(eps)).to_scipy().toarray()
@@ -152,7 +152,7 @@ def test_criterion_6_push_accuracy_and_locality():
     g1, _ = largest_connected_component(g1)
     assert g1.n == 1000, "benchmark graph must stay connected"
     t1 = transition_matrix(g1, RandomWalk())
-    exact = diffuse_exact_ppr(t1, 0.15).toarray()
+    exact = diffuse_exact_ppr(t1, 0.15).data
     worst_l1 = 0.0
     touched_small = []
     for j in range(1000):

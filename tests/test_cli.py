@@ -312,6 +312,19 @@ class TestTransform:
         m = sp.load_npz(out)
         assert m.shape == (2, 2)
 
+    def test_npz_written_at_output_path(self, tmp_path):
+        import scipy.sparse as sp
+        inp = write_k2(tmp_path)
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            rc = main(["transform", "--input", inp, "--output", str(out),
+                       "--format", "npz", "--sparsify", "topk:2"])
+            assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "k2.txt", "o1", "o1.meta", "o2", "o2.meta"]
+        assert sp.load_npz(outs[0]).shape == (2, 2)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("fmt", ["edges", "npz"])
     def test_original_ids_in_sidecar(self, tmp_path, fmt):
         inp = tmp_path / "g.txt"

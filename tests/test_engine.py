@@ -19,7 +19,7 @@ def t_of(edges, kind=RandomWalk()):
 class TestExactGeometric:
     def test_k2_half(self):
         s = diffuse_exact_ppr(t_of([(0, 1)]), 0.5)
-        np.testing.assert_allclose(s.toarray(), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
+        np.testing.assert_allclose(s.data, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
                                    atol=1e-12)
 
     def test_k3_half(self):
@@ -27,17 +27,17 @@ class TestExactGeometric:
         # a = 1.25, b = -0.25 gives S = 0.4 I + 0.2 J
         s = diffuse_exact_ppr(t_of([(0, 1), (1, 2), (2, 0)]), 0.5)
         expected = 0.4 * np.eye(3) + 0.2 * np.ones((3, 3))
-        np.testing.assert_allclose(s.toarray(), expected, atol=1e-12)
-        np.testing.assert_allclose(s.toarray().sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(s.data, expected, atol=1e-12)
+        np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-12)
 
     def test_alpha_near_one_is_identity(self):
         s = diffuse_exact_ppr(t_of([(0, 1), (1, 2)]), 1 - 1e-12)
-        np.testing.assert_allclose(s.toarray(), np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(s.data, np.eye(3), atol=1e-9)
 
     def test_residual_contract(self):
         g = connected_er(50, 0.1, 1)
         t = transition_matrix(g, RandomWalk())
-        s = diffuse_exact_ppr(t, 0.1).toarray()
+        s = diffuse_exact_ppr(t, 0.1).data
         resid = 0.1 * np.eye(50) - (s - 0.9 * (t.matrix @ s))
         assert np.abs(resid).max() < 1e-10
 
@@ -75,7 +75,7 @@ class TestExactGeometric:
         g = connected_er(40, 0.12, 3)
         t = transition_matrix(g, kind)
         s = diffuse_exact_ppr(t, 0.15)
-        sums = s.toarray().sum(axis=0)
+        sums = s.data.sum(axis=0)
         if isinstance(kind, RandomWalk):
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -83,7 +83,7 @@ class TestExactGeometric:
         g = connected_er(40, 0.12, 4)
         t = transition_matrix(g, SymmetricSelfLoop(1.0))
         s = diffuse_exact_ppr(t, 0.1)
-        assert s.toarray().min() >= -1e-12
+        assert s.data.min() >= -1e-12
 
 
 def count_cholesky_calls(monkeypatch):
@@ -166,19 +166,19 @@ def test_exact_solve_peak_memory(kind, buffers):
 class TestSeries:
     def test_identity_weights(self):
         s = diffuse_series(t_of([(0, 1), (1, 2)]), Explicit((1.0,)), 0)
-        np.testing.assert_allclose(s.toarray(), np.eye(3))
+        np.testing.assert_allclose(s.data, np.eye(3))
 
     def test_one_hop_weights(self):
         t = t_of([(0, 1), (1, 2), (2, 0)])
         s = diffuse_series(t, Explicit((0.0, 1.0, 0.0)), 2)
-        np.testing.assert_allclose(s.toarray(), t.matrix.toarray(), atol=1e-15)
+        np.testing.assert_allclose(s.data, t.matrix.toarray(), atol=1e-15)
 
     def test_k2_heat_closed_form(self):
         # e^-t expm(tA) on K2 equals cosh/sinh mixing: t = ln 2 gives
         # diag (1 + 1/4)/2 = 0.625 and off-diagonal (1 - 1/4)/2 = 0.375
         t = t_of([(0, 1)])
         s = diffuse_series(t, Heat(np.log(2.0)), 60)
-        np.testing.assert_allclose(s.toarray(), [[0.625, 0.375], [0.375, 0.625]],
+        np.testing.assert_allclose(s.data, [[0.625, 0.375], [0.375, 0.625]],
                                    atol=1e-12)
 
     @pytest.mark.parametrize("kind", [RandomWalk(), Symmetric(),
@@ -189,12 +189,12 @@ class TestSeries:
         t = transition_matrix(g, kind)
         exact = diffuse_exact_ppr(t, alpha)
         series = diffuse_series(t, Ppr(alpha), truncation_k(Ppr(alpha), 1e-12))
-        assert np.abs(exact.toarray() - series.toarray()).max() < 1e-8
+        assert np.abs(exact.data - series.data).max() < 1e-8
 
     def test_commutes_with_transition(self):
         g = connected_er(50, 0.1, 6)
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.2).toarray()
+        s = diffuse_exact_ppr(t, 0.2).data
         tm = t.matrix.toarray()
         assert np.abs(s @ tm - tm @ s).max() < 1e-9
 
@@ -202,7 +202,7 @@ class TestSeries:
         g = connected_er(80, 0.07, 7)
         t = transition_matrix(g, Symmetric())
         k = truncation_k(Heat(2.5), 1e-14)
-        s = diffuse_series(t, Heat(2.5), k).toarray()
+        s = diffuse_series(t, Heat(2.5), k).data
         rep = eigen(t.matrix, want_vectors=True)
         u, lam = rep.eigenvectors, rep.eigenvalues
         recon = u @ np.diag(np.exp(2.5 * (lam - 1.0))) @ u.T
@@ -228,8 +228,8 @@ class TestSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(huge.toarray(), full)
-        assert np.array_equal(diffuse_series(t, spec, 5000).toarray(), full)
+        assert np.array_equal(huge.data, full)
+        assert np.array_equal(diffuse_series(t, spec, 5000).data, full)
         assert huge.exactness == "series:1000000"
         # a list of 10**6 weights alone takes over 30 MB
         assert peak < 2 * 2 ** 20
@@ -245,7 +245,7 @@ class TestDispatch:
         t = t_of([(0, 1)])
         s = diffuse(t, Heat(1.0), mode="exact")
         assert s.exactness.startswith("series:")
-        np.testing.assert_allclose(s.toarray().sum(axis=0), 1.0, atol=1e-10)
+        np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-10)
 
     def test_series_order_derived_from_tail(self, monkeypatch):
         monkeypatch.setattr(engine, "SERIES_TAIL_TOL", 0.1)
@@ -256,8 +256,8 @@ class TestDispatch:
     def test_push_mode(self):
         t = t_of([(0, 1)])
         s = diffuse(t, Ppr(0.5), mode="push", eps_push=1e-8)
-        assert s.is_sparse()
-        np.testing.assert_allclose(s.toarray(), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
+        assert isinstance(s.data, np.ndarray) and s.data.flags.f_contiguous
+        np.testing.assert_allclose(s.data, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
                                    atol=1e-5)
 
     def test_push_needs_eps(self):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
                             diffuse_push_ppr, diffuse_series, load_graph,
                             transition_matrix, truncation_k)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
-from graphdiffusion.engine import (PUSH_BLOCK, _push_certificate, _push_ppr_block,
-                                  worker_count)
+from graphdiffusion.engine import PUSH_BLOCK, _push_ppr_block, worker_count
 
 
 def rw(edges):
@@ -53,7 +53,7 @@ class TestPushGeometric:
 
     def test_star_center(self):
         t = rw([(0, i) for i in range(1, 100)])
-        exact = diffuse_exact_ppr(t, 0.15).toarray()[:, 0]
+        exact = diffuse_exact_ppr(t, 0.15).data[:, 0]
         col = diffuse_push_ppr(t, 0.15, 1e-4, 0)
         assert np.abs(col.dense(100) - exact).sum() < 1e-2
 
@@ -74,7 +74,7 @@ class TestPushGeometric:
             p[active] += alpha * ra
             r[active] = 0.0
             r += (1 - alpha) * (t.matrix[:, active] @ ra)
-        exact = diffuse_exact_ppr(t, alpha).toarray()[:, 1]
+        exact = diffuse_exact_ppr(t, alpha).data[:, 1]
         propagated = alpha * np.linalg.solve(
             np.eye(n) - (1 - alpha) * t.matrix.toarray(), r)
         np.testing.assert_allclose(p + propagated, exact, atol=1e-12)
@@ -128,7 +128,7 @@ class TestPushGeometric:
     def test_monotone_convergence(self):
         t = rw([(i, j) for i in range(8) for j in range(i + 1, 8)
                 if (i + j) % 3 != 0])
-        exact = diffuse_exact_ppr(t, 0.2).toarray()[:, 0]
+        exact = diffuse_exact_ppr(t, 0.2).data[:, 0]
         errs = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             col = diffuse_push_ppr(t, 0.2, eps, 0)
@@ -162,8 +162,8 @@ class TestPushDrain:
         assert t.n == 1000
         eps = 1e-4
         s = diffuse_push_matrix(t, Ppr(0.15), eps, threads=1)
-        exact = diffuse_exact_ppr(t, 0.15).toarray()
-        err = np.abs(s.toarray() - exact).sum(axis=0)
+        exact = diffuse_exact_ppr(t, 0.15).data
+        err = np.abs(s.data - exact).sum(axis=0)
         assert err.max() <= s.certificate["residual_l1_max"] + 1e-12
         assert s.certificate["residual_l1_max"] <= 50.0 * eps
         assert s.certificate["drain_rounds_mean"] <= 12
@@ -176,7 +176,7 @@ class TestPushDrain:
         edges += [(int(i), int(j)) for i, j in rng.integers(0, n, (3 * n, 2)) if i != j]
         t = transition_matrix(load_graph(edges, directed=True), RandomWalk())
         m, thresholds = t.matrix, eps * t.degrees
-        exact = diffuse_exact_ppr(t, alpha).toarray()
+        exact = diffuse_exact_ppr(t, alpha).data
         for j in (0, 33, 79):
             col = diffuse_push_ppr(t, alpha, eps, j)
             p, r = np.zeros(n), np.zeros(n)
@@ -207,14 +207,15 @@ class TestPushDrain:
     def test_bipartite_and_long_diameter(self, edges, alpha, eps):
         # T has eigenvalue -1 on each graph, an end of the drain's interval
         t = rw(edges)
-        exact = diffuse_exact_ppr(t, alpha).toarray()
-        cols = _push_ppr_block(t, alpha, eps, np.arange(t.n))
-        assert any(col.rounds_drain for col in cols)
-        for j, col in enumerate(cols):
-            assert (col.values > 0).all()
-            err = np.abs(col.dense(t.n) - exact[:, j]).sum()
-            assert err <= col.residual_l1 + 1e-12
-            assert col.residual_l1 <= 50.0 * eps
+        exact = diffuse_exact_ppr(t, alpha).data
+        p, residual_l1, _, _, rounds_drain = _push_ppr_block(t, alpha, eps,
+                                                             np.arange(t.n))
+        assert rounds_drain.any()
+        # clipped at 0, so every nonzero entry is positive
+        assert (p >= 0).all()
+        err = np.abs(p - exact).sum(axis=0)
+        assert (err <= residual_l1 + 1e-12).all()
+        assert (residual_l1 <= 50.0 * eps).all()
 
 
 def heat_push(t, t_val, eps):
@@ -225,28 +226,28 @@ def heat_push(t, t_val, eps):
 class TestPushHeat:
     def test_tiny_time_is_identity(self):
         t = rw([(0, 1)])
-        col = heat_push(t, 1e-9, 1e-6).toarray()[:, 0]
+        col = heat_push(t, 1e-9, 1e-6).data[:, 0]
         np.testing.assert_allclose(col, [1.0, 0.0], atol=1e-6)
 
     def test_k2(self):
-        col = heat_push(rw([(0, 1)]), np.log(2.0), 1e-6).toarray()[:, 0]
+        col = heat_push(rw([(0, 1)]), np.log(2.0), 1e-6).data[:, 0]
         err = np.abs(col - np.array([0.625, 0.375])).sum()
         assert err < 1e-4
 
     def test_ring_against_series(self):
         t = rw([(i, (i + 1) % 50) for i in range(50)])
-        series = diffuse_series(t, Heat(3.0), 200).toarray()[:, 0]
-        col = heat_push(t, 3.0, 1e-5).toarray()[:, 0]
+        series = diffuse_series(t, Heat(3.0), 200).data[:, 0]
+        col = heat_push(t, 3.0, 1e-5).data[:, 0]
         assert np.abs(col - series).sum() < 1e-3
 
     @pytest.mark.parametrize("t_val,eps", [(1.0, 1e-4), (5.0, 1e-5)])
     def test_l1_contract(self, t_val, eps):
         t = rw([(i, j) for i in range(10) for j in range(i + 1, 10)
                 if (i * j) % 4 != 1])
-        series = diffuse_series(t, Heat(t_val), 220).toarray()
+        series = diffuse_series(t, Heat(t_val), 220).data
         s = heat_push(t, t_val, eps)
         assert s.exactness == f"series:{truncation_k(Heat(t_val), eps)}"
-        assert np.abs(s.toarray() - series).sum(axis=0).max() <= eps
+        assert np.abs(s.data - series).sum(axis=0).max() <= eps
         assert s.certificate["tail_mass"] <= eps
 
     def test_requires_random_walk(self):
@@ -258,17 +259,17 @@ class TestPushHeat:
 class TestPushMatrix:
     def test_assembles_all_columns(self):
         t = rw([(0, 1), (1, 2), (2, 0)])
-        exact = diffuse_exact_ppr(t, 0.3).toarray()
+        exact = diffuse_exact_ppr(t, 0.3).data
         m = diffuse_push_matrix(t, Ppr(0.3), 1e-8)
-        assert m.is_sparse()
-        assert np.abs(m.toarray() - exact).max() < 1e-5
+        assert m.data.shape == (3, 3) and m.data.flags.f_contiguous
+        assert np.abs(m.data - exact).max() < 1e-5
 
     def test_thread_count_does_not_change_result(self):
         t = rw([(i, (i + 3) % 20) for i in range(20)] +
                [(i, (i + 1) % 20) for i in range(20)])
         a = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=1)
         b = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=4)
-        assert (a.data != b.data).nnz == 0
+        assert np.array_equal(a.data, b.data)
 
     def test_worker_count(self):
         cores = len(os.sched_getaffinity(0))
@@ -290,16 +291,18 @@ class TestPushMatrix:
         t = uneven_graph(150, seed=3)
         assert t.n % PUSH_BLOCK != 0
         out = diffuse_push_matrix(t, Ppr(0.2), 1e-5, threads=1)
-        m = out.data
         singles = []
         for j in range(t.n):
             col = diffuse_push_ppr(t, 0.2, 1e-5, j)
-            lo, hi = m.indptr[j], m.indptr[j + 1]
-            np.testing.assert_array_equal(m.indices[lo:hi], col.indices)
-            np.testing.assert_array_equal(m.data[lo:hi], col.values)
+            assert np.array_equal(out.data[:, j], col.dense(t.n))
             singles.append(col)
         # the block certificate aggregates exactly the single-column counts
-        assert out.certificate == _push_certificate(singles)
+        assert out.certificate == {
+            "residual_l1_max": max(c.residual_l1 for c in singles),
+            "support_mean": float(np.mean([c.support for c in singles])),
+            "touched_mean": float(np.mean([c.touched for c in singles])),
+            "drain_rounds_mean": float(np.mean([c.rounds_drain for c in singles])),
+        }
         drains = [c.rounds_drain for c in singles]
         # columns of every block finish their drain at different rounds, so
         # the kernel's partial-live branch ran
@@ -310,8 +313,24 @@ class TestPushMatrix:
         t = uneven_graph(3 * PUSH_BLOCK + 5, seed=4)
         a = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=1)
         b = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=2)
-        assert (a.data != b.data).nnz == 0
+        assert np.array_equal(a.data, b.data)
         assert a.certificate == b.certificate
+
+    def test_peak_memory_is_one_dense_array(self):
+        # blocks are written into the result: besides it, only the running
+        # block's N x PUSH_BLOCK temporaries are live
+        g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+        t = transition_matrix(g, RandomWalk())
+        n = t.n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = diffuse(t, Ppr(0.15), mode="push", eps_push=1e-4, threads=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert s.data.shape == (n, n) == (1000, 1000)
+        assert peak <= 1.6 * n ** 2 * 8
 
     def test_certificate(self):
         t = uneven_graph(100, seed=5)
@@ -321,6 +340,6 @@ class TestPushMatrix:
         assert 0.0 < cert["residual_l1_max"] <= 50.0 * eps
         cols = [diffuse_push_ppr(t, 0.2, eps, j) for j in range(t.n)]
         assert cert["residual_l1_max"] == max(c.residual_l1 for c in cols)
-        assert cert["support_mean"] == m.data.nnz / t.n
+        assert cert["support_mean"] == np.count_nonzero(m.data) / t.n
         assert cert["touched_mean"] >= cert["support_mean"]
         assert cert["drain_rounds_mean"] == np.mean([c.rounds_drain for c in cols])

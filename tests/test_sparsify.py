@@ -94,8 +94,7 @@ class TestSparsify:
         rng = np.random.default_rng(1)
         s = as_diffusion(rng.random((15, 15)))
         once = sparsify(s, Threshold(0.4))
-        twice = sparsify(DiffusionMatrix(once.to_scipy(), None, None, "exact"),
-                         Threshold(0.4))
+        twice = sparsify(as_diffusion(once.to_scipy().toarray()), Threshold(0.4))
         assert once.same_structure(twice)
 
     def test_threshold_monotone(self):
@@ -106,12 +105,6 @@ class TestSparsify:
         loose_set = set(zip(loose.row_idx, loose.column_of_entry()))
         tight_set = set(zip(tight.row_idx, tight.column_of_entry()))
         assert tight_set <= loose_set
-
-    def test_sparse_input_supported(self):
-        m = sp.csc_matrix(np.diag([0.5, 0.4, 0.3]))
-        d = DiffusionMatrix(data=m, spec=None, kind=None, exactness="push:1e-4")
-        g = sparsify(d, Threshold(0.35))
-        assert g.nnz == 2
 
 
 def topk_by_column_loop(arr, k):
@@ -151,33 +144,32 @@ def topk_cases():
 
 class TestTopKAgainstColumnLoop:
     @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
-    @pytest.mark.parametrize("layout", ["dense", "fortran", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     @pytest.mark.parametrize("name,arr,k", topk_cases(),
                              ids=[f"{c[0]}-k{c[2]}" for c in topk_cases()])
     def test_identical_to_loop(self, name, arr, k, layout, block, monkeypatch):
         monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
-        data = {"dense": arr, "fortran": np.asfortranarray(arr),
-                "csc": sp.csc_matrix(arr)}[layout]
+        data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
         g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(k))
         ref = topk_by_column_loop(arr, k)
         np.testing.assert_array_equal(g.col_ptr, ref.indptr)
         np.testing.assert_array_equal(g.row_idx, ref.indices)
         np.testing.assert_array_equal(g.values, ref.data)
 
-    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_entries_rejected(self, layout):
         m = np.full((5, 5), 0.1)
         m[3, 4] = -1e-9
-        data = sp.csc_matrix(m) if layout == "csc" else m
+        data = np.asfortranarray(m) if layout == "fortran" else m
         with pytest.raises(InputError, match="non-negative"):
             sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(2))
 
-    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_noise_dropped(self, layout):
         m = np.full((5, 5), 0.1)
         # the 3rd largest entry of column 4 is noise below zero
         m[:, 4] = [-1e-13, 0.3, -1e-13, -2e-13, 0.0]
-        data = sp.csc_matrix(m) if layout == "csc" else m
+        data = np.asfortranarray(m) if layout == "fortran" else m
         g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(3))
         rows, vals = g.column(4)
         np.testing.assert_array_equal(rows, [1])
@@ -233,14 +225,13 @@ def threshold_cases():
 
 class TestThresholdAgainstCopy:
     @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
-    @pytest.mark.parametrize("layout", ["dense", "fortran", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     @pytest.mark.parametrize("name,arr,epss,degrees", threshold_cases(),
                              ids=[c[0] for c in threshold_cases()])
     def test_identical_to_copy(self, name, arr, epss, degrees, layout, block,
                                monkeypatch):
         monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
-        data = {"dense": arr, "fortran": np.asfortranarray(arr),
-                "csc": sp.csc_matrix(arr)}[layout]
+        data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
         s = DiffusionMatrix(data, None, None, "exact")
         for eps in epss[:-1]:
             g = sparsify(s, Threshold(eps))
@@ -262,11 +253,11 @@ class TestThresholdAgainstCopy:
             np.testing.assert_array_equal(g.values, ref.data)
 
     @pytest.mark.parametrize("rule", [Threshold(0.05), TargetDegree(2.0)])
-    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_entries_rejected(self, rule, layout):
         m = np.full((5, 5), 0.1)
         m[3, 4] = -1e-9
-        data = sp.csc_matrix(m) if layout == "csc" else m
+        data = np.asfortranarray(m) if layout == "fortran" else m
         with pytest.raises(InputError, match="non-negative"):
             sparsify(DiffusionMatrix(data, None, None, "exact"), rule)
 
@@ -308,13 +299,11 @@ class TestEpsilonForDegree:
         g = sparsify(s, Threshold(eps))
         assert g.nnz == 16
 
-    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_order_statistic_matches_sort_oracle(self, layout):
         rng = np.random.default_rng(3)
         arr = rng.random((12, 12))
-        s = as_diffusion(arr)
-        if layout == "csc":
-            s = DiffusionMatrix(sp.csc_matrix(arr), None, None, "exact")
+        s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
         for d in (1.0, 2.5, 5.0):
             m = int(np.ceil(12 * d))
             oracle = np.sort(arr.ravel())[::-1][m - 1]
@@ -328,12 +317,11 @@ class TestEpsilonForDegree:
         g = sparsify(s, Threshold(eps))
         assert g.nnz == 64
 
-    @pytest.mark.parametrize("layout", ["dense", "csc"])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_no_positive_entry(self, layout):
         arr = np.zeros((4, 4))
         arr[1, 2] = -1e-13
-        data = sp.csc_matrix(arr) if layout == "csc" else arr
-        s = DiffusionMatrix(data, None, None, "exact")
+        s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
         with pytest.raises(InputError, match="no positive entry"):
             epsilon_for_degree(s, 2.0)
 
@@ -437,7 +425,7 @@ class TestPerturbationBound:
         s = diffuse_exact_ppr(t, 0.1)
         n = g.n
         sparse_graph = sparsify(s, Threshold(eps))
-        dense = s.toarray()
+        dense = s.data
         trimmed = sparse_graph.to_scipy().toarray()
         before = np.sort(np.linalg.eigvalsh(dense))
         after = np.sort(np.linalg.eigvalsh(trimmed))
