@@ -47,6 +47,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageError; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class PipelineConfig:
     input: str
@@ -475,7 +482,7 @@ def cmd_eval_cluster(ns):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphdiffusion",
         description="Transform graphs via sparsified generalized diffusion")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -523,13 +530,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"E_USAGE: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,10 @@ Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
 * exact geometric diffusion inverts I - (1-a)T densely at every size:
   by Cholesky when T is symmetric, by LU otherwise. The result is a dense
   N x N array, so memory is O(N^2) and time O(N^3);
-* truncated series accumulates Horner style, never materializing T^k;
-  its certificate is the analytic tail of the dropped weights. Heat under
-  push is this series, truncated where that tail falls below the push
-  tolerance;
+* truncated series accumulates Horner style on blocks of identity
+  columns, never materializing T^k; its certificate is the analytic tail
+  of the dropped weights. Heat under push is this series, truncated where
+  that tail falls below the push tolerance;
 * geometric push expands mass only where the residual is large, with an
   explicit residual certifying the error. Only the threshold-phase push
   events have a ceiling independent of graph size; the drain that follows
@@ -16,8 +16,12 @@ Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
   matvec per round, so support and wall time per column grow with N. Its
   residual is signed; its L1 norm still bounds the column's L1 error, and
   the estimate is clipped at 0. Columns are pushed in blocks of PUSH_BLOCK
-  sources, one sparse-by-dense product per round, and each block is
-  written into its columns of the result.
+  sources, one sparse-by-dense product per round.
+
+Series and push fill the result through one loop over blocks of PUSH_BLOCK
+columns, each block written into its own contiguous slice of a
+Fortran-ordered N x N array, so either route holds one N x N array plus
+per-block temporaries.
 """
 
 from __future__ import annotations
@@ -29,16 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .coeffs import DiffusionSpec, Heat, Ppr, theta, theta_tail, truncation_k
+from .coeffs import Heat, Ppr, theta, theta_tail, truncation_k
 from .errors import ComputeError, InputError
-from .graph import (RandomWalk, Symmetric, SymmetricSelfLoop, TransitionKind,
-                    TransitionMatrix)
+from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
 
 # After threshold pushes finish, residual is drained until its total mass
 # is below PUSH_L1_FACTOR * eps_push, tying the column's L1 error to eps.
 PUSH_L1_FACTOR = 50.0
-# Sources pushed together by one block kernel call: each round is a single
-# T @ R product over this many residual columns.
+# Columns computed together by one block of the series or the push kernel:
+# each Horner step or push round is a single T @ X product over this many
+# columns.
 PUSH_BLOCK = 64
 # Largest infinity-norm residual the exact solve may leave in any column.
 EXACT_TOL = 1e-10
@@ -66,13 +70,30 @@ def pool_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+def _column_blocks(n, block, threads):
+    """A Fortran-ordered N x N array filled one column block at a time.
+
+    block(lo, hi) returns columns lo..hi-1 of the result as an N x (hi - lo)
+    array, plus its accounting. It runs on consecutive blocks of PUSH_BLOCK
+    columns through pool_map, and each block is written into its own
+    contiguous slice. Returns the array and the accountings in block order.
+    """
+    out = np.empty((n, n), order="F")
+
+    def one(lo):
+        hi = min(lo + PUSH_BLOCK, n)
+        cols, accounting = block(lo, hi)
+        out[:, lo:hi] = cols
+        return accounting
+
+    return out, pool_map(one, range(0, n, PUSH_BLOCK), threads)
+
+
 @dataclass
 class DiffusionMatrix:
-    """Columns of the diffusion operator with their generating recipe."""
+    """Columns of the diffusion operator with the accounting of their route."""
 
-    data: np.ndarray  # dense N x N; push fills it in Fortran order
-    spec: DiffusionSpec | None
-    kind: TransitionKind
+    data: np.ndarray  # dense N x N; series and push fill it in Fortran order
     exactness: str  # 'exact', 'series:K', 'push:EPS'
     # error accounting of the computation, e.g. {'residual_max': ...}
     certificate: dict | None = None
@@ -151,8 +172,7 @@ def diffuse_exact_ppr(T, alpha):
     if not worst <= EXACT_TOL:
         raise ComputeError(f"linear solve did not reach tolerance {EXACT_TOL:g}; "
                            f"worst column residual {worst:g}")
-    return DiffusionMatrix(data=x, spec=Ppr(alpha), kind=T.kind, exactness="exact",
-                           certificate={"residual_max": worst})
+    return DiffusionMatrix(data=x, exactness="exact", certificate={"residual_max": worst})
 
 
 def diffuse_series(T, spec, K):
@@ -160,7 +180,12 @@ def diffuse_series(T, spec, K):
 
     Trailing zero weights leave the sum unchanged bit for bit and are
     dropped. Ppr weights never increase, nor Heat ones past k = t, so they
-    stop at their first 0.0 and a huge K stays cheap. The certificate is
+    stop at their first 0.0 and a huge K stays cheap. Horner runs on one
+    block of PUSH_BLOCK identity columns at a time, each written into its
+    columns of a Fortran-ordered result, so peak memory is the result plus
+    a few N x PUSH_BLOCK temporaries. Each column of a sparse-by-dense
+    product depends only on its own input column, so the result equals the
+    Horner sum on the whole N x N identity bit for bit. The certificate is
     the analytic tail sum_{k > K} theta_k, which bounds every column's L1
     error when T is column-stochastic (the random walk).
     """
@@ -175,13 +200,18 @@ def diffuse_series(T, spec, K):
         th.pop()
     n = T.n
     m = T.matrix
-    diag = np.arange(n)
-    x = th[-1] * np.eye(n)
-    for coef in reversed(th[:-1]):
-        x = m @ x
-        if coef != 0.0:
-            x[diag, diag] += coef
-    return DiffusionMatrix(data=x, spec=spec, kind=T.kind, exactness=f"series:{K}",
+
+    def block(lo, hi):
+        x = th[-1] * np.eye(n, hi - lo, -lo)  # identity columns lo..hi-1
+        diag = (np.arange(lo, hi), np.arange(hi - lo))
+        for coef in reversed(th[:-1]):
+            x = m @ x
+            if coef != 0.0:
+                x[diag] += coef
+        return x, None
+
+    data, _ = _column_blocks(n, block, threads=1)
+    return DiffusionMatrix(data=data, exactness=f"series:{K}",
                            certificate={"tail_mass": theta_tail(spec, K)})
 
 
@@ -290,7 +320,11 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     # step p += alpha r, r <- (1-alpha) T r. A column stops once its
     # measured residual L1 is at most the cap; live columns advance in
     # lockstep, so the scalars beta, omega depend on the round number only.
-    # Full rounds run in place; only partial rounds index columns.
+    # Every round updates the whole block in place after zeroing the d of
+    # stopped columns, so a stopped column's p stays as it is and its r
+    # changes at most in the sign of a zero entry, which only |r| ever reads.
+    # Zeroing through the mask costs nothing in a round where every column
+    # is live, unlike a multiply by it.
     half = 0.0 if T.source.directed else spread
     cap = PUSH_L1_FACTOR * eps_push
     rounds_drain = np.zeros(b, dtype=np.int64)
@@ -298,20 +332,14 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     beta, omega, rho = 0.0, 1.0, half
     while (live := _row_l1(r) > cap).any():
         rounds_drain += live
-        if live.all():
-            d *= beta
-            d += omega * r
-            p += alpha * d
-            q = m @ d
-            q *= spread
-            r -= d
-            r += q
-        else:
-            idx = np.flatnonzero(live)
-            dl = beta * d[:, idx] + omega * r[:, idx]
-            p[:, idx] += alpha * dl
-            r[:, idx] = r[:, idx] - dl + spread * (m @ dl)
-            d[:, idx] = dl
+        d *= beta
+        d += omega * r
+        d[:, ~live] = 0.0
+        p += alpha * d
+        q = m @ d
+        q *= spread
+        r -= d
+        r += q
         # next round's d = beta d + omega r (Saad, Iterative Methods for
         # Sparse Linear Systems, Algorithm 12.1, at centre 1)
         omega = 2.0 / (2.0 - half * rho)
@@ -376,30 +404,30 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
     each block is written straight into its columns of a Fortran-ordered
     result, so a block is one contiguous slice. Blocks are independent and
     run in a thread pool (threads=1 runs serially, 0 uses one worker per
-    usable core), writing disjoint slices; the block products release the
-    interpreter lock. Each column's result is the same whatever block or
-    thread computes it. Peak memory is the result plus each running
-    block's N x PUSH_BLOCK temporaries. The certificate aggregates the
-    per-column residual and cost accounting; a column's support is its
-    count of nonzero entries. Heat has no push kernel: see diffuse.
+    usable core), writing disjoint slices. Only the block products release
+    the interpreter lock; the rest of each round holds it, so more threads
+    barely help: at N=1000 and eps 1e-4 on 2 shared cores, two threads took
+    0.315 s against 0.341 s for one, and the block products alone ran 1.3
+    times as fast on two threads as on one. Each column's result is the
+    same whatever block or thread computes it. Peak memory is the result
+    plus each running block's N x PUSH_BLOCK temporaries. The certificate
+    aggregates the per-column residual and cost accounting; a column's
+    support is its count of nonzero entries. Heat has no push kernel: see
+    diffuse.
     """
     if not isinstance(spec, Ppr):
         raise InputError("the push kernel is geometric only; diffuse runs heat "
                          "under push as a truncated series")
-    n = T.n
-    out = np.empty((n, n), order="F")
 
-    def one(lo):
-        hi = min(lo + PUSH_BLOCK, n)
+    def block(lo, hi):
         p, residual_l1, touched, _, rounds_drain = _push_ppr_block(
             T, spec.alpha, eps_push, np.arange(lo, hi))
-        out[:, lo:hi] = p
-        return np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain
+        return p, (np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain)
 
-    blocks = pool_map(one, range(0, n, PUSH_BLOCK), threads)
-    certificate = _push_certificate(*map(np.concatenate, zip(*blocks))) if n else {}
-    return DiffusionMatrix(data=out, spec=spec, kind=T.kind,
-                           exactness=f"push:{eps_push:g}", certificate=certificate)
+    data, blocks = _column_blocks(T.n, block, threads)
+    certificate = _push_certificate(*map(np.concatenate, zip(*blocks))) if T.n else {}
+    return DiffusionMatrix(data=data, exactness=f"push:{eps_push:g}",
+                           certificate=certificate)
 
 
 def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):

@@ -132,6 +132,29 @@ class TestParseConfig:
         assert "invalid int value: 'two'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,threads,message", [
+        (["transform", "--input", "x", "--output", "y", "--alpha", "abc"], None,
+         "argument --alpha: invalid float value: 'abc'"),
+        (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1",
+          "--seeds", "x"], None, "argument --seeds: invalid int value: 'x'"),
+        (["transform", "--input", "x", "--output", "y", "--bogus"], None,
+         "unrecognized arguments: --bogus"),
+        (["transform", "--input", "x", "--output", "y", "--exact", "--push",
+          "1e-4"], None, "argument --push: not allowed with argument --exact"),
+        (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1"],
+         "two", "argument --threads: invalid int value: 'two'")],
+        ids=["float", "int", "unknown-flag", "exclusive-modes", "threads-variable"])
+    def test_argument_error_is_one_usage_line(self, capsys, monkeypatch, argv,
+                                              threads, message):
+        if threads is not None:
+            monkeypatch.setenv("GRAPHDIFFUSION_THREADS", threads)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+
+    def test_help_exits_0(self, capsys):
+        assert main(["transform", "--help"]) == 0
+        assert "--push" in capsys.readouterr().out
+
     def test_hash_stable_and_sensitive(self):
         a = parse(["--input", "a", "--output", "b"])
         b = parse(["--input", "a", "--output", "b"])

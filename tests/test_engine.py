@@ -9,6 +9,7 @@ from graphdiffusion import (ComputeError, Explicit, Heat, InputError, Ppr,
                             load_graph, theta_vector, transition_matrix,
                             truncation_k)
 from graphdiffusion import engine
+from graphdiffusion.cluster import SbmSpec, generate_sbm
 from conftest import connected_er
 
 
@@ -163,6 +164,26 @@ def test_exact_solve_peak_memory(kind, buffers):
     assert peak <= buffers * t.n ** 2 * 8
 
 
+def test_series_peak_memory_is_one_dense_array():
+    # Horner runs on blocks of identity columns, each written into the
+    # result, so besides it only a block's N x PUSH_BLOCK temporaries live
+    g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+    t = transition_matrix(g, RandomWalk())
+    n = t.n
+    # the heat tail imports scipy.special on first use; import it untraced
+    truncation_k(Heat(3.0), 1e-12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = diffuse(t, Heat(3.0), mode="exact")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert s.exactness.startswith("series:")
+    assert s.data.shape == (n, n) == (1000, 1000)
+    assert peak <= 1.3 * n ** 2 * 8
+
+
 class TestSeries:
     def test_identity_weights(self):
         s = diffuse_series(t_of([(0, 1), (1, 2)]), Explicit((1.0,)), 0)
@@ -207,6 +228,27 @@ class TestSeries:
         u, lam = rep.eigenvectors, rep.eigenvalues
         recon = u @ np.diag(np.exp(2.5 * (lam - 1.0))) @ u.T
         assert np.abs(s - recon).max() < 1e-7
+
+    @pytest.mark.parametrize("kind", [RandomWalk(), SymmetricSelfLoop(1.0)])
+    @pytest.mark.parametrize("spec, k", [
+        (Ppr(0.15), 25), (Heat(3.0), 30),
+        (Explicit((0.1, 0.0, 0.3, 0.0, 0.0, 0.25, 0.2)), 6)],
+        ids=["ppr", "heat", "explicit"])
+    def test_blocks_match_one_matrix_horner(self, kind, spec, k):
+        # N is not a multiple of the block width, so the last block is short
+        t = transition_matrix(connected_er(2 * engine.PUSH_BLOCK + 7, 0.05, 8), kind)
+        assert t.n % engine.PUSH_BLOCK != 0
+        # Horner on the whole N x N identity at once
+        th = theta_vector(spec, k)
+        diag = np.arange(t.n)
+        full = th[-1] * np.eye(t.n)
+        for coef in reversed(th[:-1]):
+            full = t.matrix @ full
+            if coef != 0.0:
+                full[diag, diag] += coef
+        s = diffuse_series(t, spec, k)
+        assert s.data.flags.f_contiguous
+        assert np.array_equal(s.data, full)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):

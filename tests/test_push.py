@@ -304,8 +304,7 @@ class TestPushMatrix:
             "drain_rounds_mean": float(np.mean([c.rounds_drain for c in singles])),
         }
         drains = [c.rounds_drain for c in singles]
-        # columns of every block finish their drain at different rounds, so
-        # the kernel's partial-live branch ran
+        # columns of every block stop their drain at different rounds
         for lo in range(0, t.n, PUSH_BLOCK):
             assert len(set(drains[lo:lo + PUSH_BLOCK])) > 1
 

@@ -18,8 +18,7 @@ sparsify_module = importlib.import_module("graphdiffusion.sparsify")
 
 
 def as_diffusion(arr):
-    return DiffusionMatrix(data=np.asarray(arr, dtype=float), spec=None,
-                           kind=None, exactness="exact")
+    return DiffusionMatrix(np.asarray(arr, dtype=float), "exact")
 
 
 def single_column(vals):
@@ -150,7 +149,7 @@ class TestTopKAgainstColumnLoop:
     def test_identical_to_loop(self, name, arr, k, layout, block, monkeypatch):
         monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
         data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
-        g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(k))
+        g = sparsify(DiffusionMatrix(data, "exact"), TopK(k))
         ref = topk_by_column_loop(arr, k)
         np.testing.assert_array_equal(g.col_ptr, ref.indptr)
         np.testing.assert_array_equal(g.row_idx, ref.indices)
@@ -162,7 +161,7 @@ class TestTopKAgainstColumnLoop:
         m[3, 4] = -1e-9
         data = np.asfortranarray(m) if layout == "fortran" else m
         with pytest.raises(InputError, match="non-negative"):
-            sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(2))
+            sparsify(DiffusionMatrix(data, "exact"), TopK(2))
 
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_noise_dropped(self, layout):
@@ -170,7 +169,7 @@ class TestTopKAgainstColumnLoop:
         # the 3rd largest entry of column 4 is noise below zero
         m[:, 4] = [-1e-13, 0.3, -1e-13, -2e-13, 0.0]
         data = np.asfortranarray(m) if layout == "fortran" else m
-        g = sparsify(DiffusionMatrix(data, None, None, "exact"), TopK(3))
+        g = sparsify(DiffusionMatrix(data, "exact"), TopK(3))
         rows, vals = g.column(4)
         np.testing.assert_array_equal(rows, [1])
         np.testing.assert_array_equal(vals, [0.3])
@@ -232,7 +231,7 @@ class TestThresholdAgainstCopy:
                                monkeypatch):
         monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
         data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
-        s = DiffusionMatrix(data, None, None, "exact")
+        s = DiffusionMatrix(data, "exact")
         for eps in epss[:-1]:
             g = sparsify(s, Threshold(eps))
             ref = threshold_by_copy(arr, eps)
@@ -259,7 +258,7 @@ class TestThresholdAgainstCopy:
         m[3, 4] = -1e-9
         data = np.asfortranarray(m) if layout == "fortran" else m
         with pytest.raises(InputError, match="non-negative"):
-            sparsify(DiffusionMatrix(data, None, None, "exact"), rule)
+            sparsify(DiffusionMatrix(data, "exact"), rule)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +275,7 @@ def test_sparsify_peak_memory(exact_s_1200, order, rule, buffers):
     # the result, which at 16 entries per column is 0.03 N^2 * 8 bytes and
     # takes about three times that to assemble and validate; degree:D adds
     # one copy of the positive entries
-    s = DiffusionMatrix(np.array(exact_s_1200, order=order), None, None, "exact")
+    s = DiffusionMatrix(np.array(exact_s_1200, order=order), "exact")
     rule = (Threshold(epsilon_for_degree(s, 16.0)) if rule == "eps"
             else TargetDegree(16.0))
     n = s.data.shape[0]
