@@ -257,13 +257,17 @@ def _bootstrap_ci(samples, rng, resamples=BOOTSTRAP_RESAMPLES):
 
 
 def run_gdc_for_clustering(g, cfg):
-    """The graph handed to clustering: diffuse_graph, exact, not renormalized."""
+    """The graph handed to clustering: diffuse_graph, exact, not renormalized.
+
+    The diffusion runs on one thread: eval_gdc_clustering already pools
+    over seeds.
+    """
     rule = cfg.rule
     if isinstance(rule, TopK) and rule.k > g.n:
         rule = TopK(g.n)
     opts = PostProcess(symmetrize=cfg.symmetrize, unweighted=cfg.unweighted,
                        renorm=None)
-    return diffuse_graph(g, cfg.transition, cfg.spec, rule, opts)[0]
+    return diffuse_graph(g, cfg.transition, cfg.spec, rule, opts, threads=1)[0]
 
 
 def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,

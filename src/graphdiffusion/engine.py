@@ -2,9 +2,11 @@
 
 Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
 
-* exact geometric diffusion inverts I - (1-a)T densely at every size:
-  by Cholesky when T is symmetric, by LU otherwise. The result is a dense
-  N x N array, so memory is O(N^2) and time O(N^3);
+* exact geometric diffusion inverts I - (1-a)T densely at every size,
+  in place by one LAPACK inverse: by Cholesky when T is symmetric, by LU
+  otherwise. Its residual is checked one block of PUSH_BLOCK columns at a
+  time, so it holds one N x N array, the Fortran-ordered result, plus
+  block temporaries; time is O(N^3);
 * truncated series accumulates Horner style on blocks of identity
   columns, never materializing T^k; its certificate is the analytic tail
   of the dropped weights. Heat under push is this series, truncated where
@@ -21,7 +23,7 @@ Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
 Series and push fill the result through one loop over blocks of PUSH_BLOCK
 columns, each block written into its own contiguous slice of a
 Fortran-ordered N x N array, so either route holds one N x N array plus
-per-block temporaries.
+per-block temporaries. Every route's result is Fortran-ordered.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy import linalg
 
 from .coeffs import Heat, Ppr, theta, theta_tail, truncation_k
 from .errors import ComputeError, InputError
@@ -93,7 +95,7 @@ def _column_blocks(n, block, threads):
 class DiffusionMatrix:
     """Columns of the diffusion operator with the accounting of their route."""
 
-    data: np.ndarray  # dense N x N; series and push fill it in Fortran order
+    data: np.ndarray  # dense N x N, Fortran-ordered on every route
     exactness: str  # 'exact', 'series:K', 'push:EPS'
     # error accounting of the computation, e.g. {'residual_max': ...}
     certificate: dict | None = None
@@ -108,74 +110,68 @@ def _check_alpha(alpha):
         raise InputError(f"teleport probability must be in (0, 1), got {alpha}")
 
 
-def _cholesky_inverse(a):
-    """Inverse of the symmetric positive definite a, computed in place.
+def _inverse(a, spd):
+    """Inverse of the Fortran-ordered square a, computed in place.
 
-    dpotrf factors a = L L^T and dpotri forms (L L^T)^-1 in the lower
-    triangle; mirroring it into the upper one makes the result symmetric
-    bit for bit. a must be symmetric, so its transpose is the
-    Fortran-ordered view LAPACK overwrites without a copy.
+    A symmetric positive definite a (spd) is inverted by Cholesky from its
+    lower triangle, and the result is symmetric bit for bit; any other a by
+    LU with partial pivoting.
     """
-    c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ComputeError(f"Cholesky inversion failed (LAPACK info {info}); "
-                           "the system matrix is not positive definite")
-    for j in range(c.shape[0] - 1):
-        c[j, j + 1:] = c[j + 1:, j]
-    return c
+    try:
+        return linalg.inv(a, overwrite_a=True, check_finite=False,
+                          assume_a="pos" if spd else "gen", lower=True)
+    except np.linalg.LinAlgError as err:
+        raise ComputeError(
+            "Cholesky inversion failed; the system matrix is not positive definite"
+            if spd else "LU inversion failed; the system matrix is singular") from err
 
 
 def diffuse_exact_ppr(T, alpha):
     """Exact geometric diffusion a (I - (1-a) T)^-1, dense at every size.
 
-    When T is symmetric (a symmetric kind on an undirected graph) the
-    system matrix I - (1-a) T is symmetric positive definite, since T's
-    spectrum lies in [-1, 1] and so every eigenvalue is at least a; it is
-    inverted by Cholesky, and the result is symmetric bit for bit. Any
-    other T (random walk, or a directed source) goes through an LU solve.
-    The per-column residual infinity norm is checked against EXACT_TOL
-    either way; a NaN residual fails the check. Time is O(N^3). Peak
-    memory is two N x N arrays on the Cholesky path (the system matrix,
-    inverted in place, and the residual) and three on the LU path (system
-    matrix, right-hand side and solution), besides LAPACK's own workspace
-    on the LU path.
+    The system matrix I - (1-a) T is formed in Fortran order and inverted in
+    place by one LAPACK inverse. When T is symmetric (a symmetric kind on an
+    undirected graph) the system matrix is symmetric positive definite,
+    since T's spectrum lies in [-1, 1] and so every eigenvalue is at least
+    a; it is inverted by Cholesky, and the result is symmetric bit for bit.
+    Any other T (random walk, or a directed source) is inverted by LU. The
+    per-column residual infinity norm is then checked against EXACT_TOL one
+    block of PUSH_BLOCK columns at a time; a NaN residual fails the check.
+    Time is O(N^3). Peak memory is one N x N array, the Fortran-ordered
+    result, plus a block's N x PUSH_BLOCK temporaries and LAPACK's
+    workspace.
     """
     _check_alpha(alpha)
     n = T.n
     m = T.matrix
-    a = m.toarray()
+    a = m.toarray(order="F")
     a *= -(1.0 - alpha)
     a.flat[::n + 1] += 1.0
-    if isinstance(T.kind, (Symmetric, SymmetricSelfLoop)) and not T.source.directed:
-        # transition_matrix makes these bit-symmetric
-        x = _cholesky_inverse(a)
-        x *= alpha
-        # x is Fortran-ordered and symmetric bit for bit, so its transpose
-        # is the same matrix in the C order a sparse product reads as is
-        xc = x.T
-    else:
-        b = np.zeros((n, n))
-        b.flat[::n + 1] = alpha
-        x = xc = np.linalg.solve(a, b)
-        del b
-    del a  # LU path: free the system matrix before the residual
+    # transition_matrix makes these bit-symmetric
+    spd = isinstance(T.kind, (Symmetric, SymmetricSelfLoop)) and not T.source.directed
+    x = _inverse(a, spd)
+    x *= alpha
 
-    # alpha I - (x - (1-alpha) m x), in the one buffer the product returns
-    resid = m @ xc
-    resid *= 1.0 - alpha
-    resid -= xc
-    resid.flat[::n + 1] += alpha
-    # abs folds a -0.0 maximum of an all-zero residual into 0.0
-    worst = abs(float(max(resid.max(), -resid.min()))) if n else 0.0
+    def block_worst(lo):
+        # alpha I - (x - (1-alpha) m x) on columns lo..hi-1, in the one
+        # buffer the product returns
+        hi = min(lo + PUSH_BLOCK, n)
+        resid = m @ x[:, lo:hi]
+        resid *= 1.0 - alpha
+        resid -= x[:, lo:hi]
+        resid[np.arange(lo, hi), np.arange(hi - lo)] += alpha
+        return max(resid.max(), -resid.min())
+
+    # np.max keeps a NaN; abs folds a -0.0 maximum into 0.0
+    worst = abs(float(np.max([block_worst(lo) for lo in range(0, n, PUSH_BLOCK)],
+                             initial=0.0)))
     if not worst <= EXACT_TOL:
         raise ComputeError(f"linear solve did not reach tolerance {EXACT_TOL:g}; "
                            f"worst column residual {worst:g}")
     return DiffusionMatrix(data=x, exactness="exact", certificate={"residual_max": worst})
 
 
-def diffuse_series(T, spec, K):
+def diffuse_series(T, spec, K, threads=0):
     """Truncated series sum_{k=0..K} theta_k T^k, accumulated Horner style.
 
     Trailing zero weights leave the sum unchanged bit for bit and are
@@ -183,11 +179,13 @@ def diffuse_series(T, spec, K):
     stop at their first 0.0 and a huge K stays cheap. Horner runs on one
     block of PUSH_BLOCK identity columns at a time, each written into its
     columns of a Fortran-ordered result, so peak memory is the result plus
-    a few N x PUSH_BLOCK temporaries. Each column of a sparse-by-dense
-    product depends only on its own input column, so the result equals the
-    Horner sum on the whole N x N identity bit for bit. The certificate is
-    the analytic tail sum_{k > K} theta_k, which bounds every column's L1
-    error when T is column-stochastic (the random walk).
+    a few N x PUSH_BLOCK temporaries per running block. Blocks run in a
+    thread pool as in diffuse_push_matrix (threads=1 runs serially, 0 uses
+    one worker per usable core). Each column of a sparse-by-dense product
+    depends only on its own input column, so the result equals the Horner
+    sum on the whole N x N identity bit for bit, whatever the threads. The
+    certificate is the analytic tail sum_{k > K} theta_k, which bounds
+    every column's L1 error when T is column-stochastic (the random walk).
     """
     check_series_order(K)
     th = []
@@ -210,7 +208,7 @@ def diffuse_series(T, spec, K):
                 x[diag] += coef
         return x, None
 
-    data, _ = _column_blocks(n, block, threads=1)
+    data, _ = _column_blocks(n, block, threads)
     return DiffusionMatrix(data=data, exactness=f"series:{K}",
                            certificate={"tail_mass": theta_tail(spec, K)})
 
@@ -456,4 +454,4 @@ def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):
         k = truncation_k(spec, SERIES_TAIL_TOL)
     else:
         raise InputError(f"unknown diffusion mode {mode!r}")
-    return diffuse_series(T, spec, k)
+    return diffuse_series(T, spec, k, threads=threads)

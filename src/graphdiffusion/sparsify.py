@@ -124,28 +124,33 @@ def epsilon_for_degree(S, avg_degree):
 
     Returns the ceil(N * avg_degree)-th largest positive entry, or the
     smallest one if there are fewer; thresholding at it keeps at least
-    that many entries (ties may overshoot). Reads the dense matrix in
-    place and copies only its positive entries.
+    that many entries (ties may overshoot). Reads the dense matrix in place,
+    TOPK_BLOCK columns (of a Fortran-ordered matrix; rows of a C-ordered
+    one) at a time, and keeps only the m = ceil(N * avg_degree) largest
+    positive entries seen so far: once m are held, a block adds only its
+    entries above their minimum, which can never lose the m-th largest.
     """
     mat = _entries(S)
     n = mat.shape[0]
-    # memory order: a view of a C- or Fortran-ordered (push) matrix, so the
-    # mask and the copy below read it contiguously
-    vals = mat.ravel(order="K")
-    if vals.size and vals.min() < -1e-12:
-        raise InputError("diffusion entries must be non-negative")
     if not 0 < avg_degree <= n:
         raise InputError(f"average degree must be in (0, {n}], got {avg_degree}")
-    vals = vals[vals > 0]
-    if vals.size == 0:
+    m = int(np.ceil(n * avg_degree))
+    # memory order: a view of a C- or Fortran-ordered matrix, so each block
+    # below is contiguous
+    vals = mat.ravel(order="K")
+    top = np.zeros(0)
+    for lo in range(0, vals.size, n * TOPK_BLOCK):
+        block = vals[lo:lo + n * TOPK_BLOCK]
+        if block.min() < -1e-12:
+            raise InputError("diffusion entries must be non-negative")
+        floor = top.min() if top.size >= m else 0.0
+        top = np.concatenate([top, block[block > floor]])
+        if top.size > m:
+            top = np.partition(top, top.size - m)[top.size - m:]
+    if top.size == 0:
         raise InputError("the diffusion has no positive entry; "
                          f"no threshold gives average degree {avg_degree:g}")
-    m = int(np.ceil(n * avg_degree))
-    if m >= vals.size:
-        return float(vals.min())
-    # m-th largest = (size - m)-th in ascending order; vals is a copy
-    vals.partition(vals.size - m)
-    return float(vals[vals.size - m])
+    return float(top.min())
 
 
 def sparsify(S, rule, original_ids=None):

@@ -52,16 +52,16 @@ class TestExactGeometric:
     def test_inaccurate_inverse_reports_residual(self, monkeypatch):
         # a factorization that returns a perturbed inverse must fail the
         # residual check
-        true_inverse = engine._cholesky_inverse
-        monkeypatch.setattr(engine, "_cholesky_inverse",
-                            lambda a: true_inverse(a) + 1e-6)
+        true_inverse = engine._inverse
+        monkeypatch.setattr(engine, "_inverse",
+                            lambda a, spd: true_inverse(a, spd) + 1e-6)
         t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
         with pytest.raises(ComputeError, match="residual"):
             diffuse_exact_ppr(t, 0.05)
 
     def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
-        monkeypatch.setattr(engine, "_cholesky_inverse",
-                            lambda a: np.full_like(a, np.nan))
+        monkeypatch.setattr(engine, "_inverse",
+                            lambda a, spd: np.full_like(a, np.nan))
         t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
         with pytest.raises(ComputeError, match="residual nan"):
             diffuse_exact_ppr(t, 0.05)
@@ -89,13 +89,14 @@ class TestExactGeometric:
 
 def count_cholesky_calls(monkeypatch):
     calls = []
-    real = engine._cholesky_inverse
+    real = engine._inverse
 
-    def counted(a):
-        calls.append(a.shape)
-        return real(a)
+    def counted(a, spd):
+        if spd:
+            calls.append(a.shape)
+        return real(a, spd)
 
-    monkeypatch.setattr(engine, "_cholesky_inverse", counted)
+    monkeypatch.setattr(engine, "_inverse", counted)
     return calls
 
 
@@ -110,7 +111,7 @@ def residual_max(t, alpha, x):
 
 
 class TestExactSolvers:
-    """Cholesky inverts symmetric transitions; LU solves all others."""
+    """Cholesky inverts symmetric transitions; LU inverts all others."""
 
     @pytest.mark.parametrize("kind", [Symmetric(), SymmetricSelfLoop(1.0)])
     @pytest.mark.parametrize("alpha", [0.05, 0.15, 0.6])
@@ -129,7 +130,7 @@ class TestExactSolvers:
         calls = count_cholesky_calls(monkeypatch)
         s = diffuse_exact_ppr(t, 0.2)
         assert calls == []
-        np.testing.assert_array_equal(s.data, lu_reference(t, 0.2))
+        np.testing.assert_allclose(s.data, lu_reference(t, 0.2), rtol=1e-14, atol=0)
         np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-12)
 
     def test_directed_symmetric_solves_by_lu(self, monkeypatch):
@@ -141,32 +142,41 @@ class TestExactSolvers:
         calls = count_cholesky_calls(monkeypatch)
         s = diffuse_exact_ppr(t, 0.15)
         assert calls == []
-        np.testing.assert_array_equal(s.data, lu_reference(t, 0.15))
+        np.testing.assert_allclose(s.data, lu_reference(t, 0.15), rtol=1e-14, atol=0)
         assert s.certificate["residual_max"] < 1e-12
 
     def test_cholesky_rejects_indefinite(self):
         with pytest.raises(ComputeError, match="positive definite"):
-            engine._cholesky_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            engine._inverse(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]), True)
+
+    def test_lu_rejects_singular(self):
+        with pytest.raises(ComputeError, match="singular"):
+            engine._inverse(np.asfortranarray([[1.0, 2.0], [2.0, 4.0]]), False)
 
 
-@pytest.mark.parametrize("kind, buffers", [(SymmetricSelfLoop(1.0), 2.2),
-                                           (RandomWalk(), 3.2)])
-def test_exact_solve_peak_memory(kind, buffers):
-    # the docstring's budget: two N x N arrays with Cholesky, three with LU
-    t = transition_matrix(connected_er(300, 0.05, 13), kind)
+@pytest.mark.parametrize("kind", [SymmetricSelfLoop(1.0), RandomWalk()])
+def test_exact_solve_peak_memory(kind):
+    # the docstring's budget: the result, inverted in place, plus a
+    # residual block's N x PUSH_BLOCK temporaries, by Cholesky and by LU
+    # alike; at N=1000 two such blocks are 0.13 N^2 * 8 bytes
+    g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+    t = transition_matrix(g, kind)
+    assert t.n == 1000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        diffuse_exact_ppr(t, 0.15)
+        s = diffuse_exact_ppr(t, 0.15)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= buffers * t.n ** 2 * 8
+    assert s.data.flags.f_contiguous
+    assert peak <= 1.3 * t.n ** 2 * 8
 
 
 def test_series_peak_memory_is_one_dense_array():
     # Horner runs on blocks of identity columns, each written into the
-    # result, so besides it only a block's N x PUSH_BLOCK temporaries live
+    # result, so besides it only the running block's N x PUSH_BLOCK
+    # temporaries live (one block at threads=1)
     g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
     t = transition_matrix(g, RandomWalk())
     n = t.n
@@ -175,7 +185,7 @@ def test_series_peak_memory_is_one_dense_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        s = diffuse(t, Heat(3.0), mode="exact")
+        s = diffuse(t, Heat(3.0), mode="exact", threads=1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -249,6 +259,29 @@ class TestSeries:
         s = diffuse_series(t, spec, k)
         assert s.data.flags.f_contiguous
         assert np.array_equal(s.data, full)
+
+    @pytest.mark.parametrize("spec, k", [(Ppr(0.15), 25), (Heat(3.0), 30)],
+                             ids=["ppr", "heat"])
+    def test_threads_do_not_change_result(self, spec, k):
+        t = transition_matrix(connected_er(3 * engine.PUSH_BLOCK + 5, 0.05, 9),
+                              RandomWalk())
+        assert t.n % engine.PUSH_BLOCK != 0
+        one = diffuse_series(t, spec, k, threads=1)
+        two = diffuse_series(t, spec, k, threads=2)
+        assert np.array_equal(one.data, two.data)
+        assert one.certificate == two.certificate
+
+    def test_diffuse_passes_threads_to_series(self, monkeypatch):
+        seen = []
+        real = engine._column_blocks
+
+        def recording(n, block, threads):
+            seen.append(threads)
+            return real(n, block, threads)
+
+        monkeypatch.setattr(engine, "_column_blocks", recording)
+        diffuse(t_of([(0, 1), (1, 2)]), Heat(1.0), mode="exact", threads=2)
+        assert seen == [2]
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):

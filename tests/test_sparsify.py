@@ -274,7 +274,7 @@ def test_sparsify_peak_memory(exact_s_1200, order, rule, buffers):
     # dense input is read in place: a threshold needs block temporaries and
     # the result, which at 16 entries per column is 0.03 N^2 * 8 bytes and
     # takes about three times that to assemble and validate; degree:D adds
-    # one copy of the positive entries
+    # the running top N * D entries and one block's candidates
     s = DiffusionMatrix(np.array(exact_s_1200, order=order), "exact")
     rule = (Threshold(epsilon_for_degree(s, 16.0)) if rule == "eps"
             else TargetDegree(16.0))
@@ -330,6 +330,37 @@ class TestEpsilonForDegree:
             epsilon_for_degree(s, 0.0)
         with pytest.raises(InputError):
             epsilon_for_degree(s, 4.0)
+
+    @pytest.mark.parametrize("block", [3, sparsify_module.TOPK_BLOCK])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
+    def test_matches_sorted_positives(self, layout, block, monkeypatch):
+        # ties, zeros, tiny negative noise and, at the larger degrees,
+        # fewer positive entries than ceil(N * avg_degree)
+        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        rng = np.random.default_rng(8)
+        arr = rng.choice([0.0, 0.0, 0.1, 0.25, 0.25, 0.5], size=(20, 20))
+        arr[rng.random((20, 20)) < 0.05] = -1e-13
+        arr[:, 7] = rng.random(20)
+        s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
+        positives = np.sort(arr[arr > 0])[::-1]
+        for d in (0.05, 1.0, 3.3, 7.0, 12.0, 20.0):
+            m = int(np.ceil(20 * d))
+            oracle = positives[min(m, positives.size) - 1]
+            assert epsilon_for_degree(s, d) == oracle
+
+    def test_peak_memory_below_a_copy_of_the_positives(self):
+        # only the running top ceil(N * D) and one block's candidates are
+        # held, never a copy of every positive entry
+        n = 1000
+        s = as_diffusion(np.random.default_rng(9).random((n, n)) + 1e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            epsilon_for_degree(s, 64.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * n ** 2 * 8
 
 
 class TestPostprocess:
