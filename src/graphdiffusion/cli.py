@@ -342,7 +342,7 @@ def run_pipeline(cfg):
         print("warning: diffusion weights are the identity; the output graph "
               "contains only self-loops", file=sys.stderr)
 
-    result, s, eps, stage_seconds = diffuse_graph(
+    result, certificate, eps, stage_seconds = diffuse_graph(
         g, cfg.transition, cfg.spec, cfg.rule, cfg.post, mode=cfg.mode,
         series_k=cfg.series_k, eps_push=cfg.eps_push, threads=cfg.threads)
     timings.update(stage_seconds)
@@ -363,7 +363,7 @@ def run_pipeline(cfg):
         "config_hash": cfg.config_hash(),
         "tool_version": TOOL_VERSION,
     })
-    for name, value in (s.certificate or {}).items():
+    for name, value in (certificate or {}).items():
         meta[f"certificate_{name}"] = repr(float(value))
 
     t0 = time.perf_counter()

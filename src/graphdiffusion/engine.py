@@ -42,9 +42,10 @@ from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
 # After threshold pushes finish, residual is drained until its total mass
 # is below PUSH_L1_FACTOR * eps_push, tying the column's L1 error to eps.
 PUSH_L1_FACTOR = 50.0
-# Columns computed together by one block of the series or the push kernel:
-# each Horner step or push round is a single T @ X product over this many
-# columns.
+# Columns per block everywhere in the dense pipeline: the exact residual
+# check, the series and push (each Horner step or push round is a single
+# T @ X product over this many columns), the sparsify masks and the
+# epsilon_for_degree search.
 PUSH_BLOCK = 64
 # Largest infinity-norm residual the exact solve may leave in any column.
 EXACT_TOL = 1e-10

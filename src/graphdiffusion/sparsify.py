@@ -2,8 +2,10 @@
 the whole operator in its fixed stage order: transition matrix, diffusion,
 target degree resolved to a threshold, sparsification, then optional
 unweighting, symmetrization and renormalization into a transition matrix.
-Every sparsify rule is one masking kernel over blocks of TOPK_BLOCK columns
-of the dense diffusion matrix, read in place.
+Every sparsify rule is one masking kernel over blocks of engine.PUSH_BLOCK
+columns of the dense diffusion matrix, read in place, the same blocks that
+the series and push fill. diffuse_graph drops the dense matrix as soon as it
+is sparsified.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .engine import DiffusionMatrix, diffuse
 from .errors import InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
                     transition_matrix)
-
-# Columns masked at once by sparsify, for every rule; temporaries are N x TOPK_BLOCK.
-TOPK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,16 @@ def _topk_mask(cols, k):
 def _sparsify_blocks(mat, mask_of):
     """CSC arrays (indptr, rows, values) of the entries of mat that mask_of keeps.
 
-    mask_of maps a block of TOPK_BLOCK columns, whose row i is column lo + i
-    of mat, to a boolean mask. Every block is a view of mat. Rows come out
-    sorted and unique in each column.
+    mask_of maps a block of engine.PUSH_BLOCK columns, whose row i is column
+    lo + i of mat, to a boolean mask. Every block is a view of mat. Rows come
+    out sorted and unique in each column.
     """
     n = mat.shape[0]
+    block = engine.PUSH_BLOCK
     # the leading 0 of indptr, and empty parts so that N = 0 needs no block
     counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    for lo in range(0, n, TOPK_BLOCK):
-        hi = min(lo + TOPK_BLOCK, n)
-        cols = mat[:, lo:hi].T
+    for lo in range(0, n, block):
+        cols = mat[:, lo:lo + block].T
         if cols.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
         keep = mask_of(cols)
@@ -125,10 +125,11 @@ def epsilon_for_degree(S, avg_degree):
     Returns the ceil(N * avg_degree)-th largest positive entry, or the
     smallest one if there are fewer; thresholding at it keeps at least
     that many entries (ties may overshoot). Reads the dense matrix in place,
-    TOPK_BLOCK columns (of a Fortran-ordered matrix; rows of a C-ordered
-    one) at a time, and keeps only the m = ceil(N * avg_degree) largest
-    positive entries seen so far: once m are held, a block adds only its
-    entries above their minimum, which can never lose the m-th largest.
+    engine.PUSH_BLOCK columns (of a Fortran-ordered matrix; rows of a
+    C-ordered one) at a time, and keeps only the m = ceil(N * avg_degree)
+    largest positive entries seen so far: once m are held, a block adds only
+    its entries above their minimum, which can never lose the m-th largest.
+    The result is an order statistic, so it does not depend on the block.
     """
     mat = _entries(S)
     n = mat.shape[0]
@@ -138,9 +139,10 @@ def epsilon_for_degree(S, avg_degree):
     # memory order: a view of a C- or Fortran-ordered matrix, so each block
     # below is contiguous
     vals = mat.ravel(order="K")
+    step = n * engine.PUSH_BLOCK
     top = np.zeros(0)
-    for lo in range(0, vals.size, n * TOPK_BLOCK):
-        block = vals[lo:lo + n * TOPK_BLOCK]
+    for lo in range(0, vals.size, step):
+        block = vals[lo:lo + step]
         if block.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
         floor = top.min() if top.size >= m else 0.0
@@ -156,9 +158,10 @@ def epsilon_for_degree(S, avg_degree):
 def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
-    Every rule is one pass over blocks of TOPK_BLOCK columns of the dense
-    matrix, each block a view masked and appended to the CSC result, so
-    besides the result the temporaries are O(N * TOPK_BLOCK). Top-k keeps
+    Every rule is one pass over blocks of engine.PUSH_BLOCK columns of the
+    dense matrix, each block a view masked and appended to the CSC result,
+    so besides the result the temporaries are O(N * PUSH_BLOCK), and each
+    column is masked on its own, whatever the block width. Top-k keeps
     the min(k, positive entries) largest entries of each column, the
     smaller row winning a tie; each column's k-th value comes from one
     partition per block. Thresholding keeps entries >= eps. TargetDegree
@@ -233,9 +236,11 @@ def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,
     mode, series_k, eps_push and threads go to engine.diffuse. A
     TargetDegree rule is resolved into a Threshold on the diffusion first,
     within the sparsify stage. The sparsified graph keeps g's original_ids.
-    Returns (result, diffusion, eps, seconds): the postprocess result, the
-    DiffusionMatrix, the threshold applied (None for top-k) and the wall
-    time of each stage by name.
+    The dense diffusion matrix does not outlive the sparsify stage, so
+    postprocess runs without it; call diffuse for the matrix itself.
+    Returns (result, certificate, eps, seconds): the postprocess result, the
+    diffusion's error certificate (a dict, or None), the threshold applied
+    (None for top-k) and the wall time of each stage by name.
     """
     t0 = time.perf_counter()
     t = transition_matrix(g, transition)
@@ -248,8 +253,10 @@ def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,
         eps = epsilon_for_degree(s, rule.avg_degree)
         rule = Threshold(eps)
     sparse_graph = sparsify(s, rule, original_ids=g.original_ids)
+    certificate = s.certificate
+    del s
     t3 = time.perf_counter()
     result = postprocess(sparse_graph, post)
     seconds = {"transition": t1 - t0, "diffuse": t2 - t1, "sparsify": t3 - t2,
                "postprocess": time.perf_counter() - t3}
-    return result, s, eps, seconds
+    return result, certificate, eps, seconds

@@ -1,20 +1,18 @@
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from graphdiffusion import engine
 from graphdiffusion import (DiffusionMatrix, InputError, PostProcess, Ppr,
                             RandomWalk, TargetDegree, Threshold, TopK,
-                            TransitionMatrix, diffuse_exact_ppr, eigen,
-                            epsilon_for_degree, load_graph, postprocess,
-                            sparsify, transition_matrix)
+                            TransitionMatrix, diffuse, diffuse_exact_ppr,
+                            diffuse_graph, eigen, epsilon_for_degree,
+                            load_graph, postprocess, sparsify,
+                            transition_matrix)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from graphdiffusion.graph import Symmetric, largest_connected_component
-
-# the package exports the function sparsify under the module's name
-sparsify_module = importlib.import_module("graphdiffusion.sparsify")
 
 
 def as_diffusion(arr):
@@ -142,12 +140,13 @@ def topk_cases():
 
 
 class TestTopKAgainstColumnLoop:
-    @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
+    # many narrow blocks, and one block wider than the whole matrix
+    @pytest.mark.parametrize("block", [8, 256])
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     @pytest.mark.parametrize("name,arr,k", topk_cases(),
                              ids=[f"{c[0]}-k{c[2]}" for c in topk_cases()])
     def test_identical_to_loop(self, name, arr, k, layout, block, monkeypatch):
-        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        monkeypatch.setattr(engine, "PUSH_BLOCK", block)
         data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
         g = sparsify(DiffusionMatrix(data, "exact"), TopK(k))
         ref = topk_by_column_loop(arr, k)
@@ -223,13 +222,14 @@ def threshold_cases():
 
 
 class TestThresholdAgainstCopy:
-    @pytest.mark.parametrize("block", [8, sparsify_module.TOPK_BLOCK])
+    # many narrow blocks, and one block wider than the whole matrix
+    @pytest.mark.parametrize("block", [8, 256])
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     @pytest.mark.parametrize("name,arr,epss,degrees", threshold_cases(),
                              ids=[c[0] for c in threshold_cases()])
     def test_identical_to_copy(self, name, arr, epss, degrees, layout, block,
                                monkeypatch):
-        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        monkeypatch.setattr(engine, "PUSH_BLOCK", block)
         data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
         s = DiffusionMatrix(data, "exact")
         for eps in epss[:-1]:
@@ -290,6 +290,44 @@ def test_sparsify_peak_memory(exact_s_1200, order, rule, buffers):
     assert peak <= buffers * n ** 2 * 8
 
 
+@pytest.fixture(scope="module")
+def sbm_1000():
+    g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+    g, _ = largest_connected_component(g)
+    assert g.n == 1000
+    return g
+
+
+PIPELINE_ROUTES = {"exact": dict(mode="exact"),
+                   "push": dict(mode="push", eps_push=1e-4),
+                   "series": dict(mode="series", series_k=20)}
+
+
+@pytest.mark.parametrize("route", list(PIPELINE_ROUTES))
+@pytest.mark.parametrize("rule", [TopK(64), TargetDegree(64.0)],
+                         ids=["topk", "degree"])
+def test_pipeline_peak_memory(sbm_1000, route, rule):
+    # the dense S is the pipeline's one N x N array: the masks run on the
+    # producer's PUSH_BLOCK columns, and S is gone before postprocess
+    args = (sbm_1000, RandomWalk(), Ppr(0.15), rule,
+            PostProcess(symmetrize=True, renorm="rw"))
+    kwargs = dict(PIPELINE_ROUTES[route], threads=1)
+    # the first call, untraced, imports anything the route loads lazily
+    first = diffuse_graph(*args, **kwargs)
+    t = transition_matrix(sbm_1000, RandomWalk())
+    assert first[1] == diffuse(t, Ppr(0.15), **kwargs).certificate
+    n = sbm_1000.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = diffuse_graph(*args, **kwargs)[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, TransitionMatrix)
+    assert peak <= 1.5 * n ** 2 * 8
+
+
 class TestEpsilonForDegree:
     def test_degenerate_ties(self):
         s = as_diffusion(np.full((4, 4), 0.1))
@@ -331,12 +369,13 @@ class TestEpsilonForDegree:
         with pytest.raises(InputError):
             epsilon_for_degree(s, 4.0)
 
-    @pytest.mark.parametrize("block", [3, sparsify_module.TOPK_BLOCK])
+    # many narrow blocks, and one block wider than the whole matrix
+    @pytest.mark.parametrize("block", [3, 256])
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_matches_sorted_positives(self, layout, block, monkeypatch):
         # ties, zeros, tiny negative noise and, at the larger degrees,
         # fewer positive entries than ceil(N * avg_degree)
-        monkeypatch.setattr(sparsify_module, "TOPK_BLOCK", block)
+        monkeypatch.setattr(engine, "PUSH_BLOCK", block)
         rng = np.random.default_rng(8)
         arr = rng.choice([0.0, 0.0, 0.1, 0.25, 0.25, 0.5], size=(20, 20))
         arr[rng.random((20, 20)) < 0.05] = -1e-13
