@@ -48,21 +48,37 @@ TransitionKind = RandomWalk | Symmetric | SymmetricSelfLoop
 class SparseGraph:
     """Immutable weighted graph in CSC form.
 
+    The graph is one scipy CSC matrix, validated once when the graph is
+    built: values > 0 and finite, rows in range, sorted and unique within
+    each column, no self-loops unless allowed, and exact symmetry when
+    undirected. Its index arrays keep scipy's dtype (int32 while they fit).
+
     Attributes:
         n: node count.
-        col_ptr, row_idx, values: the CSC arrays (values > 0).
+        matrix: the canonical scipy.sparse.csc_matrix. Never write into it;
+            to_scipy() gives a matrix object of one's own.
+        col_ptr, row_idx, values: read-only views of matrix's indptr,
+            indices and data.
         directed: if False the stored matrix is exactly symmetric.
         original_ids: maps dense node id -> id in the source data.
     """
 
-    __slots__ = ("n", "col_ptr", "row_idx", "values", "directed", "original_ids")
+    __slots__ = ("n", "matrix", "col_ptr", "row_idx", "values", "directed",
+                 "original_ids")
 
     def __init__(self, n, col_ptr, row_idx, values, directed,
                  original_ids=None, allow_loops=False):
         self.n = int(n)
-        self.col_ptr = np.asarray(col_ptr, dtype=np.int64)
-        self.row_idx = np.asarray(row_idx, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
+        # checked first: scipy would reject it with a ValueError of its own
+        if np.shape(col_ptr) != (self.n + 1,):
+            raise InputError("column pointer array has wrong length")
+        m = self.matrix = sp.csc_matrix(
+            (np.asarray(values, dtype=np.float64), row_idx, col_ptr),
+            shape=(self.n, self.n))
+        views = [a.view() for a in (m.indptr, m.indices, m.data)]
+        for view in views:
+            view.flags.writeable = False
+        self.col_ptr, self.row_idx, self.values = views
         self.directed = bool(directed)
         if original_ids is None:
             original_ids = np.arange(self.n, dtype=np.int64)
@@ -70,8 +86,6 @@ class SparseGraph:
         self._validate(allow_loops)
 
     def _validate(self, allow_loops):
-        if self.col_ptr.shape != (self.n + 1,):
-            raise InputError("column pointer array has wrong length")
         vals = self.values
         # min and max propagate NaN, which fails both comparisons
         if vals.size and not 0 < vals.min() <= vals.max() < np.inf:
@@ -88,24 +102,32 @@ class SparseGraph:
                              f"{int(cols[bad[0] + 1])}")
         if not allow_loops and np.any(rows == cols):
             raise InputError("self-loops are not allowed in a base adjacency")
-        if not self.directed:
-            m = self.to_scipy()
-            if (m != m.T).nnz != 0:
-                raise InputError("undirected graph must be stored symmetrically")
+        if not self.directed and (self.matrix != self.matrix.T).nnz != 0:
+            raise InputError("undirected graph must be stored symmetrically")
 
     @classmethod
     def from_scipy(cls, matrix, directed, original_ids=None, allow_loops=False):
-        """Canonicalize a scipy sparse matrix into a SparseGraph."""
+        """Canonicalize a scipy sparse matrix into a SparseGraph.
+
+        A CSC matrix is canonicalized in place and the graph keeps its
+        arrays; only int64 index arrays whose values fit in int32 are cast,
+        as scipy does. A canonical one without stored zeros, such as a
+        to_scipy() result, is not written to, so its arrays may be read-only.
+        """
         m = sp.csc_matrix(matrix)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
+        m.sum_duplicates()  # sorts the rows of every column too
+        if not m.data.all():
+            m.eliminate_zeros()
         return cls(m.shape[0], m.indptr, m.indices, m.data, directed,
                    original_ids=original_ids, allow_loops=allow_loops)
 
     def to_scipy(self):
-        return sp.csc_matrix((self.values, self.row_idx, self.col_ptr),
-                             shape=(self.n, self.n))
+        """A new csc_matrix over the graph's own arrays; no array is copied.
+
+        Reassigning the result's data or indices leaves the graph as it
+        was; writing into those arrays in place would change it.
+        """
+        return sp.csc_matrix(self.matrix)
 
     @property
     def nnz(self):
@@ -114,18 +136,20 @@ class SparseGraph:
     @property
     def edge_count(self):
         """Number of edges (undirected pairs counted once, loops once)."""
-        if self.directed:
-            return self.nnz
-        loops = int(np.sum(self.row_idx == self.column_of_entry()))
-        return (self.nnz - loops) // 2 + loops
+        loops = int(np.count_nonzero(self.matrix.diagonal()))
+        return self.nnz if self.directed else (self.nnz - loops) // 2 + loops
 
     def column_of_entry(self):
-        """Column index of every stored entry, aligned with row_idx."""
+        """Column index of every stored entry, aligned with row_idx.
+
+        int64 whatever the stored index dtype, so that _validate's sort key
+        cols * n + rows cannot overflow.
+        """
         return np.repeat(np.arange(self.n), np.diff(self.col_ptr))
 
     def degrees(self):
         """Weighted degree per node: scipy's column sum (= row sum if symmetric)."""
-        return np.asarray(self.to_scipy().sum(axis=0)).ravel()
+        return np.asarray(self.matrix.sum(axis=0)).ravel()
 
     def column(self, j):
         """(row indices, weights) of column j."""
@@ -176,8 +200,7 @@ def graph_from_edges(src, dst, weight, n=None, directed=False,
 
     # Entries are (row, col) = (dst, src) so that column j holds the edges
     # leaving node j; for undirected graphs the distinction vanishes.
-    m = sp.csc_matrix((wgt, (dst, src)), shape=(n, n))
-    m.sum_duplicates()
+    m = sp.csc_matrix((wgt, (dst, src)), shape=(n, n))  # sums duplicates
     if not directed:
         m = m.maximum(m.T)
     return SparseGraph.from_scipy(m, directed, original_ids=original_ids,
@@ -211,14 +234,14 @@ def largest_connected_component(g):
     """
     if g.n == 0:
         raise InputError("empty graph has no connected component")
-    ncomp, labels = csgraph.connected_components(g.to_scipy(), directed=g.directed,
+    ncomp, labels = csgraph.connected_components(g.matrix, directed=g.directed,
                                                  connection="weak")
     sizes = np.bincount(labels, minlength=ncomp)
     keep = int(np.argmax(sizes))
     mask = labels == keep
     index_map = np.full(g.n, -1, dtype=np.int64)
     index_map[mask] = np.arange(int(mask.sum()))
-    sub = g.to_scipy()[mask][:, mask]
+    sub = g.matrix[mask][:, mask]
     return (SparseGraph.from_scipy(sub, g.directed,
                                    original_ids=g.original_ids[mask],
                                    allow_loops=True),
@@ -269,17 +292,20 @@ def transition_matrix(g, kind):
                          "extract the largest connected component first")
 
     if isinstance(kind, RandomWalk):
-        m = scaled(g.to_scipy(), np.ones(g.n), 1.0 / d)
+        m = scaled(g.matrix, np.ones(g.n), 1.0 / d)
     elif isinstance(kind, Symmetric):
-        m = scaled(g.to_scipy(), 1.0 / np.sqrt(d))
+        m = scaled(g.matrix, 1.0 / np.sqrt(d))
     elif isinstance(kind, SymmetricSelfLoop):
         w = float(kind.w_loop)
         s = 1.0 / np.sqrt(w + d)
-        m = (scaled(g.to_scipy(), s) + sp.diags(w * (s * s), format="csc")).tocsc()
+        m = (scaled(g.matrix, s) + sp.diags(w * (s * s), format="csc")).tocsc()
         m.sort_indices()
     else:
         raise InputError(f"unknown transition kind {kind!r}")
     return TransitionMatrix(matrix=m, kind=kind, source=g, degrees=d)
+
+
+EXPORT_CHUNK = 8192  # edge lines formatted per write by save_edge_list
 
 
 def save_edge_list(path, g, metadata=None, sidecar=True):
@@ -287,18 +313,21 @@ def save_edge_list(path, g, metadata=None, sidecar=True):
 
     Undirected graphs emit each edge once (upper triangle by stored order);
     directed graphs emit every entry. Weights use shortest-round-trip
-    formatting so a reload reproduces the exact float values. sidecar=False
-    leaves the sidecar to a caller that writes it once, with more keys.
+    formatting so a reload reproduces the exact float values. Lines are
+    formatted and written EXPORT_CHUNK at a time, so the text held at once
+    is one chunk's, not the file's. sidecar=False leaves the sidecar to a
+    caller that writes it once, with more keys.
     """
     rows, cols, vals = g.row_idx, g.column_of_entry(), g.values
     if not g.directed:
         upper = rows <= cols
         rows, cols, vals = rows[upper], cols[upper], vals[upper]
-    # edge line is "src dst weight" with src = column (origin of mass)
-    text = "".join(f"{c} {r} {v!r}\n"
-                   for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
     with open(path, "w") as fh:
-        fh.write(text)
+        for lo in range(0, rows.size, EXPORT_CHUNK):
+            chunk = slice(lo, lo + EXPORT_CHUNK)
+            # edge line is "src dst weight" with src = column (origin of mass)
+            fh.write("".join(f"{c} {r} {v!r}\n" for r, c, v in zip(
+                rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())))
     if sidecar:
         write_meta(path, edge_list_meta(g, metadata))
 

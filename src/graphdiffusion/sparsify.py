@@ -99,15 +99,17 @@ def _sparsify_blocks(mat, mask_of):
     """
     n = mat.shape[0]
     block = engine.PUSH_BLOCK
-    # the leading 0 of indptr, and empty parts so that N = 0 needs no block
-    counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    # the leading 0 of indptr, and empty parts so that N = 0 needs no block;
+    # rows are int32, the index dtype the graph's csc_matrix keeps while
+    # they fit, so that building it copies no rows
+    counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for lo in range(0, n, block):
         cols = mat[:, lo:lo + block].T
         if cols.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
         keep = mask_of(cols)
         counts.append(keep.sum(axis=1))
-        rows.append(np.nonzero(keep)[1])
+        rows.append(np.nonzero(keep)[1].astype(np.int32))
         vals.append(cols[keep])
     return (np.cumsum(np.concatenate(counts)), np.concatenate(rows),
             np.concatenate(vals))
@@ -126,10 +128,12 @@ def epsilon_for_degree(S, avg_degree):
     smallest one if there are fewer; thresholding at it keeps at least
     that many entries (ties may overshoot). Reads the dense matrix in place,
     engine.PUSH_BLOCK columns (of a Fortran-ordered matrix; rows of a
-    C-ordered one) at a time, and keeps only the m = ceil(N * avg_degree)
-    largest positive entries seen so far: once m are held, a block adds only
-    its entries above their minimum, which can never lose the m-th largest.
-    The result is an order statistic, so it does not depend on the block.
+    C-ordered one) at a time, and holds at most 2m positive entries besides
+    one block's, m = ceil(N * avg_degree): when more are held, one partition
+    cuts them to the m largest, and from then on a block adds only its
+    entries above the m-th largest at that cut (the floor), which can never
+    lose the m-th largest of the whole matrix. The result is an order
+    statistic, so it does not depend on the block.
     """
     mat = _entries(S)
     n = mat.shape[0]
@@ -140,19 +144,20 @@ def epsilon_for_degree(S, avg_degree):
     # below is contiguous
     vals = mat.ravel(order="K")
     step = n * engine.PUSH_BLOCK
-    top = np.zeros(0)
+    top, floor = np.zeros(0), 0.0
     for lo in range(0, vals.size, step):
         block = vals[lo:lo + step]
         if block.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
-        floor = top.min() if top.size >= m else 0.0
         top = np.concatenate([top, block[block > floor]])
-        if top.size > m:
+        if top.size > 2 * m:
             top = np.partition(top, top.size - m)[top.size - m:]
+            floor = top[0]
     if top.size == 0:
         raise InputError("the diffusion has no positive entry; "
                          f"no threshold gives average degree {avg_degree:g}")
-    return float(top.min())
+    k = max(top.size - m, 0)
+    return float(np.partition(top, k)[k])
 
 
 def sparsify(S, rule, original_ids=None):
@@ -200,8 +205,13 @@ def postprocess(g, opts):
     sparsification isolated a node (zero degree); silently inserting
     self-loops would change the spectrum. Returns a SparseGraph when
     renorm is None, else a TransitionMatrix on the processed graph.
+
+    g's arrays are read in place, not copied. What it allocates is the
+    symmetrized sum (symmetrize), the unit weights (unweighted), the
+    validation of the processed graph and the renormalized matrix; with
+    neither option the processed graph shares g's arrays.
     """
-    mat = g.to_scipy().astype(np.float64)
+    mat = g.to_scipy()
     if opts.unweighted:
         mat.data = np.ones_like(mat.data)
     if opts.symmetrize:
@@ -215,16 +225,16 @@ def postprocess(g, opts):
     if opts.renorm not in kinds:
         raise InputError(f"unknown renormalization {opts.renorm!r}")
 
-    # a directed graph under sym is normalized by its row sums (in-degrees)
+    # degrees are column sums; a directed graph under sym is normalized by
+    # its row sums (in-degrees)
     in_degrees = directed and opts.renorm == "sym"
-    mat = result.to_scipy()
-    d = np.asarray(mat.sum(axis=1)).ravel() if in_degrees else result.degrees()
+    d = np.asarray(result.matrix.sum(axis=1 if in_degrees else 0)).ravel()
     isolated = np.flatnonzero(d == 0)
     if isolated.size:
         raise InputError("sparsification isolated node(s) "
                          f"{isolated.tolist()}; cannot renormalize")
     if in_degrees:
-        return TransitionMatrix(matrix=scaled(mat, 1.0 / np.sqrt(d)),
+        return TransitionMatrix(matrix=scaled(result.matrix, 1.0 / np.sqrt(d)),
                                 kind=Symmetric(), source=result, degrees=d)
     return transition_matrix(result, kinds[opts.renorm])
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphdiffusion import (InputError, RandomWalk, SparseGraph, Symmetric,
-                            SymmetricSelfLoop, largest_connected_component,
-                            load_edge_list, load_graph, read_edge_list,
+from graphdiffusion import (InputError, PostProcess, RandomWalk, SparseGraph,
+                            Symmetric, SymmetricSelfLoop,
+                            largest_connected_component, load_edge_list,
+                            load_graph, postprocess, read_edge_list,
                             save_edge_list, transition_matrix)
 from graphdiffusion.graph import graph_from_edges, scaled
 from conftest import er_graph
@@ -372,3 +375,80 @@ class TestEdgeListIo:
         path.write_text("0 1 2 3\n")
         with pytest.raises(InputError, match="expected"):
             read_edge_list(path)
+
+
+def random_graph(n, density, seed, directed):
+    """Random weighted graph, loops allowed, weights with long reprs."""
+    rng = np.random.default_rng(seed)
+    m = sp.random(n, n, density=density, random_state=rng, format="csc")
+    m.data = rng.uniform(1e-4, 0.5, m.nnz)
+    if not directed:
+        m = m.maximum(m.T)
+    return SparseGraph.from_scipy(m, directed=directed, allow_loops=True)
+
+
+class TestStoredMatrix:
+    def test_arrays_are_read_only_views_of_the_matrix(self):
+        g = er_graph(50, 0.1, 3)
+        m = g.to_scipy()
+        assert m is not g.matrix
+        for view, arr in ((g.col_ptr, m.indptr), (g.row_idx, m.indices),
+                          (g.values, m.data)):
+            assert np.shares_memory(view, arr)
+            assert not view.flags.writeable
+
+    def test_reassigning_to_scipy_arrays_leaves_graph(self):
+        g = er_graph(50, 0.1, 3)
+        rows, vals, degrees = g.row_idx.copy(), g.values.copy(), g.degrees()
+        m = g.to_scipy()
+        m.data = np.full(m.nnz, 7.0)
+        m.indices = m.indices[::-1].copy()
+        np.testing.assert_array_equal(g.row_idx, rows)
+        np.testing.assert_array_equal(g.values, vals)
+        np.testing.assert_array_equal(g.to_scipy().data, vals)
+        np.testing.assert_array_equal(g.degrees(), degrees)
+
+    def test_graph_over_read_only_views_round_trips(self):
+        # the views passed back in are stored as they are, read-only; a
+        # canonical matrix without zeros is not written to on the way back
+        g = er_graph(50, 0.1, 3)
+        h = SparseGraph(g.n, g.col_ptr, g.row_idx, g.values, directed=False)
+        assert not h.matrix.data.flags.writeable
+        assert SparseGraph.from_scipy(h.to_scipy(), directed=False).same_structure(g)
+        out = postprocess(h, PostProcess(renorm="rw"))
+        ref = transition_matrix(g, RandomWalk())
+        np.testing.assert_array_equal(out.matrix.toarray(), ref.matrix.toarray())
+
+
+class TestChunkedExport:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 10 ** 6])
+    def test_matches_one_shot_formatting(self, tmp_path, monkeypatch, directed,
+                                         chunk):
+        g = random_graph(30, 0.2, 5, directed)
+        # one-shot reference: every stored entry of each column in turn,
+        # undirected edges once (row <= column)
+        ref = "".join(f"{j} {r} {v!r}\n" for j in range(g.n)
+                      for r, v in zip(*(a.tolist() for a in g.column(j)))
+                      if directed or r <= j)
+        assert ref.count("\n") > 7
+        monkeypatch.setattr("graphdiffusion.graph.EXPORT_CHUNK", chunk)
+        path = tmp_path / "g.txt"
+        save_edge_list(path, g, sidecar=False)
+        assert path.read_text() == ref
+
+    def test_peak_memory_at_benchmark_size(self, tmp_path):
+        # the size of the push benchmark's output: N = 1000, directed,
+        # about 88 entries per column; the file's text would be 2.6 MB
+        n = 1000
+        g = random_graph(n, 0.088, 6, directed=True)
+        path = tmp_path / "g.txt"
+        save_edge_list(path, g, sidecar=False)  # warm-up, untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_edge_list(path, g, sidecar=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n ** 2 * 8

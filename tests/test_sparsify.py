@@ -328,6 +328,26 @@ def test_pipeline_peak_memory(sbm_1000, route, rule):
     assert peak <= 1.5 * n ** 2 * 8
 
 
+def test_postprocess_peak_memory(sbm_1000):
+    # the push benchmark's argv: rw push at 1e-4, degree:64, symmetrize and
+    # rw renorm; the input graph holds about 0.1 N^2 * 8 bytes
+    t = transition_matrix(sbm_1000, RandomWalk())
+    g = sparsify(diffuse(t, Ppr(0.15), mode="push", eps_push=1e-4, threads=1),
+                 TargetDegree(64.0))
+    post = PostProcess(symmetrize=True, renorm="rw")
+    postprocess(g, post)  # warm-up, untraced
+    n = sbm_1000.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = postprocess(g, post)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, TransitionMatrix)
+    assert peak <= 0.5 * n ** 2 * 8
+
+
 class TestEpsilonForDegree:
     def test_degenerate_ties(self):
         s = as_diffusion(np.full((4, 4), 0.1))
@@ -380,12 +400,16 @@ class TestEpsilonForDegree:
         arr = rng.choice([0.0, 0.0, 0.1, 0.25, 0.25, 0.5], size=(20, 20))
         arr[rng.random((20, 20)) < 0.05] = -1e-13
         arr[:, 7] = rng.random(20)
-        s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
-        positives = np.sort(arr[arr > 0])[::-1]
-        for d in (0.05, 1.0, 3.3, 7.0, 12.0, 20.0):
-            m = int(np.ceil(20 * d))
-            oracle = positives[min(m, positives.size) - 1]
-            assert epsilon_for_degree(s, d) == oracle
+        # the same positives grown along both axes: at 3-column blocks the
+        # held entries pass 2 * ceil(N * avg_degree) block after block
+        rising = arr + np.add.outer(np.arange(20), np.arange(20)) * (arr > 0)
+        for arr in (arr, rising):
+            s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
+            positives = np.sort(arr[arr > 0])[::-1]
+            for d in (0.05, 1.0, 3.3, 7.0, 12.0, 20.0):
+                m = int(np.ceil(20 * d))
+                oracle = positives[min(m, positives.size) - 1]
+                assert epsilon_for_degree(s, d) == oracle
 
     def test_peak_memory_below_a_copy_of_the_positives(self):
         # only the running top ceil(N * D) and one block's candidates are
