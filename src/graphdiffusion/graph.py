@@ -69,9 +69,12 @@ class SparseGraph:
     def __init__(self, n, col_ptr, row_idx, values, directed,
                  original_ids=None, allow_loops=False):
         self.n = int(n)
-        # checked first: scipy would reject it with a ValueError of its own
+        # checked first: scipy would reject some with a ValueError of its
+        # own, and silently drop the entries past a short col_ptr[-1]
         if np.shape(col_ptr) != (self.n + 1,):
             raise InputError("column pointer array has wrong length")
+        if col_ptr[0] != 0 or not col_ptr[-1] == np.size(row_idx) == np.size(values):
+            raise InputError("column pointers must run from 0 to the entry count")
         m = self.matrix = sp.csc_matrix(
             (np.asarray(values, dtype=np.float64), row_idx, col_ptr),
             shape=(self.n, self.n))

@@ -99,17 +99,15 @@ def _sparsify_blocks(mat, mask_of):
     """
     n = mat.shape[0]
     block = engine.PUSH_BLOCK
-    # the leading 0 of indptr, and empty parts so that N = 0 needs no block;
-    # rows are int32, the index dtype the graph's csc_matrix keeps while
-    # they fit, so that building it copies no rows
-    counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    # the leading 0 of indptr, and empty parts so that N = 0 needs no block
+    counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for lo in range(0, n, block):
         cols = mat[:, lo:lo + block].T
         if cols.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
         keep = mask_of(cols)
         counts.append(keep.sum(axis=1))
-        rows.append(np.nonzero(keep)[1].astype(np.int32))
+        rows.append(np.nonzero(keep)[1])
         vals.append(cols[keep])
     return (np.cumsum(np.concatenate(counts)), np.concatenate(rows),
             np.concatenate(vals))
@@ -128,12 +126,10 @@ def epsilon_for_degree(S, avg_degree):
     smallest one if there are fewer; thresholding at it keeps at least
     that many entries (ties may overshoot). Reads the dense matrix in place,
     engine.PUSH_BLOCK columns (of a Fortran-ordered matrix; rows of a
-    C-ordered one) at a time, and holds at most 2m positive entries besides
-    one block's, m = ceil(N * avg_degree): when more are held, one partition
-    cuts them to the m largest, and from then on a block adds only its
-    entries above the m-th largest at that cut (the floor), which can never
-    lose the m-th largest of the whole matrix. The result is an order
-    statistic, so it does not depend on the block.
+    C-ordered one) at a time, and keeps only the m = ceil(N * avg_degree)
+    largest positive entries seen so far: once m are held, a block adds only
+    its entries above their minimum, which can never lose the m-th largest.
+    The result is an order statistic, so it does not depend on the block.
     """
     mat = _entries(S)
     n = mat.shape[0]
@@ -144,20 +140,19 @@ def epsilon_for_degree(S, avg_degree):
     # below is contiguous
     vals = mat.ravel(order="K")
     step = n * engine.PUSH_BLOCK
-    top, floor = np.zeros(0), 0.0
+    top = np.zeros(0)
     for lo in range(0, vals.size, step):
         block = vals[lo:lo + step]
         if block.min() < -1e-12:
             raise InputError("diffusion entries must be non-negative")
+        floor = top.min() if top.size >= m else 0.0
         top = np.concatenate([top, block[block > floor]])
-        if top.size > 2 * m:
+        if top.size > m:
             top = np.partition(top, top.size - m)[top.size - m:]
-            floor = top[0]
     if top.size == 0:
         raise InputError("the diffusion has no positive entry; "
                          f"no threshold gives average degree {avg_degree:g}")
-    k = max(top.size - m, 0)
-    return float(np.partition(top, k)[k])
+    return float(top.min())
 
 
 def sparsify(S, rule, original_ids=None):

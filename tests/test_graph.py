@@ -198,6 +198,15 @@ class TestValidate:
         g = SparseGraph(3, [0, 1, 3, 5], [1, 0, 2, 0, 1], np.ones(5), directed=True)
         assert g.nnz == 5
 
+    @pytest.mark.parametrize("ptr,rows,vals", [
+        ([0, 1, 1], [1, 0], [1.0, 1.0]),     # last pointer short of the entries
+        ([1, 1, 2], [1, 0], [1.0, 1.0]),     # first pointer not 0
+        ([0, 1, 2], [1, 0], [1.0]),          # fewer values than rows
+    ])
+    def test_inconsistent_column_pointers_rejected(self, ptr, rows, vals):
+        with pytest.raises(InputError, match="must run from 0 to the entry count"):
+            SparseGraph(len(ptr) - 1, ptr, rows, vals, directed=True)
+
     def test_row_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             SparseGraph(2, [0, 1, 2], [1, 2], [1.0, 1.0], directed=True)
