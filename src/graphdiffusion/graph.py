@@ -1,8 +1,8 @@
 """Sparse graph container, connectivity helpers and transition matrices.
 
 Graphs are stored column-major (compressed sparse column). All weights are
-strictly positive and finite, row indices are sorted within each column,
-and duplicate coordinates are merged at load time. Undirected graphs store
+strictly positive and finite, and row indices are sorted and unique within
+each column; graph_from_edges sums repeated edges. Undirected graphs store
 every edge in both triangles so the matrix is exactly symmetric.
 """
 
@@ -50,15 +50,20 @@ class SparseGraph:
 
     The graph is one scipy CSC matrix, validated once when the graph is
     built: values > 0 and finite, rows in range, sorted and unique within
-    each column, no self-loops unless allowed, and exact symmetry when
-    undirected. Its index arrays keep scipy's dtype (int32 while they fit).
+    each column, no self-loops unless allowed, exact symmetry when
+    undirected, and one original id per node. Every graph, from_scipy's
+    included, enters through that validation; nothing is repaired. Its
+    index arrays keep scipy's dtype (int32 while they fit).
+
+    The stored arrays are read-only views of the arrays passed in, which
+    are not copied: writing into the graph's arrays raises ValueError, and
+    the caller must not write into its own arrays afterwards.
 
     Attributes:
         n: node count.
-        matrix: the canonical scipy.sparse.csc_matrix. Never write into it;
-            to_scipy() gives a matrix object of one's own.
-        col_ptr, row_idx, values: read-only views of matrix's indptr,
-            indices and data.
+        matrix: the canonical scipy.sparse.csc_matrix over the read-only
+            arrays; to_scipy() gives a matrix object of one's own.
+        col_ptr, row_idx, values: matrix's indptr, indices and data.
         directed: if False the stored matrix is exactly symmetric.
         original_ids: maps dense node id -> id in the source data.
     """
@@ -78,10 +83,11 @@ class SparseGraph:
         m = self.matrix = sp.csc_matrix(
             (np.asarray(values, dtype=np.float64), row_idx, col_ptr),
             shape=(self.n, self.n))
+        # the stored arrays are read-only views, so the caller's stay writable
         views = [a.view() for a in (m.indptr, m.indices, m.data)]
         for view in views:
             view.flags.writeable = False
-        self.col_ptr, self.row_idx, self.values = views
+        m.indptr, m.indices, m.data = self.col_ptr, self.row_idx, self.values = views
         self.directed = bool(directed)
         if original_ids is None:
             original_ids = np.arange(self.n, dtype=np.int64)
@@ -89,9 +95,10 @@ class SparseGraph:
         self._validate(allow_loops)
 
     def _validate(self, allow_loops):
-        vals = self.values
+        if self.original_ids.shape != (self.n,):
+            raise InputError(f"original_ids has shape {self.original_ids.shape}, not ({self.n},)")
         # min and max propagate NaN, which fails both comparisons
-        if vals.size and not 0 < vals.min() <= vals.max() < np.inf:
+        if self.values.size and not 0 < self.values.min() <= self.values.max() < np.inf:
             raise InputError("edge weights must be strictly positive and finite")
         rows = self.row_idx
         if rows.size and not 0 <= rows.min() <= rows.max() < self.n:
@@ -110,25 +117,26 @@ class SparseGraph:
 
     @classmethod
     def from_scipy(cls, matrix, directed, original_ids=None, allow_loops=False):
-        """Canonicalize a scipy sparse matrix into a SparseGraph.
+        """Validate a scipy sparse matrix as a SparseGraph; nothing is repaired.
 
-        A CSC matrix is canonicalized in place and the graph keeps its
-        arrays; only int64 index arrays whose values fit in int32 are cast,
-        as scipy does. A canonical one without stored zeros, such as a
-        to_scipy() result, is not written to, so its arrays may be read-only.
+        The matrix is converted to CSC as scipy does (a COO input has its
+        duplicates summed by that conversion) and must then be canonical:
+        rows sorted and unique in every column and no stored zeros, or the
+        constructor raises InputError. Nothing is written into the argument.
+        A CSC argument's arrays are kept, not copied (scipy casts int64 index
+        arrays to int32 when their values fit), so the caller must not write
+        into them afterwards.
         """
         m = sp.csc_matrix(matrix)
-        m.sum_duplicates()  # sorts the rows of every column too
-        if not m.data.all():
-            m.eliminate_zeros()
         return cls(m.shape[0], m.indptr, m.indices, m.data, directed,
                    original_ids=original_ids, allow_loops=allow_loops)
 
     def to_scipy(self):
         """A new csc_matrix over the graph's own arrays; no array is copied.
 
-        Reassigning the result's data or indices leaves the graph as it
-        was; writing into those arrays in place would change it.
+        The arrays are read-only: writing into them in place raises
+        ValueError, while reassigning the result's data or indices leaves
+        the graph as it is.
         """
         return sp.csc_matrix(self.matrix)
 
@@ -302,7 +310,6 @@ def transition_matrix(g, kind):
         w = float(kind.w_loop)
         s = 1.0 / np.sqrt(w + d)
         m = (scaled(g.matrix, s) + sp.diags(w * (s * s), format="csc")).tocsc()
-        m.sort_indices()
     else:
         raise InputError(f"unknown transition kind {kind!r}")
     return TransitionMatrix(matrix=m, kind=kind, source=g, degrees=d)

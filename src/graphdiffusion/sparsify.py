@@ -2,10 +2,10 @@
 the whole operator in its fixed stage order: transition matrix, diffusion,
 target degree resolved to a threshold, sparsification, then optional
 unweighting, symmetrization and renormalization into a transition matrix.
-Every sparsify rule is one masking kernel over blocks of engine.PUSH_BLOCK
-columns of the dense diffusion matrix, read in place, the same blocks that
-the series and push fill. diffuse_graph drops the dense matrix as soon as it
-is sparsified.
+The dense diffusion matrix is read through one checked walk over blocks of
+engine.PUSH_BLOCK columns, in place, the same blocks that the series and push
+fill: every sparsify rule masks those blocks, and epsilon_for_degree ranks
+them. diffuse_graph drops the dense matrix as soon as it is sparsified.
 """
 
 from __future__ import annotations
@@ -90,21 +90,31 @@ def _topk_mask(cols, k):
     return keep
 
 
+def _checked_blocks(mat):
+    """Blocks of engine.PUSH_BLOCK columns of the dense matrix mat, read in place.
+
+    The block starting at column lo is a view whose row i is column lo + i
+    of mat, checked to be non-negative (to -1e-12 for round-off) before it
+    is yielded; every read of a diffusion matrix goes through this one walk.
+    The views are contiguous when mat is Fortran-ordered, as every diffusion
+    route returns it; a C-ordered mat is read through strided views.
+    """
+    for lo in range(0, mat.shape[0], engine.PUSH_BLOCK):
+        cols = mat[:, lo:lo + engine.PUSH_BLOCK].T
+        if cols.min() < -1e-12:
+            raise InputError("diffusion entries must be non-negative")
+        yield cols
+
+
 def _sparsify_blocks(mat, mask_of):
     """CSC arrays (indptr, rows, values) of the entries of mat that mask_of keeps.
 
-    mask_of maps a block of engine.PUSH_BLOCK columns, whose row i is column
-    lo + i of mat, to a boolean mask. Every block is a view of mat. Rows come
-    out sorted and unique in each column.
+    mask_of maps each block of _checked_blocks, one row per column of mat,
+    to a boolean mask. Rows come out sorted and unique in each column.
     """
-    n = mat.shape[0]
-    block = engine.PUSH_BLOCK
     # the leading 0 of indptr, and empty parts so that N = 0 needs no block
     counts, rows, vals = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    for lo in range(0, n, block):
-        cols = mat[:, lo:lo + block].T
-        if cols.min() < -1e-12:
-            raise InputError("diffusion entries must be non-negative")
+    for cols in _checked_blocks(mat):
         keep = mask_of(cols)
         counts.append(keep.sum(axis=1))
         rows.append(np.nonzero(keep)[1])
@@ -124,29 +134,22 @@ def epsilon_for_degree(S, avg_degree):
 
     Returns the ceil(N * avg_degree)-th largest positive entry, or the
     smallest one if there are fewer; thresholding at it keeps at least
-    that many entries (ties may overshoot). Reads the dense matrix in place,
-    engine.PUSH_BLOCK columns (of a Fortran-ordered matrix; rows of a
-    C-ordered one) at a time, and keeps only the m = ceil(N * avg_degree)
-    largest positive entries seen so far: once m are held, a block adds only
-    its entries above their minimum, which can never lose the m-th largest.
-    The result is an order statistic, so it does not depend on the block.
+    that many entries (ties may overshoot). Reads the dense matrix through
+    _checked_blocks, engine.PUSH_BLOCK columns at a time, and keeps only the
+    m = ceil(N * avg_degree) largest positive entries seen so far: once m
+    are held, a block adds only its entries above their minimum, which can
+    never lose the m-th largest. The result is an order statistic, so it
+    does not depend on the block width or the matrix's memory order.
     """
     mat = _entries(S)
     n = mat.shape[0]
     if not 0 < avg_degree <= n:
         raise InputError(f"average degree must be in (0, {n}], got {avg_degree}")
     m = int(np.ceil(n * avg_degree))
-    # memory order: a view of a C- or Fortran-ordered matrix, so each block
-    # below is contiguous
-    vals = mat.ravel(order="K")
-    step = n * engine.PUSH_BLOCK
     top = np.zeros(0)
-    for lo in range(0, vals.size, step):
-        block = vals[lo:lo + step]
-        if block.min() < -1e-12:
-            raise InputError("diffusion entries must be non-negative")
+    for cols in _checked_blocks(mat):
         floor = top.min() if top.size >= m else 0.0
-        top = np.concatenate([top, block[block > floor]])
+        top = np.concatenate([top, cols[cols > floor]])
         if top.size > m:
             top = np.partition(top, top.size - m)[top.size - m:]
     if top.size == 0:
@@ -158,10 +161,10 @@ def epsilon_for_degree(S, avg_degree):
 def sparsify(S, rule, original_ids=None):
     """Truncate a diffusion matrix to a sparse directed weighted graph.
 
-    Every rule is one pass over blocks of engine.PUSH_BLOCK columns of the
-    dense matrix, each block a view masked and appended to the CSC result,
-    so besides the result the temporaries are O(N * PUSH_BLOCK), and each
-    column is masked on its own, whatever the block width. Top-k keeps
+    Every rule is one pass of _checked_blocks over engine.PUSH_BLOCK columns
+    of the dense matrix, each block a view masked and appended to the CSC
+    result, so besides the result the temporaries are O(N * PUSH_BLOCK), and
+    each column is masked on its own, whatever the block width. Top-k keeps
     the min(k, positive entries) largest entries of each column, the
     smaller row winning a tie; each column's k-th value comes from one
     partition per block. Thresholding keeps entries >= eps. TargetDegree

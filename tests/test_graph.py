@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphdiffusion import (InputError, PostProcess, RandomWalk, SparseGraph,
-                            Symmetric, SymmetricSelfLoop,
+from graphdiffusion import (DiffusionMatrix, InputError, PostProcess,
+                            RandomWalk, SparseGraph, Symmetric,
+                            SymmetricSelfLoop, TopK,
                             largest_connected_component, load_edge_list,
                             load_graph, postprocess, read_edge_list,
-                            save_edge_list, transition_matrix)
+                            save_edge_list, sparsify, transition_matrix)
 from graphdiffusion.graph import graph_from_edges, scaled
 from conftest import er_graph
 
@@ -427,6 +428,94 @@ class TestStoredMatrix:
         out = postprocess(h, PostProcess(renorm="rw"))
         ref = transition_matrix(g, RandomWalk())
         np.testing.assert_array_equal(out.matrix.toarray(), ref.matrix.toarray())
+
+
+def non_canonical_csc(case, writable):
+    """3-node directed CSC matrix whose column 0 breaks canonical form."""
+    rows = {"duplicate": [1, 1, 0, 0], "unsorted": [2, 1, 0, 0],
+            "zero": [1, 2, 0, 0]}[case]
+    vals = [1.0, 0.0 if case == "zero" else 2.0, 1.0, 1.0]
+    m = sp.csc_matrix((np.array(vals), np.array(rows, dtype=np.int32),
+                       np.array([0, 2, 3, 4], dtype=np.int32)), shape=(3, 3))
+    for arr in (m.indptr, m.indices, m.data):
+        arr.flags.writeable = writable
+    return m
+
+
+class TestFromScipyValidates:
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("case", ["duplicate", "unsorted", "zero"])
+    def test_non_canonical_rejected_and_left_untouched(self, case, writable):
+        message = ("strictly positive and finite" if case == "zero"
+                   else "rows not sorted or duplicated in column 0")
+        m = non_canonical_csc(case, writable)
+        before = [a.copy() for a in (m.indptr, m.indices, m.data)]
+        nnz = m.nnz
+        with pytest.raises(InputError, match=message):
+            SparseGraph.from_scipy(m, directed=True)
+        for arr, ref in zip((m.indptr, m.indices, m.data), before):
+            np.testing.assert_array_equal(arr, ref)
+            assert arr.flags.writeable == writable
+        assert m.nnz == nnz
+
+    def test_coo_repeated_coordinate_sums(self):
+        m = sp.coo_matrix(([1.0, 2.0, 4.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+        g = SparseGraph.from_scipy(m, directed=True)
+        np.testing.assert_array_equal(g.matrix.toarray(), [[0.0, 3.0], [4.0, 0.0]])
+        assert m.nnz == 3
+
+    def test_in_place_write_into_to_scipy_raises(self):
+        g = er_graph(50, 0.1, 3)
+        ref = g.to_scipy().toarray()
+        m = g.to_scipy()
+        for arr in (m.data, m.indices, m.indptr, g.matrix.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        np.testing.assert_array_equal(g.to_scipy().toarray(), ref)
+
+    def test_callers_arrays_stay_writable_and_are_shared(self):
+        ptr = np.array([0, 1, 2], dtype=np.int32)
+        rows = np.array([1, 0], dtype=np.int32)
+        vals = np.array([1.0, 2.0])
+        g = SparseGraph(2, ptr, rows, vals, directed=True)
+        for arr, stored in ((ptr, g.col_ptr), (rows, g.row_idx), (vals, g.values)):
+            assert arr.flags.writeable and not stored.flags.writeable
+            assert np.shares_memory(arr, stored)
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_symloop_transition_is_canonical(self, loops):
+        m = sp.csc_matrix(er_graph(40, 0.2, 4).matrix)
+        if loops:
+            m = (m + sp.diags(np.linspace(0.5, 2.0, m.shape[0]))).tocsc()
+        g = SparseGraph.from_scipy(m, directed=False, allow_loops=loops)
+        t = transition_matrix(g, SymmetricSelfLoop(2.0)).matrix
+        assert t.has_canonical_format
+        # recomputed from the arrays, not read from a cached flag
+        fresh = sp.csc_matrix((t.data, t.indices, t.indptr), shape=t.shape)
+        assert fresh.has_canonical_format
+
+    def test_symmetrized_weight_underflowing_to_zero_fails(self):
+        # (w + 0) * 0.5 rounds the smallest subnormal to 0, a stored zero
+        m = sp.csc_matrix(([1.0, 5e-324], ([1, 2], [0, 1])), shape=(3, 3))
+        g = SparseGraph.from_scipy(m, directed=True)
+        with pytest.raises(InputError, match="strictly positive and finite"):
+            postprocess(g, PostProcess(symmetrize=True))
+
+
+class TestOriginalIdsShape:
+    @pytest.mark.parametrize("ids", [[5], [5, 6, 7], [[5], [6]], 5])
+    def test_constructor_rejects(self, ids):
+        with pytest.raises(InputError, match=r"original_ids has shape .*, not \(2,\)"):
+            SparseGraph(2, [0, 1, 2], [1, 0], [1.0, 1.0], directed=True,
+                        original_ids=ids)
+
+    def test_from_scipy_and_sparsify_reject(self):
+        m = sp.csc_matrix(([1.0, 1.0], ([1, 0], [0, 1])), shape=(2, 2))
+        with pytest.raises(InputError, match="original_ids"):
+            SparseGraph.from_scipy(m, directed=True, original_ids=[5])
+        s = DiffusionMatrix(np.full((2, 2), 0.5), "exact")
+        with pytest.raises(InputError, match="original_ids"):
+            sparsify(s, TopK(1), original_ids=[5, 6, 7])
 
 
 class TestChunkedExport:

@@ -156,11 +156,13 @@ class TestTopKAgainstColumnLoop:
 
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_entries_rejected(self, layout):
-        m = np.full((5, 5), 0.1)
-        m[3, 4] = -1e-9
-        data = np.asfortranarray(m) if layout == "fortran" else m
-        with pytest.raises(InputError, match="non-negative"):
-            sparsify(DiffusionMatrix(data, "exact"), TopK(2))
+        # at N = PUSH_BLOCK + 5 the entry sits in the partial last block
+        for n in (5, engine.PUSH_BLOCK + 5):
+            m = np.full((n, n), 0.1)
+            m[3, n - 1] = -1e-9
+            data = np.asfortranarray(m) if layout == "fortran" else m
+            with pytest.raises(InputError, match="non-negative"):
+                sparsify(DiffusionMatrix(data, "exact"), TopK(2))
 
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_noise_dropped(self, layout):
@@ -254,11 +256,14 @@ class TestThresholdAgainstCopy:
     @pytest.mark.parametrize("rule", [Threshold(0.05), TargetDegree(2.0)])
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_entries_rejected(self, rule, layout):
-        m = np.full((5, 5), 0.1)
-        m[3, 4] = -1e-9
-        data = np.asfortranarray(m) if layout == "fortran" else m
-        with pytest.raises(InputError, match="non-negative"):
-            sparsify(DiffusionMatrix(data, "exact"), rule)
+        # at N = PUSH_BLOCK + 5 the entry sits in the partial last block;
+        # TargetDegree meets it in epsilon_for_degree, Threshold in the masker
+        for n in (5, engine.PUSH_BLOCK + 5):
+            m = np.full((n, n), 0.1)
+            m[3, n - 1] = -1e-9
+            data = np.asfortranarray(m) if layout == "fortran" else m
+            with pytest.raises(InputError, match="non-negative"):
+                sparsify(DiffusionMatrix(data, "exact"), rule)
 
 
 @pytest.fixture(scope="module")
