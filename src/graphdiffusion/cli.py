@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import coeffs as cf
 from .cluster import GdcConfig, SbmSpec, eval_gdc_clustering, generate_sbm
-from .engine import check_push_tolerance, check_series_order
+from .engine import Exact, Push, Series
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
@@ -39,6 +39,9 @@ TRANSITIONS = {"rw": RandomWalk, "sym": Symmetric, "symloop": SymmetricSelfLoop}
 METHODS = {"ppr": cf.Ppr, "heat": cf.Heat, "explicit": cf.Explicit}
 RULES = {"topk": (TopK, int), "eps": (Threshold, float),
          "degree": (TargetDegree, float)}
+ROUTES = {"exact": Exact, "series": Series, "push": Push}
+# The config key of a route's argument maps to the route and the argument's type.
+ROUTE_KEYS = {"series_k": ("series", int), "eps_push": ("push", float)}
 RENORMS = ("sym", "rw", "none")
 FORMATS = ("edges", "npz")
 
@@ -60,9 +63,7 @@ class PipelineConfig:
     output: str
     transition: object
     spec: object
-    mode: str  # 'exact' | 'series' | 'push'
-    series_k: int | None
-    eps_push: float | None
+    route: object  # engine.Exact() | Series(k) | Push(eps)
     rule: object
     post: PostProcess
     seed: int
@@ -80,9 +81,9 @@ class PipelineConfig:
             "alpha": getattr(self.spec, "alpha", ""),
             "t": getattr(self.spec, "t", ""),
             "theta": ",".join(repr(v) for v in getattr(self.spec, "theta", ())),
-            "mode": self.mode,
-            "series_k": self.series_k if self.series_k is not None else "",
-            "eps_push": self.eps_push if self.eps_push is not None else "",
+            "mode": _name_of(ROUTES, self.route),
+            "series_k": getattr(self.route, "k", None),
+            "eps_push": getattr(self.route, "eps", None),
             "sparsify": _rule_name(self.rule),
             "symmetrize": str(self.post.symmetrize).lower(),
             "unweighted": str(self.post.unweighted).lower(),
@@ -91,7 +92,7 @@ class PipelineConfig:
             "threads": self.threads,
             "format": self.fmt,
         }
-        return {k: str(v) for k, v in kv.items()}
+        return {k: "" if v is None else str(v) for k, v in kv.items()}
 
     def config_hash(self):
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.items().items()))
@@ -246,35 +247,29 @@ def parse_config(ns):
             raise UsageError("method explicit requires --theta-file")
         spec = cf.Explicit(tuple(_read_vector(theta_file)))
 
-    mode = get("mode")
-    series_k = None
-    eps_push = None
+    # the one flag given, else the file's mode; a flag's argument overrides
+    # the file's, and an argument that another route takes is an error
     if getattr(ns, "series", None) is not None:
-        mode, series_k = "series", int(ns.series)
+        mode, arg = "series", ns.series
     elif getattr(ns, "push", None) is not None:
-        mode, eps_push = "push", float(ns.push)
+        mode, arg = "push", ns.push
     elif getattr(ns, "exact", False):
-        mode = "exact"
-    elif mode is None:
-        mode = "exact"
-    if mode == "series" and series_k is None:
-        sk = get("series_k")
-        series_k = _number(sk, "series_k", int) if sk is not None else None
+        mode, arg = "exact", None
+    else:
+        mode, arg = _choice(file_values.get("mode", "exact"), ROUTES, "mode"), None
+    for key, (owner, kind) in ROUTE_KEYS.items():
+        if key in file_values:
+            if owner != mode:
+                raise UsageError(f"{key} applies only to mode {owner}, not {mode}")
+            if arg is None:
+                arg = _number(file_values[key], key, kind)
     if mode == "push":
-        if eps_push is None:
-            ep = get("eps_push")
-            if ep is None:
-                raise UsageError("push mode requires an epsilon")
-            eps_push = _number(ep, "eps_push")
+        if arg is None:
+            raise UsageError("push mode requires an epsilon")
         if not isinstance(transition, RandomWalk):
             raise UsageError("push mode requires --transition rw")
-    if mode not in ("exact", "series", "push"):
-        raise UsageError(f"unknown mode {mode!r}")
-    # checked here, like alpha, so a bad value fails before any input is read
-    if eps_push is not None:
-        check_push_tolerance(eps_push)
-    if series_k is not None:
-        check_series_order(series_k)
+    # building the route checks its argument, like alpha, before any input is read
+    route = ROUTES[mode]() if arg is None else ROUTES[mode](arg)
 
     rule_text = get("sparsify", "topk:64")
     rule = _parse_rule(rule_text) if isinstance(rule_text, str) else rule_text
@@ -292,9 +287,8 @@ def parse_config(ns):
     seed = _number(get("seed", 0), "seed", int)
     threads = get("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
     return PipelineConfig(input=str(input_path), output=str(output_path),
-                          transition=transition, spec=spec, mode=mode,
-                          series_k=series_k, eps_push=eps_push, rule=rule,
-                          post=post, seed=seed,
+                          transition=transition, spec=spec, route=route,
+                          rule=rule, post=post, seed=seed,
                           threads=_number(threads, "threads", int), fmt=fmt)
 
 
@@ -343,8 +337,8 @@ def run_pipeline(cfg):
               "contains only self-loops", file=sys.stderr)
 
     result, certificate, eps, stage_seconds = diffuse_graph(
-        g, cfg.transition, cfg.spec, cfg.rule, cfg.post, mode=cfg.mode,
-        series_k=cfg.series_k, eps_push=cfg.eps_push, threads=cfg.threads)
+        g, cfg.transition, cfg.spec, cfg.rule, cfg.post, route=cfg.route,
+        threads=cfg.threads)
     timings.update(stage_seconds)
 
     if isinstance(result, TransitionMatrix):
@@ -395,8 +389,7 @@ def cmd_spectrum(ns):
     before = eigen(laplacian(g, SYMMETRIC), source="input L_sym")
 
     result = diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, cfg.post,
-                           mode=cfg.mode, series_k=cfg.series_k,
-                           eps_push=cfg.eps_push, threads=cfg.threads)[0]
+                           route=cfg.route, threads=cfg.threads)[0]
     if isinstance(result, TransitionMatrix):
         if isinstance(result.kind, RandomWalk) and not result.source.directed:
             # I - T_rw of a symmetric graph shares its spectrum with the

@@ -1,18 +1,20 @@
-"""Computation of the diffusion matrix: closed form, series and push modes.
+"""Computation of the diffusion matrix: closed form, series and push routes.
 
-Three routes to S = sum_k theta_k T^k, each returning a dense N x N array:
+Three routes to S = sum_k theta_k T^k, each a value (Exact(), Series(k)
+or Push(eps)) that diffuse takes, and each returning a dense N x N array:
 
-* exact geometric diffusion inverts I - (1-a)T densely at every size,
+* Exact(): geometric diffusion inverts I - (1-a)T densely at every size,
   in place by one LAPACK inverse: by Cholesky when T is symmetric, by LU
   otherwise. Its residual is checked one block of PUSH_BLOCK columns at a
   time, so it holds one N x N array, the Fortran-ordered result, plus
   block temporaries; time is O(N^3);
-* truncated series accumulates Horner style on blocks of identity
-  columns, never materializing T^k; its certificate is the analytic tail
-  of the dropped weights. Heat under push is this series, truncated where
-  that tail falls below the push tolerance;
-* geometric push expands mass only where the residual is large, with an
-  explicit residual certifying the error. Only the threshold-phase push
+* Series(k): the truncated series accumulates Horner style on blocks of
+  identity columns, never materializing T^k; its certificate is the
+  analytic tail of the dropped weights. Heat and explicit weights under
+  Exact() are this series, and heat under Push(eps) too, truncated where
+  that tail falls below eps;
+* Push(eps): geometric push expands mass only where the residual is
+  large, with an explicit residual certifying the error. Only the threshold-phase push
   events have a ceiling independent of graph size; the drain that follows
   is a Chebyshev semi-iteration on the leftover residual, one full-graph
   matvec per round, so support and wall time per column grow with N. Its
@@ -40,7 +42,7 @@ from .errors import ComputeError, InputError
 from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
 
 # After threshold pushes finish, residual is drained until its total mass
-# is below PUSH_L1_FACTOR * eps_push, tying the column's L1 error to eps.
+# is below PUSH_L1_FACTOR * eps, tying the column's L1 error to eps.
 PUSH_L1_FACTOR = 50.0
 # Columns per block everywhere in the dense pipeline: the exact residual
 # check, the series and push (each Horner step or push round is a single
@@ -92,6 +94,38 @@ def _column_blocks(n, block, threads):
     return out, pool_map(one, range(0, n, PUSH_BLOCK), threads)
 
 
+@dataclass(frozen=True)
+class Exact:
+    """The closed-form solve, or for non-geometric weights the series to
+    SERIES_TAIL_TOL."""
+
+
+@dataclass(frozen=True)
+class Series:
+    """The series truncated at order k, or by default where its tail drops
+    below SERIES_TAIL_TOL."""
+
+    k: int | None = None
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 0:
+            raise InputError(f"series order must be non-negative, got {self.k}")
+
+
+@dataclass(frozen=True)
+class Push:
+    """Residual push to tolerance eps (random walk only); heat runs the series."""
+
+    eps: float
+
+    def __post_init__(self):
+        if self.eps is None or not self.eps > 0:
+            raise InputError(f"push tolerance must be positive, got {self.eps}")
+
+
+Route = Exact | Series | Push
+
+
 @dataclass
 class DiffusionMatrix:
     """Columns of the diffusion operator with the accounting of their route."""
@@ -104,11 +138,6 @@ class DiffusionMatrix:
     @property
     def n(self):
         return self.data.shape[0]
-
-
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"teleport probability must be in (0, 1), got {alpha}")
 
 
 def _inverse(a, spd):
@@ -142,7 +171,7 @@ def diffuse_exact_ppr(T, alpha):
     result, plus a block's N x PUSH_BLOCK temporaries and LAPACK's
     workspace.
     """
-    _check_alpha(alpha)
+    Ppr(alpha)  # the spec checks alpha
     n = T.n
     m = T.matrix
     a = m.toarray(order="F")
@@ -188,7 +217,7 @@ def diffuse_series(T, spec, K, threads=0):
     certificate is the analytic tail sum_{k > K} theta_k, which bounds
     every column's L1 error when T is column-stochastic (the random walk).
     """
-    check_series_order(K)
+    Series(K)  # the route checks K
     th = []
     for k in range(K + 1):
         th.append(theta(spec, k))
@@ -240,20 +269,12 @@ class PushColumn:
         return out
 
 
-def _require_random_walk(T):
+def _check_push(T, eps):
+    """Push's preconditions: the random walk and a Push(eps) tolerance."""
     if not isinstance(T.kind, RandomWalk):
         raise InputError("push approximations require the column-stochastic "
                          "random-walk transition matrix")
-
-
-def check_push_tolerance(eps_push):
-    if eps_push is None or not eps_push > 0:
-        raise InputError(f"push tolerance must be positive, got {eps_push}")
-
-
-def check_series_order(K):
-    if K < 0:
-        raise InputError(f"series order must be non-negative, got {K}")
+    Push(eps)
 
 
 def _row_l1(r):
@@ -266,7 +287,7 @@ def _row_l1(r):
     return np.abs(r.T, order="C").sum(axis=1)
 
 
-def _push_ppr_block(T, alpha, eps_push, columns):
+def _push_ppr_block(T, alpha, eps, columns):
     """Geometric push for a block of source columns at once.
 
     Residuals R and estimates P of the sources are dense n x b arrays, so
@@ -280,14 +301,12 @@ def _push_ppr_block(T, alpha, eps_push, columns):
 
     Returns the clipped estimates (n x b) and, per column, the residual
     L1, the threshold-phase push events (touched), and the threshold and
-    drain round counts.
+    drain round counts. Its callers check T, alpha and eps once, before
+    the first block.
     """
-    _require_random_walk(T)
-    _check_alpha(alpha)
-    check_push_tolerance(eps_push)
     m = T.matrix
     b = len(columns)
-    thresholds = (eps_push * T.degrees)[:, None]
+    thresholds = (eps * T.degrees)[:, None]
     spread = 1.0 - alpha
 
     p = np.zeros((T.n, b))
@@ -325,7 +344,7 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     # Zeroing through the mask costs nothing in a round where every column
     # is live, unlike a multiply by it.
     half = 0.0 if T.source.directed else spread
-    cap = PUSH_L1_FACTOR * eps_push
+    cap = PUSH_L1_FACTOR * eps
     rounds_drain = np.zeros(b, dtype=np.int64)
     d = np.zeros_like(r)
     beta, omega, rho = 0.0, 1.0, half
@@ -351,13 +370,13 @@ def _push_ppr_block(T, alpha, eps_push, columns):
     return p, _row_l1(r), touched, rounds_threshold, rounds_drain
 
 
-def diffuse_push_ppr(T, alpha, eps_push, column):
+def diffuse_push_ppr(T, alpha, eps, column):
     """Approximate one geometric-diffusion column by residual pushing.
 
     Phase one repeatedly expands every node whose residual exceeds
-    eps_push * degree, moving alpha of it into the answer and spreading the
+    eps * degree, moving alpha of it into the answer and spreading the
     rest along the node's transition column; it ends with
-    max_i r_i / degree_i < eps_push, and its push events are bounded
+    max_i r_i / degree_i < eps, and its push events are bounded
     independently of N. Phase two, the drain, solves (I - (1-a)T) z = r for
     the leftover residual by the Chebyshev semi-iteration, one full-graph
     matvec per round and no thresholds, adding a z to the answer. On an
@@ -365,7 +384,7 @@ def diffuse_push_ppr(T, alpha, eps_push, column):
     round cuts the residual by about (sqrt(k) - 1) / (sqrt(k) + 1) with
     k = (2-a)/a (0.56 at a = 0.15, against 1-a = 0.85 for the plain damped
     matvec that a directed source still runs). It stops once sum |r| is at
-    most PUSH_L1_FACTOR * eps_push. The identity
+    most PUSH_L1_FACTOR * eps. The identity
     exact = p + a (I - (1-a)T)^-1 r holds up to the final clip, and
     a (I - (1-a)T)^-1 has L1 norm 1 for the column-stochastic T, so sum |r|
     caps the column's L1 error. The residual may be signed, so p is
@@ -374,11 +393,13 @@ def diffuse_push_ppr(T, alpha, eps_push, column):
     run on a block of one column; diffuse_push_matrix runs it on blocks of
     PUSH_BLOCK columns with the same per-column result.
     """
+    _check_push(T, eps)
+    Ppr(alpha)  # the spec checks alpha
     n = T.n
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
     p, residual_l1, touched, rounds_threshold, rounds_drain = _push_ppr_block(
-        T, alpha, eps_push, [column])
+        T, alpha, eps, [column])
     nz = np.flatnonzero(p[:, 0])
     return PushColumn(indices=nz, values=p[nz, 0], residual_l1=float(residual_l1[0]),
                       touched=int(touched[0]), support=int(nz.size),
@@ -396,7 +417,7 @@ def _push_certificate(support, residual_l1, touched, rounds_drain):
     }
 
 
-def diffuse_push_matrix(T, spec, eps_push, threads=0):
+def diffuse_push_matrix(T, spec, eps, threads=0):
     """All columns of a geometric push approximation, as one dense N x N array.
 
     Columns are pushed in consecutive blocks of PUSH_BLOCK sources, and
@@ -417,42 +438,42 @@ def diffuse_push_matrix(T, spec, eps_push, threads=0):
     if not isinstance(spec, Ppr):
         raise InputError("the push kernel is geometric only; diffuse runs heat "
                          "under push as a truncated series")
+    _check_push(T, eps)
 
     def block(lo, hi):
         p, residual_l1, touched, _, rounds_drain = _push_ppr_block(
-            T, spec.alpha, eps_push, np.arange(lo, hi))
+            T, spec.alpha, eps, np.arange(lo, hi))
         return p, (np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain)
 
     data, blocks = _column_blocks(T.n, block, threads)
     certificate = _push_certificate(*map(np.concatenate, zip(*blocks))) if T.n else {}
-    return DiffusionMatrix(data=data, exactness=f"push:{eps_push:g}",
+    return DiffusionMatrix(data=data, exactness=f"push:{eps:g}",
                            certificate=certificate)
 
 
-def diffuse(T, spec, mode="exact", series_k=None, eps_push=None, threads=0):
-    """The diffusion by the one route spec and mode select.
+def diffuse(T, spec, route=Exact(), threads=0):
+    """The diffusion by the one route that spec and route select.
 
-    Geometric 'exact' is the closed-form solve and geometric 'push' the
-    block push kernel. Everything else is diffuse_series: at series_k,
-    else at the order whose analytic tail is below eps_push for heat
-    'push' (push's per-column L1 <= eps_push on the random walk it
-    requires) and below SERIES_TAIL_TOL otherwise. Explicit weights have
-    no push route.
+    Geometric Exact() is the closed-form solve and geometric Push(eps) the
+    block push kernel. Everything else is diffuse_series: at Series(k)'s
+    k, else at the order whose analytic tail is below eps for heat under
+    Push(eps) (push's per-column L1 <= eps on the random walk it requires)
+    and below SERIES_TAIL_TOL otherwise. Explicit weights have no push
+    route.
     """
-    if mode == "push":
-        check_push_tolerance(eps_push)
+    if isinstance(route, Push):
         if isinstance(spec, Ppr):
-            return diffuse_push_matrix(T, spec, eps_push, threads=threads)
+            return diffuse_push_matrix(T, spec, route.eps, threads=threads)
         if not isinstance(spec, Heat):
             raise InputError("push mode supports the geometric and heat families only")
-        _require_random_walk(T)
-        k = truncation_k(spec, eps_push)
-    elif mode == "exact" and isinstance(spec, Ppr):
+        _check_push(T, route.eps)
+        k = truncation_k(spec, route.eps)
+    elif isinstance(route, Exact) and isinstance(spec, Ppr):
         return diffuse_exact_ppr(T, spec.alpha)
-    elif mode == "series" and series_k is not None:
-        k = series_k
-    elif mode in ("exact", "series"):
+    elif isinstance(route, Series) and route.k is not None:
+        k = route.k
+    elif isinstance(route, (Exact, Series)):
         k = truncation_k(spec, SERIES_TAIL_TOL)
     else:
-        raise InputError(f"unknown diffusion mode {mode!r}")
+        raise InputError(f"unknown diffusion route {route!r}")
     return diffuse_series(T, spec, k, threads=threads)

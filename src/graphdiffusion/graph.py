@@ -55,9 +55,10 @@ class SparseGraph:
     included, enters through that validation; nothing is repaired. Its
     index arrays keep scipy's dtype (int32 while they fit).
 
-    The stored arrays are read-only views of the arrays passed in, which
-    are not copied: writing into the graph's arrays raises ValueError, and
-    the caller must not write into its own arrays afterwards.
+    The stored arrays, original_ids included, are read-only views of the
+    arrays passed in, which are not copied (ids that are not int64 are
+    converted first): writing into the graph's arrays raises ValueError,
+    and the caller must not write into its own arrays afterwards.
 
     Attributes:
         n: node count.
@@ -91,7 +92,8 @@ class SparseGraph:
         self.directed = bool(directed)
         if original_ids is None:
             original_ids = np.arange(self.n, dtype=np.int64)
-        self.original_ids = np.asarray(original_ids, dtype=np.int64)
+        self.original_ids = np.asarray(original_ids, dtype=np.int64).view()
+        self.original_ids.flags.writeable = False
         self._validate(allow_loops)
 
     def _validate(self, allow_loops):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import DiffusionMatrix, diffuse
+from .engine import DiffusionMatrix, Exact, diffuse
 from .errors import InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
                     transition_matrix)
@@ -237,13 +237,13 @@ def postprocess(g, opts):
     return transition_matrix(result, kinds[opts.renorm])
 
 
-def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,
-                  eps_push=None, threads=0):
+def diffuse_graph(g, transition, spec, rule, post, route=Exact(), threads=0):
     """The diffusion operator on g: transition, diffuse, sparsify, postprocess.
 
-    mode, series_k, eps_push and threads go to engine.diffuse. A
-    TargetDegree rule is resolved into a Threshold on the diffusion first,
-    within the sparsify stage. The sparsified graph keeps g's original_ids.
+    route (engine.Exact(), Series(k) or Push(eps)) and threads go to
+    engine.diffuse. A TargetDegree rule is resolved into a Threshold on the
+    diffusion first, within the sparsify stage. The sparsified graph keeps
+    g's original_ids.
     The dense diffusion matrix does not outlive the sparsify stage, so
     postprocess runs without it; call diffuse for the matrix itself.
     Returns (result, certificate, eps, seconds): the postprocess result, the
@@ -253,8 +253,7 @@ def diffuse_graph(g, transition, spec, rule, post, mode="exact", series_k=None,
     t0 = time.perf_counter()
     t = transition_matrix(g, transition)
     t1 = time.perf_counter()
-    s = diffuse(t, spec, mode=mode, series_k=series_k, eps_push=eps_push,
-                threads=threads)
+    s = diffuse(t, spec, route, threads=threads)
     t2 = time.perf_counter()
     eps = rule.eps if isinstance(rule, Threshold) else None
     if isinstance(rule, TargetDegree):

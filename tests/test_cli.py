@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import graphdiffusion
-from graphdiffusion import (Heat, Ppr, RandomWalk, SymmetricSelfLoop,
-                            TargetDegree, Threshold, TopK, load_edge_list,
-                            truncation_k)
+from graphdiffusion import (Exact, Heat, Ppr, Push, RandomWalk, Series,
+                            SymmetricSelfLoop, TargetDegree, Threshold, TopK,
+                            load_edge_list, truncation_k)
 from graphdiffusion.cli import (PipelineConfig, UsageError, build_parser, main,
                                 parse_config, run_pipeline)
 
@@ -30,7 +30,7 @@ class TestParseConfig:
         assert isinstance(cfg.transition, SymmetricSelfLoop)
         assert cfg.transition.w_loop == 1.0
         assert cfg.spec == Ppr(0.15)
-        assert cfg.mode == "exact"
+        assert cfg.route == Exact()
         assert cfg.rule == TopK(64)
         assert cfg.post.symmetrize is True
         assert cfg.post.unweighted is False
@@ -62,6 +62,44 @@ class TestParseConfig:
     def test_push_needs_random_walk(self):
         with pytest.raises(UsageError):
             parse(["--input", "a", "--output", "b", "--push", "1e-4"])
+
+    @pytest.mark.parametrize("flags,conf,message", [
+        ([], "series_k = 5", "series_k applies only to mode series, not exact"),
+        ([], "mode = exact\neps_push = 1e-4",
+         "eps_push applies only to mode push, not exact"),
+        (["--series", "12"], "eps_push = 1e-4",
+         "eps_push applies only to mode push, not series")],
+        ids=["series_k-alone", "exact-eps_push", "series-flag-eps_push"])
+    def test_unused_route_setting_is_usage_error(self, tmp_path, capsys, flags,
+                                                 conf, message):
+        out = tmp_path / "out.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\n{conf}\n")
+        assert main(["transform", "--config", str(config)] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conf,flags,route", [
+        ("mode = push\neps_push = 1e-4", ["--push", "1e-3"], Push(1e-3)),
+        ("mode = push\neps_push = 1e-4", [], Push(1e-4)),
+        ("mode = series\nseries_k = 5", ["--series", "12"], Series(12)),
+        ("mode = series\nseries_k = 5", [], Series(5))],
+        ids=["push-flag", "push-file", "series-flag", "series-file"])
+    def test_route_flag_overrides_file_argument(self, tmp_path, conf, flags, route):
+        config = tmp_path / "run.conf"
+        config.write_text(conf + "\n")
+        assert parse(["--input", "a", "--output", "b", "--transition", "rw",
+                      "--config", str(config)] + flags).route == route
+
+    @pytest.mark.parametrize("flags,mode,series_k,eps_push", [
+        ([], "exact", "", ""), (["--series", "0"], "series", "0", ""),
+        (["--series", "12"], "series", "12", ""),
+        (["--transition", "rw", "--push", "1e-4"], "push", "", "0.0001")],
+        ids=["exact", "series-0", "series-12", "push"])
+    def test_route_sidecar_keys(self, flags, mode, series_k, eps_push):
+        items = parse(["--input", "a", "--output", "b"] + flags).items()
+        assert (items["mode"], items["series_k"], items["eps_push"]) == (
+            mode, series_k, eps_push)
 
     def test_paths_required(self):
         with pytest.raises(UsageError):
@@ -309,7 +347,7 @@ class TestTransform:
         g = load_edge_list(str(inp))
         g, _ = largest_connected_component(g)
         t = transition_matrix(g, SymmetricSelfLoop(1.0))
-        s = diffuse(t, Ppr(0.2), mode="exact")
+        s = diffuse(t, Ppr(0.2), Exact())
         manual = postprocess(sparsify(s, TopK(4)),
                              PostProcess(symmetrize=True, renorm="rw"))
         np.testing.assert_array_equal(got.to_scipy().toarray(),

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphdiffusion import (ComputeError, Explicit, Heat, InputError, Ppr,
-                            RandomWalk, Symmetric, SymmetricSelfLoop, diffuse,
-                            diffuse_exact_ppr, diffuse_series, eigen,
-                            load_graph, theta_vector, transition_matrix,
-                            truncation_k)
+from graphdiffusion import (ComputeError, Exact, Explicit, Heat, InputError,
+                            Ppr, Push, RandomWalk, Series, Symmetric,
+                            SymmetricSelfLoop, diffuse, diffuse_exact_ppr,
+                            diffuse_series, eigen, load_graph, theta_vector,
+                            transition_matrix, truncation_k)
 from graphdiffusion import engine
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from conftest import connected_er
@@ -185,7 +185,7 @@ def test_series_peak_memory_is_one_dense_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        s = diffuse(t, Heat(3.0), mode="exact", threads=1)
+        s = diffuse(t, Heat(3.0), Exact(), threads=1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -280,7 +280,7 @@ class TestSeries:
             return real(n, block, threads)
 
         monkeypatch.setattr(engine, "_column_blocks", recording)
-        diffuse(t_of([(0, 1), (1, 2)]), Heat(1.0), mode="exact", threads=2)
+        diffuse(t_of([(0, 1), (1, 2)]), Heat(1.0), Exact(), threads=2)
         assert seen == [2]
 
     def test_negative_order_rejected(self):
@@ -313,36 +313,36 @@ class TestSeries:
 class TestDispatch:
     def test_exact_geometric(self):
         t = t_of([(0, 1)])
-        s = diffuse(t, Ppr(0.5), mode="exact")
+        s = diffuse(t, Ppr(0.5), Exact())
         assert s.exactness == "exact"
 
     def test_exact_heat_falls_back_to_series(self):
         t = t_of([(0, 1)])
-        s = diffuse(t, Heat(1.0), mode="exact")
+        s = diffuse(t, Heat(1.0), Exact())
         assert s.exactness.startswith("series:")
         np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-10)
 
     def test_series_order_derived_from_tail(self, monkeypatch):
         monkeypatch.setattr(engine, "SERIES_TAIL_TOL", 0.1)
         t = t_of([(0, 1)])
-        s = diffuse(t, Ppr(0.5), mode="series")
+        s = diffuse(t, Ppr(0.5), Series())
         assert s.exactness == "series:3"
 
     def test_push_mode(self):
         t = t_of([(0, 1)])
-        s = diffuse(t, Ppr(0.5), mode="push", eps_push=1e-8)
+        s = diffuse(t, Ppr(0.5), Push(1e-8))
         assert isinstance(s.data, np.ndarray) and s.data.flags.f_contiguous
         np.testing.assert_allclose(s.data, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
                                    atol=1e-5)
 
     def test_push_needs_eps(self):
         with pytest.raises(InputError):
-            diffuse(t_of([(0, 1)]), Ppr(0.5), mode="push")
+            diffuse(t_of([(0, 1)]), Ppr(0.5), Push(None))
 
     def test_push_rejects_explicit(self):
         with pytest.raises(InputError, match="geometric and heat"):
-            diffuse(t_of([(0, 1)]), Explicit((1.0,)), mode="push", eps_push=1e-6)
+            diffuse(t_of([(0, 1)]), Explicit((1.0,)), Push(1e-6))
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
-            diffuse(t_of([(0, 1)]), Ppr(0.5), mode="magic")
+            diffuse(t_of([(0, 1)]), Ppr(0.5), "magic")

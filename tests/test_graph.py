@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphdiffusion import (DiffusionMatrix, InputError, PostProcess,
+from graphdiffusion import (DiffusionMatrix, InputError, PostProcess, Ppr,
                             RandomWalk, SparseGraph, Symmetric,
-                            SymmetricSelfLoop, TopK,
+                            SymmetricSelfLoop, TopK, diffuse,
                             largest_connected_component, load_edge_list,
                             load_graph, postprocess, read_edge_list,
                             save_edge_list, sparsify, transition_matrix)
@@ -428,6 +428,27 @@ class TestStoredMatrix:
         out = postprocess(h, PostProcess(renorm="rw"))
         ref = transition_matrix(g, RandomWalk())
         np.testing.assert_array_equal(out.matrix.toarray(), ref.matrix.toarray())
+
+    def test_original_ids_are_a_read_only_view(self):
+        ids = np.array([5, 9], dtype=np.int64)
+        g = SparseGraph(2, [0, 1, 2], [1, 0], [1.0, 1.0], directed=True,
+                        original_ids=ids)
+        assert np.shares_memory(g.original_ids, ids)
+        with pytest.raises(ValueError):
+            g.original_ids[1] = 8
+        ids[0] = 7  # the caller's own array stays writable
+        assert ids.flags.writeable
+
+    def test_original_ids_flow_through_the_pipeline(self):
+        g = load_graph([(10, 20), (20, 30), (30, 10), (40, 50)])
+        lcc, _ = largest_connected_component(g)
+        np.testing.assert_array_equal(lcc.original_ids, [10, 20, 30])
+        s = diffuse(transition_matrix(lcc, RandomWalk()), Ppr(0.5))
+        sparse = sparsify(s, TopK(2), original_ids=lcc.original_ids)
+        out = postprocess(sparse, PostProcess(symmetrize=True))
+        for h in (lcc, sparse, out):
+            np.testing.assert_array_equal(h.original_ids, [10, 20, 30])
+            assert not h.original_ids.flags.writeable
 
 
 def non_canonical_csc(case, writable):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphdiffusion import (Heat, InputError, Ppr, RandomWalk, SparseGraph,
+from graphdiffusion import (Heat, InputError, Ppr, Push, RandomWalk, SparseGraph,
                             Symmetric, TransitionMatrix, diffuse,
                             diffuse_exact_ppr, diffuse_push_matrix,
                             diffuse_push_ppr, diffuse_series, load_graph,
@@ -220,7 +220,7 @@ class TestPushDrain:
 
 def heat_push(t, t_val, eps):
     """Heat under push: the series truncated where its tail drops below eps."""
-    return diffuse(t, Heat(t_val), mode="push", eps_push=eps)
+    return diffuse(t, Heat(t_val), Push(eps))
 
 
 class TestPushHeat:
@@ -324,7 +324,7 @@ class TestPushMatrix:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            s = diffuse(t, Ppr(0.15), mode="push", eps_push=1e-4, threads=1)
+            s = diffuse(t, Ppr(0.15), Push(1e-4), threads=1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

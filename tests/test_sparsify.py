@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import engine
-from graphdiffusion import (DiffusionMatrix, InputError, PostProcess, Ppr,
-                            RandomWalk, TargetDegree, Threshold, TopK,
-                            TransitionMatrix, diffuse, diffuse_exact_ppr,
-                            diffuse_graph, eigen, epsilon_for_degree,
-                            load_graph, postprocess, sparsify,
-                            transition_matrix)
+from graphdiffusion import (DiffusionMatrix, Exact, InputError, PostProcess,
+                            Ppr, Push, RandomWalk, Series, TargetDegree,
+                            Threshold, TopK, TransitionMatrix, diffuse,
+                            diffuse_exact_ppr, diffuse_graph, eigen,
+                            epsilon_for_degree, load_graph, postprocess,
+                            sparsify, transition_matrix)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from graphdiffusion.graph import Symmetric, largest_connected_component
 
@@ -303,9 +303,9 @@ def sbm_1000():
     return g
 
 
-PIPELINE_ROUTES = {"exact": dict(mode="exact"),
-                   "push": dict(mode="push", eps_push=1e-4),
-                   "series": dict(mode="series", series_k=20)}
+PIPELINE_ROUTES = {"exact": dict(route=Exact()),
+                   "push": dict(route=Push(1e-4)),
+                   "series": dict(route=Series(20))}
 
 
 @pytest.mark.parametrize("route", list(PIPELINE_ROUTES))
@@ -337,7 +337,7 @@ def test_postprocess_peak_memory(sbm_1000):
     # the push benchmark's argv: rw push at 1e-4, degree:64, symmetrize and
     # rw renorm; the input graph holds about 0.1 N^2 * 8 bytes
     t = transition_matrix(sbm_1000, RandomWalk())
-    g = sparsify(diffuse(t, Ppr(0.15), mode="push", eps_push=1e-4, threads=1),
+    g = sparsify(diffuse(t, Ppr(0.15), Push(1e-4), threads=1),
                  TargetDegree(64.0))
     post = PostProcess(symmetrize=True, renorm="rw")
     postprocess(g, post)  # warm-up, untraced

@@ -3,18 +3,23 @@
 perfbench/tracer.py wraps functions by name in the graphdiffusion module
 namespaces, and a traced benchmark run fails when a span never fires. These
 checks catch a rename or a move that would silently zero a layer without
-running the benchmark.
+running the benchmark, and one traced run checks that every span of the
+push workload fires. They read perfbench/ and write nothing there.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from graphdiffusion.sparsify import diffuse_graph
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +52,31 @@ def test_pipeline_core_calls_traced_names(tracer):
                         ("sparsify", "sparsify"), ("sparsify", "postprocess")):
         assert (short, attr) in traced
         assert diffuse_graph.__globals__[attr] is resolve(short, attr), attr
+
+
+def test_traced_push_workload_fires_every_span(tmp_path, monkeypatch):
+    # run.py pins these to one thread when imported; monkeypatch restores them
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports checks and inputs
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    run.SIZES = dict(run.SIZES, push_n=200)
+    prepare, spans = run.WORKLOADS["push-sbm-1k"]
+    argv = prepare(1, tmp_path).argv(tmp_path / "out.txt")
+    # the exact route also runs the tracer's residual check on diffuse's
+    # positional (T, spec)
+    i = argv.index("--push")
+    argv[i:i + 2] = ["--exact"]
+    job = {"trace": "timing", "spans_out": str(tmp_path / "spans.json"),
+           "argv": argv}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "run",
+                           str(tmp_path / "job.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fired = {s["name"] for s in json.loads((tmp_path / "spans.json").read_text())}
+    assert set(spans) <= fired
+    assert (tmp_path / "out.txt").exists()
