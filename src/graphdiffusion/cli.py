@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,17 +34,65 @@ from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectr
 
 TOOL_VERSION = "0.1.0"
 
-# One table per choice, read by the argparse choices, parse_config and the
-# sidecar's names. A rule maps to its class and the type of its argument.
+# One table per choice: each name maps to what builds the choice's object
+# from the settings it owns (see SETTINGS). A rule maps to its class and the
+# type of its argument.
 TRANSITIONS = {"rw": RandomWalk, "sym": Symmetric, "symloop": SymmetricSelfLoop}
-METHODS = {"ppr": cf.Ppr, "heat": cf.Heat, "explicit": cf.Explicit}
+# explicit takes the theta file's path and builds the weights from its numbers
+METHODS = {"ppr": cf.Ppr, "heat": cf.Heat,
+           "explicit": lambda path: cf.Explicit(tuple(_read_vector(path)))}
 RULES = {"topk": (TopK, int), "eps": (Threshold, float),
          "degree": (TargetDegree, float)}
 ROUTES = {"exact": Exact, "series": Series, "push": Push}
-# The config key of a route's argument maps to the route and the argument's type.
-ROUTE_KEYS = {"series_k": ("series", int), "eps_push": ("push", float)}
 RENORMS = ("sym", "rw", "none")
 FORMATS = ("edges", "npz")
+
+REQUIRED = object()  # the default of a setting that its owner cannot do without
+
+
+class Setting(NamedTuple):
+    """A pipeline setting: the type of its value (int, float, bool, str or
+    a choice's name table), its default, the (choice, name) whose object
+    takes it as an argument, and its flag's help. flag=False marks the
+    settings whose flags are written by hand."""
+
+    kind: object
+    default: object = None
+    owner: tuple | None = None
+    help: str | None = None
+    flag: bool = True
+
+
+# Every pipeline setting, keyed by its config key, in .meta order. A setting
+# owned by a choice applies only under it, where it defaults to its default;
+# under another choice it is None and an error if given.
+SETTINGS = {
+    "input": Setting(str, help="edge-list file to transform"),
+    "output": Setting(str, help="destination path"),
+    "transition": Setting(TRANSITIONS, "symloop"),
+    "wloop": Setting(float, 1.0, ("transition", "symloop"),
+                     "self-loop weight for symloop"),
+    "method": Setting(METHODS, "ppr"),
+    "alpha": Setting(float, 0.15, ("method", "ppr"), "teleport probability (ppr)"),
+    "t": Setting(float, REQUIRED, ("method", "heat"), "diffusion time (heat)"),
+    "theta_file": Setting(str, REQUIRED, ("method", "explicit"),
+                          "one weight per line (explicit)"),
+    "mode": Setting(ROUTES, "exact", flag=False),
+    "series_k": Setting(int, None, ("mode", "series"), flag=False),
+    "eps_push": Setting(float, REQUIRED, ("mode", "push"), flag=False),
+    "sparsify": Setting(str, "topk:64", help="topk:K, eps:E or degree:D"),
+    "symmetrize": Setting(bool, True, flag=False),
+    "unweighted": Setting(bool, False, flag=False),
+    "renorm": Setting(RENORMS, "rw"),
+    "seed": Setting(int, 0),
+    # threads defaults to GRAPHDIFFUSION_THREADS, which parse_config reads
+    "threads": Setting(int, help="0 = automatic"),
+    "format": Setting(FORMATS, "edges"),
+}
+# the .meta key of a setting whose config key differs, and the name an
+# unknown value's message gives a setting
+META_KEYS = {"wloop": "w_loop", "theta_file": "theta"}
+LABELS = {"renorm": "renormalization", "format": "output format"}
 
 
 class UsageError(Exception):
@@ -59,56 +108,25 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class PipelineConfig:
-    input: str
-    output: str
+    values: dict  # config key -> resolved value, in SETTINGS order
     transition: object
     spec: object
     route: object  # engine.Exact() | Series(k) | Push(eps)
     rule: object
     post: PostProcess
-    seed: int
-    threads: int
-    fmt: str = "edges"
 
     def items(self):
         """Flat key/value view used for the sidecar and the config hash."""
-        kv = {
-            "input": self.input,
-            "output": self.output,
-            "transition": _name_of(TRANSITIONS, self.transition),
-            "w_loop": getattr(self.transition, "w_loop", ""),
-            "method": _name_of(METHODS, self.spec),
-            "alpha": getattr(self.spec, "alpha", ""),
-            "t": getattr(self.spec, "t", ""),
-            "theta": ",".join(repr(v) for v in getattr(self.spec, "theta", ())),
-            "mode": _name_of(ROUTES, self.route),
-            "series_k": getattr(self.route, "k", None),
-            "eps_push": getattr(self.route, "eps", None),
-            "sparsify": _rule_name(self.rule),
-            "symmetrize": str(self.post.symmetrize).lower(),
-            "unweighted": str(self.post.unweighted).lower(),
-            "renorm": self.post.renorm or "none",
-            "seed": self.seed,
-            "threads": self.threads,
-            "format": self.fmt,
-        }
-        return {k: "" if v is None else str(v) for k, v in kv.items()}
+        kv = {META_KEYS.get(k, k): "" if v is None else
+              str(v).lower() if isinstance(v, bool) else str(v)
+              for k, v in self.values.items()}
+        kv["theta"] = ",".join(repr(v) for v in getattr(self.spec, "theta", ()))
+        kv["sparsify"] = _rule_name(self.rule)
+        return kv
 
     def config_hash(self):
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.items().items()))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _name_of(table, obj):
-    """The name under which table holds the class of obj, else str(obj)."""
-    return next((name for name, cls in table.items() if isinstance(obj, cls)),
-                str(obj))
-
-
-def _choice(name, names, what):
-    if name not in names:
-        raise UsageError(f"unknown {what} {name!r}; use one of {', '.join(names)}")
-    return name
 
 
 def _rule_name(rule):
@@ -143,11 +161,6 @@ def _read_config_file(path):
     return values
 
 
-_PIPELINE_KEYS = ("input", "output", "transition", "wloop", "method", "alpha",
-                  "t", "theta_file", "mode", "series_k", "eps_push", "sparsify",
-                  "symmetrize", "unweighted", "renorm", "seed", "threads",
-                  "format")
-
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -169,30 +182,44 @@ def _number(val, key, kind=float):
         raise UsageError(f"bad {kind.__name__} for {key}: {val!r}") from exc
 
 
+def _convert(key, kind, val):
+    """A flag's or a config file's value of setting key as its kind."""
+    if kind is bool:
+        return _as_bool(val, key)
+    if kind in (int, float):
+        return _number(val, key, kind)
+    if kind is not str and val not in kind:
+        label = LABELS.get(key, key)
+        raise UsageError(f"unknown {label} {val!r}; use one of {', '.join(kind)}")
+    return val
+
+
+class _RouteFlag(argparse.Action):
+    """Stores a route's argument and sets mode to the route the flag names."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.mode = option_string.lstrip("-")
+
+
 def _add_pipeline_flags(p):
-    p.add_argument("--input", help="edge-list file to transform")
-    p.add_argument("--output", help="destination path")
+    for key, s in SETTINGS.items():
+        if s.flag:
+            convert = ({"type": s.kind} if s.kind in (int, float) else
+                       {"choices": s.kind} if s.kind is not str else {})
+            p.add_argument("--" + key.replace("_", "-"), help=s.help, **convert)
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--transition", choices=TRANSITIONS)
-    p.add_argument("--wloop", type=float, help="self-loop weight for symloop")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--alpha", type=float, help="teleport probability (ppr)")
-    p.add_argument("--t", type=float, help="diffusion time (heat)")
-    p.add_argument("--theta-file", help="one weight per line (explicit)")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="closed-form solve")
-    mode.add_argument("--series", type=int, metavar="K", help="truncated series")
-    mode.add_argument("--push", type=float, metavar="EPS",
-                      help="per-column push approximation")
-    p.add_argument("--sparsify", help="topk:K, eps:E or degree:D")
+    mode.add_argument("--exact", dest="mode", action="store_const", const="exact",
+                      help="closed-form solve")
+    mode.add_argument("--series", dest="series_k", action=_RouteFlag, type=int,
+                      metavar="K", help="truncated series")
+    mode.add_argument("--push", dest="eps_push", action=_RouteFlag, type=float,
+                      metavar="EPS", help="per-column push approximation")
     sym = p.add_mutually_exclusive_group()
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_const", const=True)
     sym.add_argument("--no-symmetrize", dest="symmetrize", action="store_const", const=False)
     p.add_argument("--unweighted", action="store_const", const=True, default=None)
-    p.add_argument("--renorm", choices=RENORMS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help="0 = automatic")
-    p.add_argument("--format", dest="fmt", choices=FORMATS)
 
 
 def parse_config(ns):
@@ -204,92 +231,45 @@ def parse_config(ns):
     """
     file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key in file_values:
-        if key not in _PIPELINE_KEYS:
+        if key not in SETTINGS:
             raise UsageError(f"unknown config key {key!r}")
 
-    def get(key, default=None):
+    # the variable stands in for a threads line that the file lacks
+    file_values.setdefault("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
+
+    def get(key):
         flag = getattr(ns, key, None)
-        return flag if flag is not None else file_values.get(key, default)
+        return flag if flag is not None else file_values.get(key)
 
-    input_path = get("input")
-    output_path = get("output")
-    if not input_path or not output_path:
+    if not get("input") or not get("output"):
         raise UsageError("--input and --output are required")
+    values = {}
+    for key, s in SETTINGS.items():
+        val = get(key)
+        choice, name = s.owner or (None, None)
+        if choice and values[choice] != name:
+            if val is not None:
+                raise UsageError(f"{key} applies only to {choice} {name}, "
+                                 f"not {values[choice]}")
+        elif val is None and s.default is REQUIRED:
+            raise UsageError(f"{choice} {name} requires {key}")
+        elif val is None:
+            val = s.default
+        values[key] = None if val is None else _convert(key, s.kind, val)
+    if values["mode"] == "push" and values["transition"] != "rw":
+        raise UsageError("push mode requires --transition rw")
 
-    trans_name = _choice(get("transition", "symloop"), TRANSITIONS, "transition")
-    wloop = get("wloop")
-    if wloop is not None and trans_name != "symloop":
-        raise UsageError("--wloop applies only to the symloop transition")
-    # only symloop takes an argument, its self-loop weight (default 1.0)
-    args = () if wloop is None else (_number(wloop, "wloop"),)
-    transition = TRANSITIONS[trans_name](*args)
-
-    method = _choice(get("method", "ppr"), METHODS, "method")
-    alpha = get("alpha")
-    t_val = get("t")
-    theta_file = get("theta_file")
-    if alpha is not None and t_val is not None:
-        raise UsageError("--alpha and --t are mutually exclusive")
-    if method == "ppr":
-        if t_val is not None or theta_file:
-            raise UsageError("--t/--theta-file conflict with method ppr")
-        spec = cf.Ppr(_number(alpha, "alpha") if alpha is not None else 0.15)
-    elif method == "heat":
-        if alpha is not None or theta_file:
-            raise UsageError("--alpha/--theta-file conflict with method heat")
-        if t_val is None:
-            raise UsageError("method heat requires --t")
-        spec = cf.Heat(_number(t_val, "t"))
-    else:
-        if alpha is not None or t_val is not None:
-            raise UsageError("--alpha/--t conflict with method explicit")
-        if not theta_file:
-            raise UsageError("method explicit requires --theta-file")
-        spec = cf.Explicit(tuple(_read_vector(theta_file)))
-
-    # the one flag given, else the file's mode; a flag's argument overrides
-    # the file's, and an argument that another route takes is an error
-    if getattr(ns, "series", None) is not None:
-        mode, arg = "series", ns.series
-    elif getattr(ns, "push", None) is not None:
-        mode, arg = "push", ns.push
-    elif getattr(ns, "exact", False):
-        mode, arg = "exact", None
-    else:
-        mode, arg = _choice(file_values.get("mode", "exact"), ROUTES, "mode"), None
-    for key, (owner, kind) in ROUTE_KEYS.items():
-        if key in file_values:
-            if owner != mode:
-                raise UsageError(f"{key} applies only to mode {owner}, not {mode}")
-            if arg is None:
-                arg = _number(file_values[key], key, kind)
-    if mode == "push":
-        if arg is None:
-            raise UsageError("push mode requires an epsilon")
-        if not isinstance(transition, RandomWalk):
-            raise UsageError("push mode requires --transition rw")
-    # building the route checks its argument, like alpha, before any input is read
-    route = ROUTES[mode]() if arg is None else ROUTES[mode](arg)
-
-    rule_text = get("sparsify", "topk:64")
-    rule = _parse_rule(rule_text) if isinstance(rule_text, str) else rule_text
-
-    symmetrize = _as_bool(get("symmetrize", True), "symmetrize")
-    unweighted = _as_bool(get("unweighted", False), "unweighted")
-    renorm = _choice(get("renorm", "rw"), RENORMS, "renormalization")
-    if renorm == "none":
-        renorm = None
-    post = PostProcess(symmetrize=symmetrize, unweighted=unweighted, renorm=renorm)
-
-    fmt = _choice(get("fmt", file_values.get("format", "edges")), FORMATS,
-                  "output format")
-
-    seed = _number(get("seed", 0), "seed", int)
-    threads = get("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
-    return PipelineConfig(input=str(input_path), output=str(output_path),
-                          transition=transition, spec=spec, route=route,
-                          rule=rule, post=post, seed=seed,
-                          threads=_number(threads, "threads", int), fmt=fmt)
+    # each choice builds its object from the settings it owns, which also
+    # checks their values before any input is read
+    built = {choice: SETTINGS[choice].kind[name](
+        *(values[key] for key, s in SETTINGS.items() if s.owner == (choice, name)))
+        for choice, name in values.items() if isinstance(SETTINGS[choice].kind, dict)}
+    post = PostProcess(symmetrize=values["symmetrize"],
+                       unweighted=values["unweighted"],
+                       renorm=None if values["renorm"] == "none" else values["renorm"])
+    return PipelineConfig(values=values, transition=built["transition"],
+                          spec=built["method"], route=built["mode"],
+                          rule=_parse_rule(values["sparsify"]), post=post)
 
 
 def _read_vector(path):
@@ -328,7 +308,7 @@ def run_pipeline(cfg):
     """Load, diffuse, sparsify, postprocess, export. Returns the metadata."""
     timings = {}
     t0 = time.perf_counter()
-    g = load_edge_list(cfg.input, directed=False)
+    g = load_edge_list(cfg.values["input"], directed=False)
     g, index_map = largest_connected_component(g)
     timings["load"] = time.perf_counter() - t0
 
@@ -338,7 +318,7 @@ def run_pipeline(cfg):
 
     result, certificate, eps, stage_seconds = diffuse_graph(
         g, cfg.transition, cfg.spec, cfg.rule, cfg.post, route=cfg.route,
-        threads=cfg.threads)
+        threads=cfg.values["threads"])
     timings.update(stage_seconds)
 
     if isinstance(result, TransitionMatrix):
@@ -361,18 +341,18 @@ def run_pipeline(cfg):
         meta[f"certificate_{name}"] = repr(float(value))
 
     t0 = time.perf_counter()
-    if cfg.fmt == "npz":
+    if cfg.values["format"] == "npz":
         # through a handle: given a path, save_npz appends '.npz' to it
-        with open(cfg.output, "wb") as fh:
+        with open(cfg.values["output"], "wb") as fh:
             sp.save_npz(fh, out_graph.to_scipy())
     else:
-        save_edge_list(cfg.output, out_graph, sidecar=False)
+        save_edge_list(cfg.values["output"], out_graph, sidecar=False)
     timings["export"] = time.perf_counter() - t0
     for stage, secs in timings.items():
         meta[f"stage_seconds_{stage}"] = f"{secs:.6f}"
     meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     # the one sidecar write goes last so that it carries the export time
-    write_meta(cfg.output, edge_list_meta(out_graph, meta))
+    write_meta(cfg.values["output"], edge_list_meta(out_graph, meta))
     return meta
 
 
@@ -384,12 +364,13 @@ def cmd_transform(ns):
 
 def cmd_spectrum(ns):
     cfg = parse_config(ns)
-    g = load_edge_list(cfg.input, directed=False)
+    output = cfg.values["output"]
+    g = load_edge_list(cfg.values["input"], directed=False)
     g, _ = largest_connected_component(g)
     before = eigen(laplacian(g, SYMMETRIC), source="input L_sym")
 
     result = diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, cfg.post,
-                           route=cfg.route, threads=cfg.threads)[0]
+                           route=cfg.route, threads=cfg.values["threads"])[0]
     if isinstance(result, TransitionMatrix):
         if isinstance(result.kind, RandomWalk) and not result.source.directed:
             # I - T_rw of a symmetric graph shares its spectrum with the
@@ -403,7 +384,7 @@ def cmd_spectrum(ns):
         after = eigen(laplacian(result, SYMMETRIC), source="output L_sym")
 
     delta = spectrum_compare(before, after)
-    with open(cfg.output, "w") as fh:
+    with open(output, "w") as fh:
         fh.write("index,lambda_before,lambda_after,delta\n")
         bs = np.sort(before.eigenvalues)
         as_ = np.sort(after.eigenvalues)
@@ -412,12 +393,12 @@ def cmd_spectrum(ns):
 
     grid = np.linspace(0.0, 2.0, 201)
     curve = filter_response_curve(cfg.spec, grid)
-    curve_path = cfg.output + ".response.csv"
+    curve_path = output + ".response.csv"
     with open(curve_path, "w") as fh:
         fh.write("lambda_L,response\n")
         for lam, resp in curve:
             fh.write(f"{float(lam)!r},{float(resp)!r}\n")
-    print(f"spectrum delta l2 = {delta.l2:.6g}; curves in {cfg.output} "
+    print(f"spectrum delta l2 = {delta.l2:.6g}; curves in {output} "
           f"and {curve_path}")
     return 0
 

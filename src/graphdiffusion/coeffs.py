@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 
 FLOAT_CONVERSION_CAP = 60
 
@@ -33,6 +33,7 @@ class Ppr:
     alpha: float
 
     def __post_init__(self):
+        check_number(self.alpha, "teleport probability")
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"teleport probability must be in (0, 1), got {self.alpha}")
 
@@ -44,6 +45,7 @@ class Heat:
     t: float
 
     def __post_init__(self):
+        check_number(self.t, "diffusion time")
         if not self.t > 0.0:
             raise InputError(f"diffusion time must be positive, got {self.t}")
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import linalg
 
 from .coeffs import Heat, Ppr, theta, theta_tail, truncation_k
-from .errors import ComputeError, InputError
+from .errors import ComputeError, InputError, check_number
 from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
 
 # After threshold pushes finish, residual is drained until its total mass
@@ -108,8 +108,10 @@ class Series:
     k: int | None = None
 
     def __post_init__(self):
-        if self.k is not None and self.k < 0:
-            raise InputError(f"series order must be non-negative, got {self.k}")
+        if self.k is not None:
+            check_number(self.k, "series order", integer=True)
+            if self.k < 0:
+                raise InputError(f"series order must be non-negative, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ class Push:
     eps: float
 
     def __post_init__(self):
-        if self.eps is None or not self.eps > 0:
+        check_number(self.eps, "push tolerance")
+        if not self.eps > 0:
             raise InputError(f"push tolerance must be positive, got {self.eps}")
 
 

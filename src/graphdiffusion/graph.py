@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import InputError
+from .errors import InputError, check_number
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class SymmetricSelfLoop:
     w_loop: float = 1.0
 
     def __post_init__(self):
+        check_number(self.w_loop, "self-loop weight")
         if not self.w_loop > 0:
             raise InputError(f"self-loop weight must be positive, got {self.w_loop}")
 

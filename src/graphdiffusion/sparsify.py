@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine
 from .engine import DiffusionMatrix, Exact, diffuse
-from .errors import InputError
+from .errors import InputError, check_number
 from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
                     transition_matrix)
 
@@ -29,6 +29,7 @@ class TopK:
     k: int
 
     def __post_init__(self):
+        check_number(self.k, "top-k count", integer=True)
         if not self.k > 0:
             raise InputError(f"top-k count must be positive, got {self.k}")
 
@@ -40,6 +41,7 @@ class Threshold:
     eps: float
 
     def __post_init__(self):
+        check_number(self.eps, "threshold")
         if not self.eps > 0:
             raise InputError(f"threshold must be positive, got {self.eps}")
 
@@ -51,6 +53,7 @@ class TargetDegree:
     avg_degree: float
 
     def __post_init__(self):
+        check_number(self.avg_degree, "target degree")
         if not self.avg_degree > 0:
             raise InputError(f"target degree must be positive, got {self.avg_degree}")
 

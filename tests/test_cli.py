@@ -200,6 +200,102 @@ class TestParseConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    DEFAULT_ITEMS = {
+        "input": "a", "output": "b", "transition": "symloop", "w_loop": "1.0",
+        "method": "ppr", "alpha": "0.15", "t": "", "theta": "", "mode": "exact",
+        "series_k": "", "eps_push": "", "sparsify": "topk:64",
+        "symmetrize": "true", "unweighted": "false", "renorm": "rw",
+        "seed": "0", "threads": "0", "format": "edges"}
+
+    # between them the flags set every setting; conf holds the same values
+    @pytest.mark.parametrize("flags,conf,changed", [
+        ([], "", {}),
+        (["--wloop", "2", "--series", "0", "--format", "npz", "--seed", "3",
+          "--threads", "1"],
+         "wloop = 2\nmode = series\nseries_k = 0\nformat = npz\nseed = 3\n"
+         "threads = 1",
+         {"w_loop": "2.0", "mode": "series", "series_k": "0", "format": "npz",
+          "seed": "3", "threads": "1"}),
+        (["--method", "heat", "--t", "3", "--transition", "rw", "--push", "1e-4"],
+         "method = heat\nt = 3\ntransition = rw\nmode = push\neps_push = 1e-4",
+         {"transition": "rw", "w_loop": "", "method": "heat", "alpha": "",
+          "t": "3.0", "mode": "push", "eps_push": "0.0001"}),
+        (["--method", "explicit", "--theta-file", "THETA", "--exact",
+          "--sparsify", "degree:8", "--symmetrize", "--renorm", "none"],
+         "method = explicit\ntheta_file = THETA\nmode = exact\n"
+         "sparsify = degree:8\nsymmetrize = true\nrenorm = none",
+         {"method": "explicit", "alpha": "", "theta": "0.5,0.25",
+          "sparsify": "degree:8.0", "renorm": "none"}),
+        (["--alpha", "0.2", "--sparsify", "eps:1e-3", "--no-symmetrize",
+          "--unweighted", "--renorm", "sym", "--format", "edges"],
+         "alpha = 0.2\nsparsify = eps:1e-3\nsymmetrize = false\n"
+         "unweighted = true\nrenorm = sym\nformat = edges",
+         {"alpha": "0.2", "sparsify": "eps:0.001", "symmetrize": "false",
+          "unweighted": "true", "renorm": "sym"})],
+        ids=["defaults", "symloop-series", "heat-push", "explicit", "ppr-post"])
+    def test_meta_items_pinned(self, tmp_path, monkeypatch, flags, conf, changed):
+        monkeypatch.delenv("GRAPHDIFFUSION_THREADS", raising=False)
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.5\n0.25\n")
+        flags = [str(theta) if f == "THETA" else f for f in flags]
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = a\noutput = b\n"
+                          f"{conf.replace('THETA', str(theta))}\n")
+        expected = dict(self.DEFAULT_ITEMS, **changed)
+        by_flag = parse(["--input", "a", "--output", "b"] + flags)
+        by_file = parse(["--config", str(config)])
+        assert list(by_flag.items().items()) == list(expected.items())
+        assert list(by_file.items().items()) == list(expected.items())
+        assert by_file.config_hash() == by_flag.config_hash()
+
+    # each owned setting given under another choice, by flag where one exists
+    # and by config file, and each required one left out
+    @pytest.mark.parametrize("flags,conf,message", [
+        (["--transition", "rw", "--wloop", "2"], "",
+         "wloop applies only to transition symloop, not rw"),
+        ([], "transition = sym\nwloop = 2",
+         "wloop applies only to transition symloop, not sym"),
+        (["--method", "heat", "--t", "2", "--alpha", "0.1"], "",
+         "alpha applies only to method ppr, not heat"),
+        ([], "method = explicit\ntheta_file = THETA\nalpha = 0.1",
+         "alpha applies only to method ppr, not explicit"),
+        (["--alpha", "0.1", "--t", "2"], "",
+         "t applies only to method heat, not ppr"),
+        ([], "method = explicit\ntheta_file = THETA\nt = 1",
+         "t applies only to method heat, not explicit"),
+        (["--theta-file", "THETA"], "",
+         "theta_file applies only to method explicit, not ppr"),
+        ([], "method = heat\nt = 1\ntheta_file = THETA",
+         "theta_file applies only to method explicit, not heat"),
+        ([], "mode = push\neps_push = 1e-4\nseries_k = 5",
+         "series_k applies only to mode series, not push"),
+        (["--exact"], "series_k = 5",
+         "series_k applies only to mode series, not exact"),
+        ([], "mode = series\neps_push = 1e-4",
+         "eps_push applies only to mode push, not series"),
+        (["--series", "3"], "eps_push = 1e-4",
+         "eps_push applies only to mode push, not series"),
+        (["--method", "heat"], "", "method heat requires t"),
+        ([], "method = explicit", "method explicit requires theta_file"),
+        ([], "mode = push", "mode push requires eps_push")],
+        ids=["wloop-flag", "wloop-file", "alpha-flag", "alpha-file", "t-flag",
+             "t-file", "theta_file-flag", "theta_file-file", "series_k-file",
+             "series_k-exact-flag", "eps_push-file", "eps_push-series-flag",
+             "heat-requires-t", "explicit-requires-theta_file",
+             "push-requires-eps_push"])
+    def test_owned_setting_under_another_choice(self, tmp_path, capsys, flags,
+                                                conf, message):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.5\n0.25\n")
+        flags = [str(theta) if f == "THETA" else f for f in flags]
+        out = tmp_path / "out.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\n"
+                          f"{conf.replace('THETA', str(theta))}\n")
+        assert main(["transform", "--config", str(config)] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
+
 
 class TestTransform:
     def test_k2_threshold_keeps_diag_and_offdiag(self, tmp_path):
@@ -297,6 +393,27 @@ class TestTransform:
                                                  flags, conf):
         self._fails_before_input(tmp_path, capsys, flags, conf,
                                  "E_COMPUTE: series order must be non-negative")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--method", "heat", "--t", "inf"],
+         "E_COMPUTE: diffusion time must be a finite number, got inf"),
+        (["--transition", "rw", "--push", "inf"],
+         "E_COMPUTE: push tolerance must be a finite number, got inf"),
+        (["--wloop", "inf"],
+         "E_COMPUTE: self-loop weight must be a finite number, got inf"),
+        (["--sparsify", "eps:inf"],
+         "E_USAGE: bad sparsify rule 'eps:inf': "
+         "threshold must be a finite number, got inf")],
+        ids=["heat-t", "push", "wloop", "eps"])
+    def test_infinite_setting_fails_before_input(self, tmp_path, capsys, flags,
+                                                 message):
+        # heat at t = inf never stopped: its series order had no finite bound
+        out = tmp_path / "o.txt"
+        rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
+                   "--output", str(out)] + flags)
+        assert rc == (2 if message.startswith("E_USAGE") else 1)
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
 
     @staticmethod
     def _fails_before_input(tmp_path, capsys, flags, conf, message):

@@ -346,3 +346,41 @@ class TestDispatch:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             diffuse(t_of([(0, 1)]), Ppr(0.5), "magic")
+
+
+# a count rejects floats and bools, a real rejects strings, bools and
+# infinities, all as InputError before any kernel runs
+@pytest.mark.parametrize("make,arg,message", [
+    (Series, 2.5, "series order must be an integer, got 2.5"),
+    (Series, True, "series order must be an integer, got True"),
+    (Series, "3", "series order must be an integer, got '3'"),
+    (Push, True, "push tolerance must be a finite number, got True"),
+    (Push, "1e-4", "push tolerance must be a finite number, got '1e-4'"),
+    (Push, np.inf, "push tolerance must be a finite number, got inf"),
+    (Ppr, "0.5", "teleport probability must be a finite number, got '0.5'"),
+    (Ppr, True, "teleport probability must be a finite number, got True"),
+    (Heat, True, "diffusion time must be a finite number, got True"),
+    (Heat, "3", "diffusion time must be a finite number, got '3'"),
+    (Heat, np.inf, "diffusion time must be a finite number, got inf"),
+    (SymmetricSelfLoop, True, "self-loop weight must be a finite number, got True"),
+    (SymmetricSelfLoop, -np.inf, "self-loop weight must be a finite number, got -inf")])
+def test_value_types_check_their_argument(make, arg, message):
+    with pytest.raises(InputError) as info:
+        make(arg)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make,message", [
+    (Push, "push tolerance must be positive"),
+    (Ppr, "teleport probability must be in"),
+    (Heat, "diffusion time must be positive")])
+def test_nan_left_to_range_check(make, message):
+    with pytest.raises(InputError, match=message):
+        make(np.nan)
+
+
+@pytest.mark.parametrize("make,arg", [
+    (Series, np.int64(3)), (Push, np.float64(1e-4)), (Ppr, np.float32(0.5)),
+    (Heat, 3), (SymmetricSelfLoop, np.float64(2.0))])
+def test_numpy_and_int_arguments_accepted(make, arg):
+    assert make(arg) == make(arg)

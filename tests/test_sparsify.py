@@ -70,6 +70,27 @@ class TestSparsify:
         with pytest.raises(InputError):
             sparsify(as_diffusion(-np.eye(3)), TopK(1))
 
+    @pytest.mark.parametrize("make,arg,message", [
+        (TopK, 2.5, "top-k count must be an integer, got 2.5"),
+        (TopK, True, "top-k count must be an integer, got True"),
+        (TopK, "4", "top-k count must be an integer, got '4'"),
+        (Threshold, "0.1", "threshold must be a finite number, got '0.1'"),
+        (Threshold, np.inf, "threshold must be a finite number, got inf"),
+        (Threshold, False, "threshold must be a finite number, got False"),
+        (TargetDegree, "8", "target degree must be a finite number, got '8'"),
+        (TargetDegree, np.inf, "target degree must be a finite number, got inf")])
+    def test_rule_checks_its_argument(self, make, arg, message):
+        with pytest.raises(InputError) as info:
+            make(arg)
+        assert str(info.value) == message
+
+    def test_rule_accepts_numpy_scalars(self):
+        # degree:D resolves to a Threshold at a numpy float
+        assert TopK(np.int64(2)).k == 2
+        assert Threshold(np.float64(0.1)).eps == 0.1
+        with pytest.raises(InputError, match="threshold must be positive"):
+            Threshold(np.nan)
+
     def test_topk_per_column_count(self):
         rng = np.random.default_rng(0)
         s = as_diffusion(rng.random((20, 20)))
