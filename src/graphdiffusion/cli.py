@@ -258,6 +258,8 @@ def parse_config(ns):
         values[key] = None if val is None else _convert(key, s.kind, val)
     if values["mode"] == "push" and values["transition"] != "rw":
         raise UsageError("push mode requires --transition rw")
+    if values["mode"] == "push" and values["method"] == "explicit":
+        raise UsageError("push mode supports the geometric and heat families only")
 
     # each choice builds its object from the settings it owns, which also
     # checks their values before any input is read
@@ -371,17 +373,17 @@ def cmd_spectrum(ns):
 
     result = diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, cfg.post,
                            route=cfg.route, threads=cfg.values["threads"])[0]
-    if isinstance(result, TransitionMatrix):
-        if isinstance(result.kind, RandomWalk) and not result.source.directed:
-            # I - T_rw of a symmetric graph shares its spectrum with the
-            # symmetric normalized Laplacian of the same graph
-            after = eigen(laplacian(result.source, SYMMETRIC),
-                          source="output L_sym (similar to rw form)")
-        else:
-            lap = laplacian(result)
-            after = eigen((lap + lap.T) * 0.5, source="output Laplacian (symmetrized)")
+    if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
+            and not result.source.directed):
+        # I - T_rw of a symmetric graph shares its spectrum with the
+        # symmetric normalized Laplacian of the same graph
+        after = eigen(laplacian(result.source, SYMMETRIC),
+                      source="output L_sym (similar to rw form)")
     else:
-        after = eigen(laplacian(result, SYMMETRIC), source="output L_sym")
+        # I - T, or L_sym of a graph, through its symmetric part, which is
+        # the matrix itself bit for bit when the output is undirected
+        lap = laplacian(result)
+        after = eigen((lap + lap.T) * 0.5, source="output Laplacian (symmetrized)")
 
     delta = spectrum_compare(before, after)
     with open(output, "w") as fh:

@@ -198,8 +198,9 @@ def hungarian_accuracy(assignment, labels):
     so none reads as a missing edge and a full matching of min(clusters,
     classes) pairs always exists; each one subtracts the same constant
     from the complement's total, so the lightest is the heaviest on the
-    table. When several matchings tie, matched_permutation names one of
-    them; the accuracy is the same for all.
+    table. The table may have any number of clusters and classes, equal or
+    not. When several matchings tie, matched_permutation names one of them;
+    the accuracy is the same for all.
     """
     assignment = np.asarray(assignment)
     labels = np.asarray(labels)
@@ -210,8 +211,6 @@ def hungarian_accuracy(assignment, labels):
         raise InputError("cluster and class ids must be non-negative")
     nclu = int(assignment.max()) + 1 if n else 0
     ncls = int(labels.max()) + 1 if n else 0
-    if max(nclu, ncls) > 64:
-        raise InputError("cluster/class counts above 64 are not supported")
     table = np.zeros((nclu, ncls))
     np.add.at(table, (assignment, labels), 1.0)
     rows, cols = csgraph.min_weight_full_bipartite_matching(
@@ -262,12 +261,9 @@ def run_gdc_for_clustering(g, cfg):
     The diffusion runs on one thread: eval_gdc_clustering already pools
     over seeds.
     """
-    rule = cfg.rule
-    if isinstance(rule, TopK) and rule.k > g.n:
-        rule = TopK(g.n)
     opts = PostProcess(symmetrize=cfg.symmetrize, unweighted=cfg.unweighted,
                        renorm=None)
-    return diffuse_graph(g, cfg.transition, cfg.spec, rule, opts, threads=1)[0]
+    return diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, opts, threads=1)[0]
 
 
 def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,

@@ -55,12 +55,15 @@ class Explicit:
     """A finite, user-supplied weight list.
 
     Weights must lie in [0, 1] and sum to at most 1. A sum below 1 is kept
-    as-is; the list is neither renormalized nor padded.
+    as-is; the list is not renormalized. A series or a tail past its end
+    counts the missing weights as 0; theta itself refuses an index past it.
     """
 
     theta: tuple
 
     def __post_init__(self):
+        for x in self.theta:
+            check_number(x, "explicit weight")
         th = tuple(float(x) for x in self.theta)
         object.__setattr__(self, "theta", th)
         if not th:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .coeffs import Heat, Ppr, theta, theta_tail, truncation_k
+from .coeffs import Explicit, Heat, Ppr, theta, theta_tail, truncation_k
 from .errors import ComputeError, InputError, check_number
 from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
 
@@ -222,7 +222,9 @@ def diffuse_series(T, spec, K, threads=0):
     """
     Series(K)  # the route checks K
     th = []
-    for k in range(K + 1):
+    # the weights past an explicit list are 0, so at most the list is read
+    last = min(K, len(spec.theta) - 1) if isinstance(spec, Explicit) else K
+    for k in range(last + 1):
         th.append(theta(spec, k))
         decreasing = isinstance(spec, Ppr) or isinstance(spec, Heat) and k > spec.t
         if th[-1] == 0.0 and decreasing:

@@ -24,7 +24,11 @@ from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled
 
 @dataclass(frozen=True)
 class TopK:
-    """Keep the k heaviest entries per column; ties go to the smaller row."""
+    """Keep the k heaviest entries per column; ties go to the smaller row.
+
+    Only positive entries are kept, so a column with k or fewer of them, as
+    every column has when k >= N, keeps all of them.
+    """
 
     k: int
 
@@ -48,7 +52,11 @@ class Threshold:
 
 @dataclass(frozen=True)
 class TargetDegree:
-    """Derive the threshold from a desired average degree."""
+    """Derive the threshold from a desired average degree.
+
+    An average degree of N or more gives the smallest positive entry, so
+    every positive entry survives.
+    """
 
     avg_degree: float
 
@@ -136,19 +144,20 @@ def epsilon_for_degree(S, avg_degree):
     """Threshold whose survivors have about avg_degree entries per column.
 
     Returns the ceil(N * avg_degree)-th largest positive entry, or the
-    smallest one if there are fewer; thresholding at it keeps at least
-    that many entries (ties may overshoot). Reads the dense matrix through
-    _checked_blocks, engine.PUSH_BLOCK columns at a time, and keeps only the
-    m = ceil(N * avg_degree) largest positive entries seen so far: once m
-    are held, a block adds only its entries above their minimum, which can
+    smallest one if there are fewer, as there always are when avg_degree
+    >= N; thresholding at it keeps at least that many entries (ties may
+    overshoot). Reads the dense matrix through _checked_blocks,
+    engine.PUSH_BLOCK columns at a time, and keeps only the m = ceil(N *
+    min(avg_degree, N)) largest positive entries seen so far: once m are
+    held, a block adds only its entries above their minimum, which can
     never lose the m-th largest. The result is an order statistic, so it
     does not depend on the block width or the matrix's memory order.
     """
     mat = _entries(S)
     n = mat.shape[0]
-    if not 0 < avg_degree <= n:
-        raise InputError(f"average degree must be in (0, {n}], got {avg_degree}")
-    m = int(np.ceil(n * avg_degree))
+    if not avg_degree > 0:
+        raise InputError(f"average degree must be positive, got {avg_degree}")
+    m = int(np.ceil(n * min(avg_degree, n)))
     top = np.zeros(0)
     for cols in _checked_blocks(mat):
         floor = top.min() if top.size >= m else 0.0
@@ -169,9 +178,10 @@ def sparsify(S, rule, original_ids=None):
     result, so besides the result the temporaries are O(N * PUSH_BLOCK), and
     each column is masked on its own, whatever the block width. Top-k keeps
     the min(k, positive entries) largest entries of each column, the
-    smaller row winning a tie; each column's k-th value comes from one
-    partition per block. Thresholding keeps entries >= eps. TargetDegree
-    resolves eps through epsilon_for_degree first. Diagonal mass survives
+    smaller row winning a tie, so any k >= N keeps every positive entry;
+    each column's k-th value comes from one partition per block.
+    Thresholding keeps entries >= eps. TargetDegree resolves eps through
+    epsilon_for_degree first. Diagonal mass survives
     like any other entry, so the result may carry self-loops. original_ids
     labels the result's nodes (by default 0..N-1), normally the ids of the
     diffused graph.
@@ -181,10 +191,8 @@ def sparsify(S, rule, original_ids=None):
     mat = _entries(S)
     n = mat.shape[0]
     if isinstance(rule, TopK):
-        if rule.k > n:
-            raise InputError(f"top-k count {rule.k} exceeds node count {n}")
         indptr, rows, vals = _sparsify_blocks(
-            mat, lambda cols: _topk_mask(cols, rule.k))
+            mat, lambda cols: _topk_mask(cols, min(rule.k, n)))
     elif isinstance(rule, Threshold):
         indptr, rows, vals = _sparsify_blocks(mat, lambda cols: cols >= rule.eps)
         if vals.size == 0:

@@ -683,6 +683,93 @@ class TestOtherCommands:
         assert "delta mean" in report
 
 
+@pytest.fixture
+def sbm_40(tmp_path):
+    """A 40-node connected SBM graph: smaller than the default top-64."""
+    path = str(tmp_path / "sbm40.txt")
+    assert main(["gen-sbm", "--blocks", "20,20", "--p-in", "0.3",
+                 "--p-out", "0.05", "--seed", "1", "--output", path]) == 0
+    assert load_edge_list(path).n == 40
+    return path
+
+
+def read_meta(path):
+    return dict(line.split(" = ", 1) for line in open(path).read().splitlines())
+
+
+class TestSmallGraphs:
+    @pytest.mark.parametrize("command", ["transform", "spectrum"])
+    def test_defaults_run_below_64_nodes(self, tmp_path, sbm_40, command):
+        out = tmp_path / "out.txt"
+        assert main([command, "--input", sbm_40, "--output", str(out)]) == 0
+        if command == "transform":
+            # top-64 keeps every positive entry: all 40 x 40 of the diffusion
+            assert read_meta(f"{out}.meta")["edges"] == "1600"
+
+    def test_count_rules_saturate_at_n(self, tmp_path, sbm_40):
+        outs = {}
+        for rule in ["degree:40", "degree:80", "degree:1e308", "topk:40",
+                     "topk:1000000"]:
+            out = tmp_path / f"{rule}.txt"
+            assert main(["transform", "--input", sbm_40, "--output", str(out),
+                         "--sparsify", rule]) == 0
+            outs[rule] = out.read_bytes()
+        assert all(v == outs["degree:40"] for v in outs.values())
+
+    def test_spectrum_of_directed_unnormalized_output(self, tmp_path, sbm_40):
+        flags = ["--input", sbm_40, "--sparsify", "topk:8", "--no-symmetrize",
+                 "--renorm", "none"]
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--output", str(out)] + flags) == 0
+        after = [float(line.split(",")[2])
+                 for line in out.read_text().splitlines()[1:]]
+        graph = tmp_path / "graph.txt"
+        assert main(["transform", "--output", str(graph)] + flags) == 0
+        a = load_edge_list(str(graph), directed=True,
+                           allow_self_loops=True).to_scipy().toarray()
+        s = 1.0 / np.sqrt(a.sum(axis=0))
+        lap = np.eye(40) - s[:, None] * a * s[None, :]
+        assert not np.allclose(lap, lap.T)
+        np.testing.assert_allclose(after, np.linalg.eigvalsh((lap + lap.T) / 2),
+                                   rtol=0, atol=1e-12)
+
+    def test_explicit_series_past_the_weights(self, tmp_path, sbm_40):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.5\n0.25\n0.125\n")
+        outs = []
+        for k in ("2", "4"):
+            out = tmp_path / f"series{k}.txt"
+            assert main(["transform", "--input", sbm_40, "--output", str(out),
+                         "--method", "explicit", "--theta-file", str(theta),
+                         "--series", k]) == 0
+            outs.append(out.read_bytes())
+            assert read_meta(f"{out}.meta")["certificate_tail_mass"] == "0.0"
+        assert outs[0] == outs[1]
+
+    def test_explicit_push_fails_before_input(self, tmp_path, capsys):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.5\n0.5\n")
+        out = tmp_path / "o.txt"
+        rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
+                   "--output", str(out), "--transition", "rw", "--method",
+                   "explicit", "--theta-file", str(theta), "--push", "1e-4"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: push mode supports the geometric and heat families only"]
+        assert sorted(os.listdir(tmp_path)) == ["theta.txt"]
+
+    def test_eval_cluster_topk_past_n(self, tmp_path, capsys):
+        # 90 nodes: top-500 keeps what top-90 keeps, every positive entry
+        runs = []
+        for k in ("90", "500"):
+            out = tmp_path / f"topk{k}.csv"
+            assert main(["eval-cluster", "--blocks", "30,30,30", "--p-in", "0.3",
+                         "--p-out", "0.02", "--seeds", "3", "--topk", k,
+                         "--output", str(out)]) == 0
+            runs.append((out.read_text(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
+
 def test_cli_import_skips_slow_scipy_modules():
     # scipy.special is imported only where heat tails need it, and the
     # clustering accuracy matches on csgraph, so neither start-up nor

@@ -328,6 +328,24 @@ class TestHungarian:
             assert len(set(matched.values())) == small
             assert sum(table[r, c] for r, c in matched.items()) == best
 
+    @pytest.mark.parametrize("nclu,ncls", [(70, 70), (70, 66), (65, 90)])
+    def test_many_clusters_match_reference(self, nclu, ncls):
+        # imported here: the package itself never imports scipy.optimize
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(nclu + ncls)
+        labels = rng.integers(0, ncls, size=2000)
+        # mostly a hidden relabeling of the classes, with noise
+        assign = rng.permutation(max(nclu, ncls))[labels] % nclu
+        noise = rng.random(2000) < 0.3
+        assign[noise] = rng.integers(0, nclu, size=noise.sum())
+        table = np.zeros((nclu, ncls), dtype=int)
+        np.add.at(table, (assign, labels), 1)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        res = hungarian_accuracy(assign, labels)
+        assert res.accuracy == table[rows, cols].sum() / 2000
+        assert len(res.matched_permutation) == min(nclu, ncls)
+
 
 class TestEval:
     def test_near_disjoint_blocks_are_perfect(self):

@@ -57,6 +57,14 @@ class TestTheta:
         # a deficit is allowed and kept as-is
         assert Explicit((0.2, 0.3)).theta == (0.2, 0.3)
 
+    def test_explicit_weights_are_checked_numbers(self):
+        for weight in ["0.5", True, math.inf, -math.inf]:
+            with pytest.raises(InputError, match="explicit weight must be a finite"):
+                Explicit((0.25, weight))
+        th = Explicit((np.float64(0.25), Fraction(1, 2))).theta
+        assert th == (0.25, 0.5)
+        assert all(type(x) is float for x in th)
+
 
 class TestTruncation:
     def test_geometric_half(self):

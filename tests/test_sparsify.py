@@ -59,8 +59,12 @@ class TestSparsify:
         assert g.nnz == 6
 
     def test_topk_bounds(self):
-        with pytest.raises(InputError):
-            sparsify(single_column([0.5, 0.3, 0.2]), TopK(4))
+        s = single_column([0.5, 0.3, 0.2])
+        g = sparsify(s, TopK(4))
+        assert_same_graph(g, sparsify(s, TopK(3)))
+        rows, vals = g.column(0)
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(vals, [0.5, 0.3, 0.2])
 
     def test_threshold_above_max_is_empty(self):
         with pytest.raises(InputError, match="empty"):
@@ -125,6 +129,13 @@ class TestSparsify:
         assert tight_set <= loose_set
 
 
+def assert_same_graph(g, ref):
+    assert g.n == ref.n
+    np.testing.assert_array_equal(g.col_ptr, ref.col_ptr)
+    np.testing.assert_array_equal(g.row_idx, ref.row_idx)
+    np.testing.assert_array_equal(g.values, ref.values)
+
+
 def topk_by_column_loop(arr, k):
     """Reference top-k: one stable lexsort per column, heaviest first and
     the smaller row winning a tie, over the positive entries only."""
@@ -174,6 +185,18 @@ class TestTopKAgainstColumnLoop:
         np.testing.assert_array_equal(g.col_ptr, ref.indptr)
         np.testing.assert_array_equal(g.row_idx, ref.indices)
         np.testing.assert_array_equal(g.values, ref.data)
+
+    # k at or past N keeps every positive entry of each column
+    @pytest.mark.parametrize("factor,extra", [(1, 0), (1, 1), (10, 0)])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
+    def test_count_past_n_saturates(self, layout, factor, extra):
+        rng = np.random.default_rng(13)
+        arr = rng.choice([0.0, 0.25, 0.5], size=(30, 30)) * (rng.random((30, 30)) < 0.7)
+        data = {"dense": arr, "fortran": np.asfortranarray(arr)}[layout]
+        s = DiffusionMatrix(data, "exact")
+        g = sparsify(s, TopK(factor * 30 + extra))
+        assert_same_graph(g, sparsify(s, TopK(30)))
+        assert g.nnz == np.count_nonzero(arr)
 
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_negative_entries_rejected(self, layout):
@@ -400,6 +423,18 @@ class TestEpsilonForDegree:
         g = sparsify(s, Threshold(eps))
         assert g.nnz == 64
 
+    # a degree of N or more, up to one whose N * D overflows a float
+    @pytest.mark.parametrize("avg_degree", [8.0, 16.0, 1e308])
+    @pytest.mark.parametrize("layout", ["dense", "fortran"])
+    def test_degree_past_n_saturates(self, layout, avg_degree):
+        rng = np.random.default_rng(6)
+        arr = rng.random((8, 8)) * (rng.random((8, 8)) < 0.6)
+        s = as_diffusion(np.asfortranarray(arr) if layout == "fortran" else arr)
+        assert epsilon_for_degree(s, avg_degree) == arr[arr > 0].min()
+        g = sparsify(s, TargetDegree(avg_degree))
+        assert_same_graph(g, sparsify(s, TargetDegree(8.0)))
+        assert g.nnz == np.count_nonzero(arr)
+
     @pytest.mark.parametrize("layout", ["dense", "fortran"])
     def test_no_positive_entry(self, layout):
         arr = np.zeros((4, 4))
@@ -412,8 +447,8 @@ class TestEpsilonForDegree:
         s = as_diffusion(np.eye(3))
         with pytest.raises(InputError):
             epsilon_for_degree(s, 0.0)
-        with pytest.raises(InputError):
-            epsilon_for_degree(s, 4.0)
+        # a degree above N gives the smallest positive entry
+        assert epsilon_for_degree(s, 4.0) == 1.0
 
     # many narrow blocks, and one block wider than the whole matrix
     @pytest.mark.parametrize("block", [3, 256])
