@@ -78,7 +78,7 @@ SETTINGS = {
     "theta_file": Setting(str, REQUIRED, ("method", "explicit"),
                           "one weight per line (explicit)"),
     "mode": Setting(ROUTES, "exact", flag=False),
-    "series_k": Setting(int, None, ("mode", "series"), flag=False),
+    "series_k": Setting(int, REQUIRED, ("mode", "series"), flag=False),
     "eps_push": Setting(float, REQUIRED, ("mode", "push"), flag=False),
     "sparsify": Setting(str, "topk:64", help="topk:K, eps:E or degree:D"),
     "symmetrize": Setting(bool, True, flag=False),
@@ -300,10 +300,12 @@ def _write_vector(path, values):
             fh.write(f"{v}\n" if isinstance(v, Fraction) else f"{float(v)!r}\n")
 
 
-def _is_identity_spec(spec):
-    # theta_0 I with theta_0 = 0 is the zero matrix, which keeps no self-loop
-    return (isinstance(spec, cf.Explicit) and spec.theta[0] != 0.0
-            and all(v == 0.0 for v in spec.theta[1:]))
+def _is_identity_route(spec, route):
+    # the route sums theta_0 I alone under Series(0) or explicit weights that
+    # are 0 past theta_0; theta_0 = 0 is the zero matrix, which keeps no self-loop
+    alone = (isinstance(route, Series) and route.k == 0
+             or isinstance(spec, cf.Explicit) and not any(spec.theta[1:]))
+    return alone and cf.theta(spec, 0) != 0.0
 
 
 def run_pipeline(cfg):
@@ -314,7 +316,7 @@ def run_pipeline(cfg):
     g, index_map = largest_connected_component(g)
     timings["load"] = time.perf_counter() - t0
 
-    if _is_identity_spec(cfg.spec):
+    if _is_identity_route(cfg.spec, cfg.route):
         print("warning: diffusion weights are the identity; the output graph "
               "contains only self-loops", file=sys.stderr)
 
@@ -417,10 +419,20 @@ def cmd_convert_coeffs(ns):
     return 0
 
 
-def cmd_gen_sbm(ns):
+def _add_sbm_flags(p):
+    p.add_argument("--blocks", required=True, help="comma-separated sizes")
+    p.add_argument("--p-in", dest="p_in", type=float, required=True)
+    p.add_argument("--p-out", dest="p_out", type=float, required=True)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _sbm_spec(ns):
     blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
-    spec = SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
-    g, labels = generate_sbm(spec)
+    return SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
+
+
+def cmd_gen_sbm(ns):
+    g, labels = generate_sbm(_sbm_spec(ns))
     save_edge_list(ns.output, g, metadata={
         "generator": "sbm",
         "blocks": ns.blocks,
@@ -436,8 +448,7 @@ def cmd_gen_sbm(ns):
 
 
 def cmd_eval_cluster(ns):
-    blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
-    sbm = SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
+    sbm = _sbm_spec(ns)
     gdc = GdcConfig(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
                     unweighted=ns.unweighted)
     report = eval_gdc_clustering(sbm, gdc=gdc, seeds=ns.seeds,
@@ -480,19 +491,13 @@ def build_parser():
     p.set_defaults(func=cmd_convert_coeffs)
 
     p = sub.add_parser("gen-sbm", help="sample a planted-partition graph")
-    p.add_argument("--blocks", required=True, help="comma-separated sizes")
-    p.add_argument("--p-in", dest="p_in", type=float, required=True)
-    p.add_argument("--p-out", dest="p_out", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sbm_flags(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gen_sbm)
 
     p = sub.add_parser("eval-cluster", help="paired clustering evaluation")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--p-in", dest="p_in", type=float, required=True)
-    p.add_argument("--p-out", dest="p_out", type=float, required=True)
+    _add_sbm_flags(p)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--topk", type=int, default=64)

@@ -102,16 +102,14 @@ class Exact:
 
 @dataclass(frozen=True)
 class Series:
-    """The series truncated at order k, or by default where its tail drops
-    below SERIES_TAIL_TOL."""
+    """The series truncated at order k."""
 
-    k: int | None = None
+    k: int
 
     def __post_init__(self):
-        if self.k is not None:
-            check_number(self.k, "series order", integer=True)
-            if self.k < 0:
-                raise InputError(f"series order must be non-negative, got {self.k}")
+        check_number(self.k, "series order", integer=True)
+        if self.k < 0:
+            raise InputError(f"series order must be non-negative, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -461,10 +459,10 @@ def diffuse(T, spec, route=Exact(), threads=0):
 
     Geometric Exact() is the closed-form solve and geometric Push(eps) the
     block push kernel. Everything else is diffuse_series: at Series(k)'s
-    k, else at the order whose analytic tail is below eps for heat under
-    Push(eps) (push's per-column L1 <= eps on the random walk it requires)
-    and below SERIES_TAIL_TOL otherwise. Explicit weights have no push
-    route.
+    k, else at the order whose analytic tail is below SERIES_TAIL_TOL
+    under Exact() and below eps for heat under Push(eps) (push's
+    per-column L1 <= eps on the random walk it requires). Explicit weights
+    have no push route.
     """
     if isinstance(route, Push):
         if isinstance(spec, Ppr):
@@ -475,9 +473,9 @@ def diffuse(T, spec, route=Exact(), threads=0):
         k = truncation_k(spec, route.eps)
     elif isinstance(route, Exact) and isinstance(spec, Ppr):
         return diffuse_exact_ppr(T, spec.alpha)
-    elif isinstance(route, Series) and route.k is not None:
+    elif isinstance(route, Series):
         k = route.k
-    elif isinstance(route, (Exact, Series)):
+    elif isinstance(route, Exact):
         k = truncation_k(spec, SERIES_TAIL_TOL)
     else:
         raise InputError(f"unknown diffusion route {route!r}")

@@ -271,18 +271,19 @@ class TestParseConfig:
          "series_k applies only to mode series, not push"),
         (["--exact"], "series_k = 5",
          "series_k applies only to mode series, not exact"),
-        ([], "mode = series\neps_push = 1e-4",
+        ([], "mode = series\nseries_k = 3\neps_push = 1e-4",
          "eps_push applies only to mode push, not series"),
         (["--series", "3"], "eps_push = 1e-4",
          "eps_push applies only to mode push, not series"),
         (["--method", "heat"], "", "method heat requires t"),
         ([], "method = explicit", "method explicit requires theta_file"),
-        ([], "mode = push", "mode push requires eps_push")],
+        ([], "mode = push", "mode push requires eps_push"),
+        ([], "mode = series", "mode series requires series_k")],
         ids=["wloop-flag", "wloop-file", "alpha-flag", "alpha-file", "t-flag",
              "t-file", "theta_file-flag", "theta_file-file", "series_k-file",
              "series_k-exact-flag", "eps_push-file", "eps_push-series-flag",
              "heat-requires-t", "explicit-requires-theta_file",
-             "push-requires-eps_push"])
+             "push-requires-eps_push", "series-requires-series_k"])
     def test_owned_setting_under_another_choice(self, tmp_path, capsys, flags,
                                                 conf, message):
         theta = tmp_path / "theta.txt"
@@ -324,6 +325,23 @@ class TestTransform:
         assert "self-loops" in capsys.readouterr().err
         g = load_edge_list(out, directed=True, allow_self_loops=True)
         np.testing.assert_allclose(g.to_scipy().toarray(), np.eye(2))
+
+    @pytest.mark.parametrize("method", [[], ["--method", "heat", "--t", "3"]],
+                             ids=["ppr", "heat"])
+    def test_series_zero_warns(self, tmp_path, capsys, method):
+        # Series(0) sums theta_0 I alone under every method
+        inp = str(tmp_path / "g.txt")
+        assert main(["gen-sbm", "--blocks", "30,30", "--p-in", "0.3",
+                     "--p-out", "0.05", "--seed", "1", "--output", inp]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.txt"
+        rc = main(["transform", "--input", inp, "--output", str(out),
+                   "--series", "0"] + method)
+        assert rc == 0
+        assert "self-loops" in capsys.readouterr().err
+        lines = [ln.split() for ln in out.read_text().splitlines()
+                 if ln and not ln.startswith("#")]
+        assert len(lines) == 60 and all(u == v for u, v, *_ in lines)
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", str(tmp_path / "nope.txt"),

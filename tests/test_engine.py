@@ -325,8 +325,8 @@ class TestDispatch:
     def test_series_order_derived_from_tail(self, monkeypatch):
         monkeypatch.setattr(engine, "SERIES_TAIL_TOL", 0.1)
         t = t_of([(0, 1)])
-        s = diffuse(t, Ppr(0.5), Series())
-        assert s.exactness == "series:3"
+        s = diffuse(t, Heat(1.0), Exact())
+        assert s.exactness == "series:2"
 
     def test_push_mode(self):
         t = t_of([(0, 1)])
@@ -338,6 +338,13 @@ class TestDispatch:
     def test_push_needs_eps(self):
         with pytest.raises(InputError):
             diffuse(t_of([(0, 1)]), Ppr(0.5), Push(None))
+
+    def test_series_needs_its_order(self):
+        with pytest.raises(TypeError):
+            Series()
+        with pytest.raises(InputError) as info:
+            Series(None)
+        assert str(info.value) == "series order must be an integer, got None"
 
     def test_push_rejects_explicit(self):
         with pytest.raises(InputError, match="geometric and heat"):
