@@ -6,8 +6,7 @@ from .coeffs import (Explicit, Heat, Ppr, closed_form_converges, closed_form_xi,
                      theta, theta_tail, theta_to_xi, theta_vector, truncation_k,
                      xi_to_theta)
 from .engine import (DiffusionMatrix, Exact, Push, PushColumn, Series, diffuse,
-                     diffuse_exact_ppr, diffuse_push_matrix, diffuse_push_ppr,
-                     diffuse_series)
+                     diffuse_push_ppr)
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, largest_connected_component, load_edge_list,

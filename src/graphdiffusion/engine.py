@@ -1,31 +1,55 @@
 """Computation of the diffusion matrix: closed form, series and push routes.
 
-Three routes to S = sum_k theta_k T^k, each a value (Exact(), Series(k)
-or Push(eps)) that diffuse takes, and each returning a dense N x N array:
+diffuse is the one entry to S = sum_k theta_k T^k. The route is a value,
+Exact(), Series(k) or Push(eps), and every route returns a dense N x N
+array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
 
-* Exact(): geometric diffusion inverts I - (1-a)T densely at every size,
-  in place by one LAPACK inverse: by Cholesky when T is symmetric, by LU
-  otherwise. Its residual is checked one block of PUSH_BLOCK columns at a
-  time, so it holds one N x N array, the Fortran-ordered result, plus
-  block temporaries; time is O(N^3);
-* Series(k): the truncated series accumulates Horner style on blocks of
-  identity columns, never materializing T^k; its certificate is the
-  analytic tail of the dropped weights. Heat and explicit weights under
-  Exact() are this series, and heat under Push(eps) too, truncated where
-  that tail falls below eps;
-* Push(eps): geometric push expands mass only where the residual is
-  large, with an explicit residual certifying the error. Only the threshold-phase push
-  events have a ceiling independent of graph size; the drain that follows
-  is a Chebyshev semi-iteration on the leftover residual, one full-graph
-  matvec per round, so support and wall time per column grow with N. Its
-  residual is signed; its L1 norm still bounds the column's L1 error, and
-  the estimate is clipped at 0. Columns are pushed in blocks of PUSH_BLOCK
-  sources, one sparse-by-dense product per round.
+* Exact(): geometric diffusion a (I - (1-a) T)^-1 forms the system
+  matrix in Fortran order and inverts it in place by one LAPACK inverse,
+  densely at every size. When T is symmetric (a symmetric kind on an
+  undirected graph) the system matrix is symmetric positive definite,
+  since T's spectrum lies in [-1, 1] and so every eigenvalue is at least
+  a; it is inverted by Cholesky, and the result is symmetric bit for bit.
+  Any other T (random walk, or a directed source) is inverted by LU. The
+  per-column residual infinity norm is checked against EXACT_TOL one
+  block of PUSH_BLOCK columns at a time, and a NaN residual fails the
+  check; the certificate is the worst residual. Time is O(N^3); peak
+  memory is the result plus a block's N x PUSH_BLOCK temporaries and
+  LAPACK's workspace. Heat and explicit weights under Exact() are the
+  series, truncated where its analytic tail falls below SERIES_TAIL_TOL;
+* Series(k): the truncated series sum_{j=0..k} theta_j T^j accumulates
+  Horner style on blocks of PUSH_BLOCK identity columns, never
+  materializing T^j. Trailing zero weights leave the sum unchanged bit
+  for bit and are dropped; Ppr weights never increase, nor Heat ones past
+  j = t, so they stop at their first 0.0 and a huge k stays cheap. Each
+  column of a sparse-by-dense product depends only on its own input
+  column, so the result equals the Horner sum on the whole identity bit
+  for bit, whatever the threads. The certificate is the analytic tail
+  sum_{j > k} theta_j, which bounds every column's L1 error when T is
+  column-stochastic (the random walk);
+* Push(eps): geometric push (random walk only) expands mass only where
+  the residual is large, with an explicit residual certifying the error.
+  Only the threshold-phase push events have a ceiling independent of
+  graph size; the drain that follows is a Chebyshev semi-iteration on the
+  leftover residual, one full-graph matvec per round, so support and wall
+  time per column grow with N. Its residual is signed; its L1 norm still
+  bounds the column's L1 error, and the estimate is clipped at 0. Columns
+  are pushed in blocks of PUSH_BLOCK sources, one sparse-by-dense product
+  per round, and each column's result is the same whatever block or
+  thread computes it (diffuse_push_ppr is the one-column entry). The
+  certificate aggregates the per-column residual and cost accounting; a
+  column's support is its count of nonzero entries. Heat under Push(eps)
+  is the series, truncated where its tail falls below eps.
 
 Series and push fill the result through one loop over blocks of PUSH_BLOCK
 columns, each block written into its own contiguous slice of a
 Fortran-ordered N x N array, so either route holds one N x N array plus
-per-block temporaries. Every route's result is Fortran-ordered.
+per-block temporaries per running block. Blocks are independent and run in
+a thread pool (threads=1 runs serially, 0 uses one worker per usable core).
+Only the block products release the interpreter lock, so more threads
+barely help push: at N=1000 and eps 1e-4 on 2 shared cores, two threads
+took 0.315 s against 0.341 s for one, and the block products alone ran 1.3
+times as fast on two threads as on one.
 """
 
 from __future__ import annotations
@@ -124,9 +148,6 @@ class Push:
             raise InputError(f"push tolerance must be positive, got {self.eps}")
 
 
-Route = Exact | Series | Push
-
-
 @dataclass
 class DiffusionMatrix:
     """Columns of the diffusion operator with the accounting of their route."""
@@ -135,10 +156,6 @@ class DiffusionMatrix:
     exactness: str  # 'exact', 'series:K', 'push:EPS'
     # error accounting of the computation, e.g. {'residual_max': ...}
     certificate: dict | None = None
-
-    @property
-    def n(self):
-        return self.data.shape[0]
 
 
 def _inverse(a, spd):
@@ -157,22 +174,8 @@ def _inverse(a, spd):
             if spd else "LU inversion failed; the system matrix is singular") from err
 
 
-def diffuse_exact_ppr(T, alpha):
-    """Exact geometric diffusion a (I - (1-a) T)^-1, dense at every size.
-
-    The system matrix I - (1-a) T is formed in Fortran order and inverted in
-    place by one LAPACK inverse. When T is symmetric (a symmetric kind on an
-    undirected graph) the system matrix is symmetric positive definite,
-    since T's spectrum lies in [-1, 1] and so every eigenvalue is at least
-    a; it is inverted by Cholesky, and the result is symmetric bit for bit.
-    Any other T (random walk, or a directed source) is inverted by LU. The
-    per-column residual infinity norm is then checked against EXACT_TOL one
-    block of PUSH_BLOCK columns at a time; a NaN residual fails the check.
-    Time is O(N^3). Peak memory is one N x N array, the Fortran-ordered
-    result, plus a block's N x PUSH_BLOCK temporaries and LAPACK's
-    workspace.
-    """
-    Ppr(alpha)  # the spec checks alpha
+def _exact_ppr(T, alpha):
+    """Exact() for Ppr(alpha): the closed form, inverted in place."""
     n = T.n
     m = T.matrix
     a = m.toarray(order="F")
@@ -202,29 +205,14 @@ def diffuse_exact_ppr(T, alpha):
     return DiffusionMatrix(data=x, exactness="exact", certificate={"residual_max": worst})
 
 
-def diffuse_series(T, spec, K, threads=0):
-    """Truncated series sum_{k=0..K} theta_k T^k, accumulated Horner style.
-
-    Trailing zero weights leave the sum unchanged bit for bit and are
-    dropped. Ppr weights never increase, nor Heat ones past k = t, so they
-    stop at their first 0.0 and a huge K stays cheap. Horner runs on one
-    block of PUSH_BLOCK identity columns at a time, each written into its
-    columns of a Fortran-ordered result, so peak memory is the result plus
-    a few N x PUSH_BLOCK temporaries per running block. Blocks run in a
-    thread pool as in diffuse_push_matrix (threads=1 runs serially, 0 uses
-    one worker per usable core). Each column of a sparse-by-dense product
-    depends only on its own input column, so the result equals the Horner
-    sum on the whole N x N identity bit for bit, whatever the threads. The
-    certificate is the analytic tail sum_{k > K} theta_k, which bounds
-    every column's L1 error when T is column-stochastic (the random walk).
-    """
-    Series(K)  # the route checks K
+def _series(T, spec, k, threads):
+    """Series(k): the weights up to order k summed Horner style per block."""
     th = []
     # the weights past an explicit list are 0, so at most the list is read
-    last = min(K, len(spec.theta) - 1) if isinstance(spec, Explicit) else K
-    for k in range(last + 1):
-        th.append(theta(spec, k))
-        decreasing = isinstance(spec, Ppr) or isinstance(spec, Heat) and k > spec.t
+    last = min(k, len(spec.theta) - 1) if isinstance(spec, Explicit) else k
+    for j in range(last + 1):
+        th.append(theta(spec, j))
+        decreasing = isinstance(spec, Ppr) or isinstance(spec, Heat) and j > spec.t
         if th[-1] == 0.0 and decreasing:
             break
     while len(th) > 1 and th[-1] == 0.0:
@@ -242,8 +230,8 @@ def diffuse_series(T, spec, K, threads=0):
         return x, None
 
     data, _ = _column_blocks(n, block, threads)
-    return DiffusionMatrix(data=data, exactness=f"series:{K}",
-                           certificate={"tail_mass": theta_tail(spec, K)})
+    return DiffusionMatrix(data=data, exactness=f"series:{k}",
+                           certificate={"tail_mass": theta_tail(spec, k)})
 
 
 @dataclass
@@ -272,12 +260,11 @@ class PushColumn:
         return out
 
 
-def _check_push(T, eps):
-    """Push's preconditions: the random walk and a Push(eps) tolerance."""
+def _require_random_walk(T):
+    """Push's precondition on T: the column-stochastic random walk."""
     if not isinstance(T.kind, RandomWalk):
         raise InputError("push approximations require the column-stochastic "
                          "random-walk transition matrix")
-    Push(eps)
 
 
 def _row_l1(r):
@@ -393,10 +380,11 @@ def diffuse_push_ppr(T, alpha, eps, column):
     caps the column's L1 error. The residual may be signed, so p is
     finally clipped at 0, which moves no entry away from the nonnegative
     exact column. This is the block kernel
-    run on a block of one column; diffuse_push_matrix runs it on blocks of
+    run on a block of one column; diffuse's Push route runs it on blocks of
     PUSH_BLOCK columns with the same per-column result.
     """
-    _check_push(T, eps)
+    _require_random_walk(T)
+    Push(eps)  # the route checks eps
     Ppr(alpha)  # the spec checks alpha
     n = T.n
     if not 0 <= column < n:
@@ -420,63 +408,48 @@ def _push_certificate(support, residual_l1, touched, rounds_drain):
     }
 
 
-def diffuse_push_matrix(T, spec, eps, threads=0):
-    """All columns of a geometric push approximation, as one dense N x N array.
-
-    Columns are pushed in consecutive blocks of PUSH_BLOCK sources, and
-    each block is written straight into its columns of a Fortran-ordered
-    result, so a block is one contiguous slice. Blocks are independent and
-    run in a thread pool (threads=1 runs serially, 0 uses one worker per
-    usable core), writing disjoint slices. Only the block products release
-    the interpreter lock; the rest of each round holds it, so more threads
-    barely help: at N=1000 and eps 1e-4 on 2 shared cores, two threads took
-    0.315 s against 0.341 s for one, and the block products alone ran 1.3
-    times as fast on two threads as on one. Each column's result is the
-    same whatever block or thread computes it. Peak memory is the result
-    plus each running block's N x PUSH_BLOCK temporaries. The certificate
-    aggregates the per-column residual and cost accounting; a column's
-    support is its count of nonzero entries. Heat has no push kernel: see
-    diffuse.
-    """
-    if not isinstance(spec, Ppr):
-        raise InputError("the push kernel is geometric only; diffuse runs heat "
-                         "under push as a truncated series")
-    _check_push(T, eps)
+def _push_matrix(T, alpha, eps, threads):
+    """Push(eps) for Ppr(alpha): every column, pushed one block at a time."""
 
     def block(lo, hi):
         p, residual_l1, touched, _, rounds_drain = _push_ppr_block(
-            T, spec.alpha, eps, np.arange(lo, hi))
+            T, alpha, eps, np.arange(lo, hi))
         return p, (np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain)
 
     data, blocks = _column_blocks(T.n, block, threads)
     certificate = _push_certificate(*map(np.concatenate, zip(*blocks))) if T.n else {}
-    return DiffusionMatrix(data=data, exactness=f"push:{eps:g}",
-                           certificate=certificate)
+    return DiffusionMatrix(data=data, exactness=f"push:{eps:g}", certificate=certificate)
 
 
 def diffuse(T, spec, route=Exact(), threads=0):
-    """The diffusion by the one route that spec and route select.
+    """The diffusion of T under spec by route, the one entry to every route.
 
-    Geometric Exact() is the closed-form solve and geometric Push(eps) the
-    block push kernel. Everything else is diffuse_series: at Series(k)'s
-    k, else at the order whose analytic tail is below SERIES_TAIL_TOL
-    under Exact() and below eps for heat under Push(eps) (push's
-    per-column L1 <= eps on the random walk it requires). Explicit weights
-    have no push route.
+    Geometric Exact() is the closed-form solve, with certificate
+    {'residual_max'}, and geometric Push(eps) the block push kernel, with
+    certificate {'residual_l1_max', 'support_mean', 'touched_mean',
+    'drain_rounds_mean'} (empty for N = 0). Everything else is the series,
+    with certificate {'tail_mass'}: at Series(k)'s k, else at the order
+    whose analytic tail is below SERIES_TAIL_TOL under Exact() and below
+    eps for heat under Push(eps) (push's per-column L1 <= eps on the random
+    walk it requires). Push takes the random-walk T only, checked once per
+    call, and explicit weights have no push route. threads sizes the pool
+    of the series and push blocks (see worker_count); it does not reach the
+    closed form, which runs on the BLAS library's own threads. The module
+    docstring gives each route's time, memory and accuracy.
     """
     if isinstance(route, Push):
-        if isinstance(spec, Ppr):
-            return diffuse_push_matrix(T, spec, route.eps, threads=threads)
-        if not isinstance(spec, Heat):
+        if not isinstance(spec, (Ppr, Heat)):
             raise InputError("push mode supports the geometric and heat families only")
-        _check_push(T, route.eps)
+        _require_random_walk(T)
+        if isinstance(spec, Ppr):
+            return _push_matrix(T, spec.alpha, route.eps, threads)
         k = truncation_k(spec, route.eps)
     elif isinstance(route, Exact) and isinstance(spec, Ppr):
-        return diffuse_exact_ppr(T, spec.alpha)
+        return _exact_ppr(T, spec.alpha)
     elif isinstance(route, Series):
         k = route.k
     elif isinstance(route, Exact):
         k = truncation_k(spec, SERIES_TAIL_TOL)
     else:
         raise InputError(f"unknown diffusion route {route!r}")
-    return diffuse_series(T, spec, k, threads=threads)
+    return _series(T, spec, k, threads)

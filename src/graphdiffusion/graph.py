@@ -293,17 +293,30 @@ def scaled(m, left, right=None):
     return sp.csc_matrix((vals, m.indices.copy(), m.indptr.copy()), shape=m.shape)
 
 
+def require_nonzero_degrees(g, d):
+    """Raise InputError if a degree in d, one per node of g, is 0.
+
+    The message names g's original ids: the first zero-degree node, their
+    count and at most 5 of them, so it stays one bounded line.
+    """
+    zero = np.flatnonzero(d == 0)
+    if zero.size:
+        ids = g.original_ids[zero[:5]].tolist()
+        more = ", ..." if zero.size > 5 else ""
+        raise InputError(f"node {ids[0]} has degree 0 ({zero.size} zero-degree "
+                         f"node(s): {', '.join(map(str, ids))}{more})")
+
+
 def transition_matrix(g, kind):
     """T_rw, T_sym or the self-loop variant: g scaled by its degrees d = g.degrees().
 
     Every normalization but postprocess's directed 'sym' (by in-degrees)
-    comes from here; D^-1 is formed as 1.0 / d.
+    comes from here; D^-1 is formed as 1.0 / d, so a zero degree is
+    rejected under RandomWalk and Symmetric (see require_nonzero_degrees).
     """
     d = g.degrees()
-    zero = np.flatnonzero(d == 0)
-    if isinstance(kind, (RandomWalk, Symmetric)) and zero.size:
-        raise InputError(f"node {int(zero[0])} has degree 0; "
-                         "extract the largest connected component first")
+    if isinstance(kind, (RandomWalk, Symmetric)):
+        require_nonzero_degrees(g, d)
 
     if isinstance(kind, RandomWalk):
         m = scaled(g.matrix, np.ones(g.n), 1.0 / d)

@@ -18,8 +18,8 @@ import numpy as np
 from . import engine
 from .engine import DiffusionMatrix, Exact, diffuse
 from .errors import InputError, check_number
-from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix, scaled,
-                    transition_matrix)
+from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix,
+                    require_nonzero_degrees, scaled, transition_matrix)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,10 @@ class PostProcess:
     symmetrize: bool = False
     unweighted: bool = False
     renorm: str | None = None  # 'sym', 'rw' or None
+
+    def __post_init__(self):
+        if self.renorm not in (None, "rw", "sym"):
+            raise InputError(f"unknown renormalization {self.renorm!r}")
 
 
 def _topk_mask(cols, k):
@@ -210,10 +214,11 @@ def postprocess(g, opts):
     Renormalization is transition_matrix of the processed graph: 'rw' is
     A D^-1 and 'sym' is D^-1/2 A D^-1/2 with D its column sums (degrees).
     A directed graph (symmetrize off) under 'sym' is the one exception: D
-    is its row sums, the in-degrees. Renormalization fails loudly if
-    sparsification isolated a node (zero degree); silently inserting
-    self-loops would change the spectrum. Returns a SparseGraph when
-    renorm is None, else a TransitionMatrix on the processed graph.
+    is its row sums, the in-degrees. Renormalization fails loudly, through
+    require_nonzero_degrees, if sparsification isolated a node (zero
+    degree); silently inserting self-loops would change the spectrum.
+    Returns a SparseGraph when renorm is None, else a TransitionMatrix on
+    the processed graph.
 
     g's arrays are read in place, not copied. What it allocates is the
     symmetrized sum (symmetrize), the unit weights (unweighted), the
@@ -230,22 +235,15 @@ def postprocess(g, opts):
                                     original_ids=g.original_ids, allow_loops=True)
     if opts.renorm is None:
         return result
-    kinds = {"rw": RandomWalk(), "sym": Symmetric()}
-    if opts.renorm not in kinds:
-        raise InputError(f"unknown renormalization {opts.renorm!r}")
-
-    # degrees are column sums; a directed graph under sym is normalized by
-    # its row sums (in-degrees)
-    in_degrees = directed and opts.renorm == "sym"
-    d = np.asarray(result.matrix.sum(axis=1 if in_degrees else 0)).ravel()
-    isolated = np.flatnonzero(d == 0)
-    if isolated.size:
-        raise InputError("sparsification isolated node(s) "
-                         f"{isolated.tolist()}; cannot renormalize")
-    if in_degrees:
-        return TransitionMatrix(matrix=scaled(result.matrix, 1.0 / np.sqrt(d)),
-                                kind=Symmetric(), source=result, degrees=d)
-    return transition_matrix(result, kinds[opts.renorm])
+    if opts.renorm == "rw":
+        return transition_matrix(result, RandomWalk())
+    if not directed:
+        return transition_matrix(result, Symmetric())
+    # a directed graph under sym is normalized by its row sums (in-degrees)
+    d = np.asarray(result.matrix.sum(axis=1)).ravel()
+    require_nonzero_degrees(result, d)
+    return TransitionMatrix(matrix=scaled(result.matrix, 1.0 / np.sqrt(d)),
+                            kind=Symmetric(), source=result, degrees=d)
 
 
 def diffuse_graph(g, transition, spec, rule, post, route=Exact(), threads=0):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from graphdiffusion import (GdcConfig, Heat, PostProcess, Ppr, RandomWalk,
-                            SbmSpec, Symmetric, SymmetricSelfLoop, Threshold,
-                            closed_form_xi, diffuse_exact_ppr, diffuse_push_ppr,
-                            diffuse_series, eigen, eval_gdc_clustering,
+                            SbmSpec, Series, Symmetric, SymmetricSelfLoop,
+                            Threshold, closed_form_xi, diffuse, diffuse_push_ppr,
+                            eigen, eval_gdc_clustering,
                             eigenvalue_map, filter_response_curve,
                             generate_sbm, largest_connected_component,
                             laplacian, load_graph, sparsify, theta_to_xi,
@@ -43,9 +43,9 @@ def test_criterion_1_series_exact_equivalence():
         for kind in kinds:
             t = transition_matrix(g, kind)
             for alpha in alphas:
-                exact = diffuse_exact_ppr(t, alpha).data
+                exact = diffuse(t, Ppr(alpha)).data
                 k = truncation_k(Ppr(alpha), 1e-12)
-                series = diffuse_series(t, Ppr(alpha), k).data
+                series = diffuse(t, Ppr(alpha), Series(k)).data
                 worst = max(worst, float(np.abs(exact - series).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 30.0
@@ -60,13 +60,13 @@ def test_criterion_2_eigenvalue_map_theorem():
         t = transition_matrix(g, kind)
         lam_t = eigen(t.matrix).eigenvalues
         for alpha in (0.1, 0.2):
-            s = diffuse_exact_ppr(t, alpha)
+            s = diffuse(t, Ppr(alpha))
             lam_s = np.sort(eigen(s.data).eigenvalues)
             mapped = np.sort([eigenvalue_map(Ppr(alpha), x) for x in lam_t])
             worst = max(worst, float(np.abs(lam_s - mapped).max()))
         for t_diff in (1.0, 5.0):
             k = truncation_k(Heat(t_diff), 1e-14)
-            s = diffuse_series(t, Heat(t_diff), k)
+            s = diffuse(t, Heat(t_diff), Series(k))
             lam_s = np.sort(eigen(s.data).eigenvalues)
             mapped = np.sort([eigenvalue_map(Heat(t_diff), x) for x in lam_t])
             worst = max(worst, float(np.abs(lam_s - mapped).max()))
@@ -102,7 +102,7 @@ def test_criterion_4_filter_equivalence_and_divergence():
     graphs = [load_graph([(0, 1), (1, 2), (2, 0)]), connected_er(30, 0.15, 40)]
     for g in graphs:
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.75)
+        s = diffuse(t, Ppr(0.75))
         lap = laplacian(t)
         xi = [closed_form_xi(Ppr(0.75), j) for j in range(201)]
         for _ in range(10):
@@ -132,7 +132,7 @@ def test_criterion_5_perturbation_bound():
         g, _ = generate_sbm(SbmSpec((50, 50), 0.08, 0.02, seed=500 + seed))
         g, _ = largest_connected_component(g)
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.1)
+        s = diffuse(t, Ppr(0.1))
         n = g.n
         dense = s.data
         before = np.sort(np.linalg.eigvalsh(dense))
@@ -152,7 +152,7 @@ def test_criterion_6_push_accuracy_and_locality():
     g1, _ = largest_connected_component(g1)
     assert g1.n == 1000, "benchmark graph must stay connected"
     t1 = transition_matrix(g1, RandomWalk())
-    exact = diffuse_exact_ppr(t1, 0.15).data
+    exact = diffuse(t1, Ppr(0.15)).data
     worst_l1 = 0.0
     touched_small = []
     for j in range(1000):

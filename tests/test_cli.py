@@ -140,8 +140,9 @@ class TestParseConfig:
         ("transform", "threads = two", "bad int for threads: 'two'"),
         ("transform", "seed = 1.5", "bad int for seed: '1.5'"),
         ("gen-sbm", None, "bad int for --blocks: 'abc'"),
-        ("eval-cluster", None, "bad int for --blocks: 'abc'")],
-        ids=["alpha", "threads", "seed", "gen-sbm", "eval-cluster"])
+        ("eval-cluster", None, "bad int for --blocks: 'abc'"),
+        ("transform", "symmetrize = maybe", "bad boolean for symmetrize: 'maybe'")],
+        ids=["alpha", "threads", "seed", "gen-sbm", "eval-cluster", "symmetrize"])
     def test_bad_number_is_usage_error(self, tmp_path, capsys, command, line,
                                        message):
         out = tmp_path / "out.txt"
@@ -342,6 +343,48 @@ class TestTransform:
         lines = [ln.split() for ln in out.read_text().splitlines()
                  if ln and not ln.startswith("#")]
         assert len(lines) == 60 and all(u == v for u, v, *_ in lines)
+
+    def test_zero_degree_error_names_input_ids(self, tmp_path, capsys):
+        # heat at t = 800 underflows theta_0, so Series(0) is the zero
+        # matrix and every node of the 60-node graph loses its edges
+        inp = tmp_path / "g.txt"
+        assert main(["gen-sbm", "--blocks", "30,30", "--p-in", "0.3",
+                     "--p-out", "0.05", "--seed", "1", "--output", str(inp)]) == 0
+        capsys.readouterr()
+        shifted = tmp_path / "shifted.txt"
+        shifted.write_text("".join(
+            f"{int(u) + 100} {int(v) + 100} {w}\n" for u, v, w in
+            (ln.split() for ln in inp.read_text().splitlines()
+             if ln and not ln.startswith("#"))))
+        rc = main(["transform", "--input", str(shifted), "--output",
+                   str(tmp_path / "o.txt"), "--method", "heat", "--t", "800",
+                   "--series", "0"])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("E_COMPUTE: node 100 has degree 0 (60 ")
+        assert line.endswith("100, 101, 102, 103, 104, ...)")
+        assert len(line) <= 200
+
+    @pytest.mark.parametrize("flags,conf,theta,rc,message", [
+        ([], "mode exact", None, 2, "E_USAGE: CONF:2: expected 'key = value'"),
+        (["--sparsify", "top:3"], "", None, 2,
+         "E_USAGE: bad sparsify rule 'top:3'; use topk:K, eps:E or degree:D"),
+        (["--method", "explicit", "--theta-file", "THETA"], "", "# none\n", 1,
+         "E_COMPUTE: THETA: no numbers found")],
+        ids=["config-line", "rule-name", "empty-theta"])
+    def test_malformed_setting_fails_before_input(self, tmp_path, capsys, flags,
+                                                  conf, theta, rc, message):
+        config = tmp_path / "run.conf"
+        config.write_text(f"output = {tmp_path / 'o.txt'}\n{conf}\n")
+        path = tmp_path / "theta.txt"
+        if theta is not None:
+            path.write_text(theta)
+        flags = [str(path) if f == "THETA" else f for f in flags]
+        assert main(["transform", "--input", str(tmp_path / "missing.txt"),
+                     "--config", str(config)] + flags) == rc
+        assert capsys.readouterr().err.splitlines() == [
+            message.replace("CONF", str(config)).replace("THETA", str(path))]
+        assert not (tmp_path / "o.txt").exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", str(tmp_path / "nope.txt"),

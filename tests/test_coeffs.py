@@ -168,6 +168,10 @@ class TestClosedForm:
         assert not closed_form_converges(Ppr(0.5))
         assert closed_form_converges(Heat(30.0))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(InputError, match="non-negative, got -1"):
+            closed_form_xi(Ppr(0.5), -1)
+
     def test_explicit_rejected(self):
         with pytest.raises(InputError):
             closed_form_xi(Explicit((1.0,)), 0)

@@ -5,9 +5,8 @@ import pytest
 
 from graphdiffusion import (ComputeError, Exact, Explicit, Heat, InputError,
                             Ppr, Push, RandomWalk, Series, Symmetric,
-                            SymmetricSelfLoop, diffuse, diffuse_exact_ppr,
-                            diffuse_series, eigen, load_graph, theta_vector,
-                            transition_matrix, truncation_k)
+                            SymmetricSelfLoop, diffuse, eigen, load_graph,
+                            theta_vector, transition_matrix, truncation_k)
 from graphdiffusion import engine
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from conftest import connected_er
@@ -19,33 +18,33 @@ def t_of(edges, kind=RandomWalk()):
 
 class TestExactGeometric:
     def test_k2_half(self):
-        s = diffuse_exact_ppr(t_of([(0, 1)]), 0.5)
+        s = diffuse(t_of([(0, 1)]), Ppr(0.5))
         np.testing.assert_allclose(s.data, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
                                    atol=1e-12)
 
     def test_k3_half(self):
         # 3x3 oracle: (aI + bJ)^-1 = (1/a)(I - b J / (a + 3b)) with
         # a = 1.25, b = -0.25 gives S = 0.4 I + 0.2 J
-        s = diffuse_exact_ppr(t_of([(0, 1), (1, 2), (2, 0)]), 0.5)
+        s = diffuse(t_of([(0, 1), (1, 2), (2, 0)]), Ppr(0.5))
         expected = 0.4 * np.eye(3) + 0.2 * np.ones((3, 3))
         np.testing.assert_allclose(s.data, expected, atol=1e-12)
         np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-12)
 
     def test_alpha_near_one_is_identity(self):
-        s = diffuse_exact_ppr(t_of([(0, 1), (1, 2)]), 1 - 1e-12)
+        s = diffuse(t_of([(0, 1), (1, 2)]), Ppr(1 - 1e-12))
         np.testing.assert_allclose(s.data, np.eye(3), atol=1e-9)
 
     def test_residual_contract(self):
         g = connected_er(50, 0.1, 1)
         t = transition_matrix(g, RandomWalk())
-        s = diffuse_exact_ppr(t, 0.1).data
+        s = diffuse(t, Ppr(0.1)).data
         resid = 0.1 * np.eye(50) - (s - 0.9 * (t.matrix @ s))
         assert np.abs(resid).max() < 1e-10
 
     def test_certificate_records_residual(self):
         g = connected_er(40, 0.1, 3)
         t = transition_matrix(g, RandomWalk())
-        s = diffuse_exact_ppr(t, 0.2)
+        s = diffuse(t, Ppr(0.2))
         resid = 0.2 * np.eye(40) - (s.data - 0.8 * (t.matrix @ s.data))
         assert s.certificate == {"residual_max": float(np.abs(resid).max())}
 
@@ -57,25 +56,25 @@ class TestExactGeometric:
                             lambda a, spd: true_inverse(a, spd) + 1e-6)
         t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
         with pytest.raises(ComputeError, match="residual"):
-            diffuse_exact_ppr(t, 0.05)
+            diffuse(t, Ppr(0.05))
 
     def test_nan_inverse_fails_the_residual_check(self, monkeypatch):
         monkeypatch.setattr(engine, "_inverse",
                             lambda a, spd: np.full_like(a, np.nan))
         t = transition_matrix(connected_er(30, 0.15, 2), Symmetric())
         with pytest.raises(ComputeError, match="residual nan"):
-            diffuse_exact_ppr(t, 0.05)
+            diffuse(t, Ppr(0.05))
 
     def test_alpha_validated(self):
         with pytest.raises(InputError):
-            diffuse_exact_ppr(t_of([(0, 1)]), 0.0)
+            diffuse(t_of([(0, 1)]), Ppr(0.0))
 
     @pytest.mark.parametrize("kind", [RandomWalk(), Symmetric(),
                                       SymmetricSelfLoop(1.0)])
     def test_column_sums_random_walk_only(self, kind):
         g = connected_er(40, 0.12, 3)
         t = transition_matrix(g, kind)
-        s = diffuse_exact_ppr(t, 0.15)
+        s = diffuse(t, Ppr(0.15))
         sums = s.data.sum(axis=0)
         if isinstance(kind, RandomWalk):
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -83,7 +82,7 @@ class TestExactGeometric:
     def test_entries_nonnegative(self):
         g = connected_er(40, 0.12, 4)
         t = transition_matrix(g, SymmetricSelfLoop(1.0))
-        s = diffuse_exact_ppr(t, 0.1)
+        s = diffuse(t, Ppr(0.1))
         assert s.data.min() >= -1e-12
 
 
@@ -118,7 +117,7 @@ class TestExactSolvers:
     def test_cholesky_matches_solve(self, kind, alpha, monkeypatch):
         t = transition_matrix(connected_er(80, 0.08, 11), kind)
         calls = count_cholesky_calls(monkeypatch)
-        s = diffuse_exact_ppr(t, alpha)
+        s = diffuse(t, Ppr(alpha))
         assert calls == [(80, 80)]
         assert np.abs(s.data - lu_reference(t, alpha)).max() < 1e-12
         assert np.array_equal(s.data, s.data.T)
@@ -128,7 +127,7 @@ class TestExactSolvers:
     def test_random_walk_solves_by_lu(self, monkeypatch):
         t = transition_matrix(connected_er(60, 0.1, 12), RandomWalk())
         calls = count_cholesky_calls(monkeypatch)
-        s = diffuse_exact_ppr(t, 0.2)
+        s = diffuse(t, Ppr(0.2))
         assert calls == []
         np.testing.assert_allclose(s.data, lu_reference(t, 0.2), rtol=1e-14, atol=0)
         np.testing.assert_allclose(s.data.sum(axis=0), 1.0, atol=1e-12)
@@ -140,7 +139,7 @@ class TestExactSolvers:
         t = transition_matrix(g, Symmetric())
         assert (t.matrix != t.matrix.T).nnz
         calls = count_cholesky_calls(monkeypatch)
-        s = diffuse_exact_ppr(t, 0.15)
+        s = diffuse(t, Ppr(0.15))
         assert calls == []
         np.testing.assert_allclose(s.data, lu_reference(t, 0.15), rtol=1e-14, atol=0)
         assert s.certificate["residual_max"] < 1e-12
@@ -165,7 +164,7 @@ def test_exact_solve_peak_memory(kind):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        s = diffuse_exact_ppr(t, 0.15)
+        s = diffuse(t, Ppr(0.15))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -196,19 +195,19 @@ def test_series_peak_memory_is_one_dense_array():
 
 class TestSeries:
     def test_identity_weights(self):
-        s = diffuse_series(t_of([(0, 1), (1, 2)]), Explicit((1.0,)), 0)
+        s = diffuse(t_of([(0, 1), (1, 2)]), Explicit((1.0,)), Series(0))
         np.testing.assert_allclose(s.data, np.eye(3))
 
     def test_one_hop_weights(self):
         t = t_of([(0, 1), (1, 2), (2, 0)])
-        s = diffuse_series(t, Explicit((0.0, 1.0, 0.0)), 2)
+        s = diffuse(t, Explicit((0.0, 1.0, 0.0)), Series(2))
         np.testing.assert_allclose(s.data, t.matrix.toarray(), atol=1e-15)
 
     def test_k2_heat_closed_form(self):
         # e^-t expm(tA) on K2 equals cosh/sinh mixing: t = ln 2 gives
         # diag (1 + 1/4)/2 = 0.625 and off-diagonal (1 - 1/4)/2 = 0.375
         t = t_of([(0, 1)])
-        s = diffuse_series(t, Heat(np.log(2.0)), 60)
+        s = diffuse(t, Heat(np.log(2.0)), Series(60))
         np.testing.assert_allclose(s.data, [[0.625, 0.375], [0.375, 0.625]],
                                    atol=1e-12)
 
@@ -218,14 +217,14 @@ class TestSeries:
     def test_series_converges_to_exact(self, kind, alpha):
         g = connected_er(70, 0.08, 5)
         t = transition_matrix(g, kind)
-        exact = diffuse_exact_ppr(t, alpha)
-        series = diffuse_series(t, Ppr(alpha), truncation_k(Ppr(alpha), 1e-12))
+        exact = diffuse(t, Ppr(alpha))
+        series = diffuse(t, Ppr(alpha), Series(truncation_k(Ppr(alpha), 1e-12)))
         assert np.abs(exact.data - series.data).max() < 1e-8
 
     def test_commutes_with_transition(self):
         g = connected_er(50, 0.1, 6)
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.2).data
+        s = diffuse(t, Ppr(0.2)).data
         tm = t.matrix.toarray()
         assert np.abs(s @ tm - tm @ s).max() < 1e-9
 
@@ -233,7 +232,7 @@ class TestSeries:
         g = connected_er(80, 0.07, 7)
         t = transition_matrix(g, Symmetric())
         k = truncation_k(Heat(2.5), 1e-14)
-        s = diffuse_series(t, Heat(2.5), k).data
+        s = diffuse(t, Heat(2.5), Series(k)).data
         rep = eigen(t.matrix, want_vectors=True)
         u, lam = rep.eigenvectors, rep.eigenvalues
         recon = u @ np.diag(np.exp(2.5 * (lam - 1.0))) @ u.T
@@ -256,7 +255,7 @@ class TestSeries:
             full = t.matrix @ full
             if coef != 0.0:
                 full[diag, diag] += coef
-        s = diffuse_series(t, spec, k)
+        s = diffuse(t, spec, Series(k))
         assert s.data.flags.f_contiguous
         assert np.array_equal(s.data, full)
 
@@ -266,8 +265,8 @@ class TestSeries:
         t = transition_matrix(connected_er(3 * engine.PUSH_BLOCK + 5, 0.05, 9),
                               RandomWalk())
         assert t.n % engine.PUSH_BLOCK != 0
-        one = diffuse_series(t, spec, k, threads=1)
-        two = diffuse_series(t, spec, k, threads=2)
+        one = diffuse(t, spec, Series(k), threads=1)
+        two = diffuse(t, spec, Series(k), threads=2)
         assert np.array_equal(one.data, two.data)
         assert one.certificate == two.certificate
 
@@ -285,7 +284,7 @@ class TestSeries:
 
     def test_negative_order_rejected(self):
         with pytest.raises(InputError):
-            diffuse_series(t_of([(0, 1)]), Ppr(0.5), -1)
+            diffuse(t_of([(0, 1)]), Ppr(0.5), Series(-1))
 
     @pytest.mark.parametrize("spec", [Ppr(0.15), Heat(3.0)])
     def test_huge_order_stops_at_underflow(self, spec):
@@ -299,12 +298,12 @@ class TestSeries:
             full[np.diag_indices(t.n)] += coef
         tracemalloc.start()
         try:
-            huge = diffuse_series(t, spec, 10 ** 6)
+            huge = diffuse(t, spec, Series(10 ** 6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(huge.data, full)
-        assert np.array_equal(diffuse_series(t, spec, 5000).data, full)
+        assert np.array_equal(diffuse(t, spec, Series(5000)).data, full)
         assert huge.exactness == "series:1000000"
         # a list of 10**6 weights alone takes over 30 MB
         assert peak < 2 * 2 ** 20
@@ -370,7 +369,8 @@ class TestDispatch:
     (Heat, "3", "diffusion time must be a finite number, got '3'"),
     (Heat, np.inf, "diffusion time must be a finite number, got inf"),
     (SymmetricSelfLoop, True, "self-loop weight must be a finite number, got True"),
-    (SymmetricSelfLoop, -np.inf, "self-loop weight must be a finite number, got -inf")])
+    (SymmetricSelfLoop, -np.inf, "self-loop weight must be a finite number, got -inf"),
+    (Explicit, (), "explicit weight list may not be empty")])
 def test_value_types_check_their_argument(make, arg, message):
     with pytest.raises(InputError) as info:
         make(arg)

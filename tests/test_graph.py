@@ -208,6 +208,15 @@ class TestValidate:
         with pytest.raises(InputError, match="must run from 0 to the entry count"):
             SparseGraph(len(ptr) - 1, ptr, rows, vals, directed=True)
 
+    @pytest.mark.parametrize("ptr,rows,directed,message", [
+        ([0, 1], [0], True, "column pointer array has wrong length"),
+        ([0, 1, 2], [0, 1], True, "self-loops are not allowed in a base adjacency"),
+        ([0, 1, 1], [1], False, "undirected graph must be stored symmetrically")],
+        ids=["pointer-length", "self-loop", "asymmetric"])
+    def test_malformed_structure_rejected(self, ptr, rows, directed, message):
+        with pytest.raises(InputError, match=message):
+            SparseGraph(2, ptr, rows, np.ones(len(rows)), directed=directed)
+
     def test_row_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             SparseGraph(2, [0, 1, 2], [1, 2], [1.0, 1.0], directed=True)
@@ -316,6 +325,16 @@ class TestTransitions:
             transition_matrix(g, RandomWalk())
         with pytest.raises(InputError, match="node 2"):
             transition_matrix(g, Symmetric())
+
+    def test_zero_degree_named_by_input_id(self):
+        # node 30, position 2, has no edge
+        g = SparseGraph(3, [0, 1, 2, 2], [1, 0], [1.0, 1.0], directed=False,
+                        original_ids=[10, 20, 30])
+        for kind in (RandomWalk(), Symmetric()):
+            with pytest.raises(InputError) as info:
+                transition_matrix(g, kind)
+            assert str(info.value) == ("node 30 has degree 0 "
+                                       "(1 zero-degree node(s): 30)")
 
     def test_invalid_loop_weight(self):
         with pytest.raises(InputError):

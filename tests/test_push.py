@@ -6,10 +6,10 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import (Heat, InputError, Ppr, Push, RandomWalk, SparseGraph,
-                            Symmetric, TransitionMatrix, diffuse,
-                            diffuse_exact_ppr, diffuse_push_matrix,
-                            diffuse_push_ppr, diffuse_series, load_graph,
-                            transition_matrix, truncation_k)
+                            Series, Symmetric, TransitionMatrix, diffuse,
+                            diffuse_push_ppr, load_graph, transition_matrix,
+                            truncation_k)
+from graphdiffusion import engine
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from graphdiffusion.engine import PUSH_BLOCK, _push_ppr_block, worker_count
 
@@ -53,7 +53,7 @@ class TestPushGeometric:
 
     def test_star_center(self):
         t = rw([(0, i) for i in range(1, 100)])
-        exact = diffuse_exact_ppr(t, 0.15).data[:, 0]
+        exact = diffuse(t, Ppr(0.15)).data[:, 0]
         col = diffuse_push_ppr(t, 0.15, 1e-4, 0)
         assert np.abs(col.dense(100) - exact).sum() < 1e-2
 
@@ -74,7 +74,7 @@ class TestPushGeometric:
             p[active] += alpha * ra
             r[active] = 0.0
             r += (1 - alpha) * (t.matrix[:, active] @ ra)
-        exact = diffuse_exact_ppr(t, alpha).data[:, 1]
+        exact = diffuse(t, Ppr(alpha)).data[:, 1]
         propagated = alpha * np.linalg.solve(
             np.eye(n) - (1 - alpha) * t.matrix.toarray(), r)
         np.testing.assert_allclose(p + propagated, exact, atol=1e-12)
@@ -128,7 +128,7 @@ class TestPushGeometric:
     def test_monotone_convergence(self):
         t = rw([(i, j) for i in range(8) for j in range(i + 1, 8)
                 if (i + j) % 3 != 0])
-        exact = diffuse_exact_ppr(t, 0.2).data[:, 0]
+        exact = diffuse(t, Ppr(0.2)).data[:, 0]
         errs = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             col = diffuse_push_ppr(t, 0.2, eps, 0)
@@ -161,8 +161,8 @@ class TestPushDrain:
         t = transition_matrix(g, RandomWalk())
         assert t.n == 1000
         eps = 1e-4
-        s = diffuse_push_matrix(t, Ppr(0.15), eps, threads=1)
-        exact = diffuse_exact_ppr(t, 0.15).data
+        s = diffuse(t, Ppr(0.15), Push(eps), threads=1)
+        exact = diffuse(t, Ppr(0.15)).data
         err = np.abs(s.data - exact).sum(axis=0)
         assert err.max() <= s.certificate["residual_l1_max"] + 1e-12
         assert s.certificate["residual_l1_max"] <= 50.0 * eps
@@ -176,7 +176,7 @@ class TestPushDrain:
         edges += [(int(i), int(j)) for i, j in rng.integers(0, n, (3 * n, 2)) if i != j]
         t = transition_matrix(load_graph(edges, directed=True), RandomWalk())
         m, thresholds = t.matrix, eps * t.degrees
-        exact = diffuse_exact_ppr(t, alpha).data
+        exact = diffuse(t, Ppr(alpha)).data
         for j in (0, 33, 79):
             col = diffuse_push_ppr(t, alpha, eps, j)
             p, r = np.zeros(n), np.zeros(n)
@@ -207,7 +207,7 @@ class TestPushDrain:
     def test_bipartite_and_long_diameter(self, edges, alpha, eps):
         # T has eigenvalue -1 on each graph, an end of the drain's interval
         t = rw(edges)
-        exact = diffuse_exact_ppr(t, alpha).data
+        exact = diffuse(t, Ppr(alpha)).data
         p, residual_l1, _, _, rounds_drain = _push_ppr_block(t, alpha, eps,
                                                              np.arange(t.n))
         assert rounds_drain.any()
@@ -236,7 +236,7 @@ class TestPushHeat:
 
     def test_ring_against_series(self):
         t = rw([(i, (i + 1) % 50) for i in range(50)])
-        series = diffuse_series(t, Heat(3.0), 200).data[:, 0]
+        series = diffuse(t, Heat(3.0), Series(200)).data[:, 0]
         col = heat_push(t, 3.0, 1e-5).data[:, 0]
         assert np.abs(col - series).sum() < 1e-3
 
@@ -244,7 +244,7 @@ class TestPushHeat:
     def test_l1_contract(self, t_val, eps):
         t = rw([(i, j) for i in range(10) for j in range(i + 1, 10)
                 if (i * j) % 4 != 1])
-        series = diffuse_series(t, Heat(t_val), 220).data
+        series = diffuse(t, Heat(t_val), Series(220)).data
         s = heat_push(t, t_val, eps)
         assert s.exactness == f"series:{truncation_k(Heat(t_val), eps)}"
         assert np.abs(s.data - series).sum(axis=0).max() <= eps
@@ -257,18 +257,31 @@ class TestPushHeat:
 
 
 class TestPushMatrix:
+    @pytest.mark.parametrize("spec", [Ppr(0.2), Heat(1.0)])
+    def test_random_walk_checked_once(self, monkeypatch, spec):
+        calls = []
+        check = engine._require_random_walk
+        monkeypatch.setattr(engine, "_require_random_walk",
+                            lambda t: calls.append(t) or check(t))
+        t = rw([(0, 1), (1, 2)])
+        diffuse(t, spec, Push(1e-6))
+        assert calls == [t]
+        sym = transition_matrix(load_graph([(0, 1)]), Symmetric())
+        with pytest.raises(InputError, match="random-walk"):
+            diffuse(sym, spec, Push(1e-6))
+
     def test_assembles_all_columns(self):
         t = rw([(0, 1), (1, 2), (2, 0)])
-        exact = diffuse_exact_ppr(t, 0.3).data
-        m = diffuse_push_matrix(t, Ppr(0.3), 1e-8)
+        exact = diffuse(t, Ppr(0.3)).data
+        m = diffuse(t, Ppr(0.3), Push(1e-8))
         assert m.data.shape == (3, 3) and m.data.flags.f_contiguous
         assert np.abs(m.data - exact).max() < 1e-5
 
     def test_thread_count_does_not_change_result(self):
         t = rw([(i, (i + 3) % 20) for i in range(20)] +
                [(i, (i + 1) % 20) for i in range(20)])
-        a = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=1)
-        b = diffuse_push_matrix(t, Ppr(0.2), 1e-6, threads=4)
+        a = diffuse(t, Ppr(0.2), Push(1e-6), threads=1)
+        b = diffuse(t, Ppr(0.2), Push(1e-6), threads=4)
         assert np.array_equal(a.data, b.data)
 
     def test_worker_count(self):
@@ -281,16 +294,13 @@ class TestPushMatrix:
         from graphdiffusion import Explicit
         t = rw([(0, 1)])
         with pytest.raises(InputError):
-            diffuse_push_matrix(t, Explicit((1.0,)), 1e-6)
-        # the push kernel is geometric only; heat under push is a series
-        with pytest.raises(InputError, match="geometric only"):
-            diffuse_push_matrix(t, Heat(1.0), 1e-6)
+            diffuse(t, Explicit((1.0,)), Push(1e-6))
 
     def test_block_columns_match_single_columns(self):
         # N is not a multiple of the block width, so the last block is short
         t = uneven_graph(150, seed=3)
         assert t.n % PUSH_BLOCK != 0
-        out = diffuse_push_matrix(t, Ppr(0.2), 1e-5, threads=1)
+        out = diffuse(t, Ppr(0.2), Push(1e-5), threads=1)
         singles = []
         for j in range(t.n):
             col = diffuse_push_ppr(t, 0.2, 1e-5, j)
@@ -310,8 +320,8 @@ class TestPushMatrix:
 
     def test_threads_do_not_change_result_across_blocks(self):
         t = uneven_graph(3 * PUSH_BLOCK + 5, seed=4)
-        a = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=1)
-        b = diffuse_push_matrix(t, Ppr(0.15), 1e-5, threads=2)
+        a = diffuse(t, Ppr(0.15), Push(1e-5), threads=1)
+        b = diffuse(t, Ppr(0.15), Push(1e-5), threads=2)
         assert np.array_equal(a.data, b.data)
         assert a.certificate == b.certificate
 
@@ -334,7 +344,7 @@ class TestPushMatrix:
     def test_certificate(self):
         t = uneven_graph(100, seed=5)
         eps = 1e-5
-        m = diffuse_push_matrix(t, Ppr(0.2), eps)
+        m = diffuse(t, Ppr(0.2), Push(eps))
         cert = m.certificate
         assert 0.0 < cert["residual_l1_max"] <= 50.0 * eps
         cols = [diffuse_push_ppr(t, 0.2, eps, j) for j in range(t.n)]

@@ -8,7 +8,7 @@ from graphdiffusion import engine
 from graphdiffusion import (DiffusionMatrix, Exact, InputError, PostProcess,
                             Ppr, Push, RandomWalk, Series, TargetDegree,
                             Threshold, TopK, TransitionMatrix, diffuse,
-                            diffuse_exact_ppr, diffuse_graph, eigen,
+                            diffuse_graph, eigen,
                             epsilon_for_degree, load_graph, postprocess,
                             sparsify, transition_matrix)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
@@ -82,7 +82,9 @@ class TestSparsify:
         (Threshold, np.inf, "threshold must be a finite number, got inf"),
         (Threshold, False, "threshold must be a finite number, got False"),
         (TargetDegree, "8", "target degree must be a finite number, got '8'"),
-        (TargetDegree, np.inf, "target degree must be a finite number, got inf")])
+        (TargetDegree, np.inf, "target degree must be a finite number, got inf"),
+        (TopK, 0, "top-k count must be positive, got 0"),
+        (TargetDegree, 0.0, "target degree must be positive, got 0.0")])
     def test_rule_checks_its_argument(self, make, arg, message):
         with pytest.raises(InputError) as info:
             make(arg)
@@ -314,7 +316,7 @@ class TestThresholdAgainstCopy:
 def exact_s_1200():
     g, _ = generate_sbm(SbmSpec((400, 400, 400), 0.05, 0.01, seed=3))
     g, _ = largest_connected_component(g)
-    return diffuse_exact_ppr(transition_matrix(g, Symmetric()), 0.15).data
+    return diffuse(transition_matrix(g, Symmetric()), Ppr(0.15)).data
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
@@ -550,8 +552,14 @@ class TestPostprocess:
         m[1, 1] = 0.5
         m[2, 2] = 0.05
         g = sparsify(as_diffusion(m), Threshold(0.3))
-        with pytest.raises(InputError, match=r"\[2\]"):
-            postprocess(g, PostProcess(renorm="rw"))
+        # node 2 keeps neither its column (degree) nor its row (in-degree)
+        for renorm in ("rw", "sym"):
+            with pytest.raises(InputError, match="node 2 has degree 0"):
+                postprocess(g, PostProcess(renorm=renorm))
+
+    def test_renorm_checked_when_built(self):
+        with pytest.raises(InputError, match="unknown renormalization 'bogus'"):
+            PostProcess(renorm="bogus")
 
     def test_unweight_happens_before_symmetrize(self):
         # one-sided edge: unweight to 1, then average with the missing side
@@ -572,7 +580,7 @@ class TestPerturbationBound:
         g, _ = generate_sbm(SbmSpec((50, 50), 0.08, 0.02, seed=11))
         g, _ = largest_connected_component(g)
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.1)
+        s = diffuse(t, Ppr(0.1))
         n = g.n
         sparse_graph = sparsify(s, Threshold(eps))
         dense = s.data

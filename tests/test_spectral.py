@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import (Explicit, Heat, InputError, Ppr, RandomWalk,
-                            Symmetric, apply_poly_filter, diffuse_exact_ppr,
-                            eigen, eigen_of_transition, eigenvalue_map,
+                            Symmetric, apply_poly_filter, diffuse, eigen,
+                            eigen_of_transition, eigenvalue_map,
                             filter_response_curve, laplacian,
                             largest_connected_component, load_graph,
                             spectrum_compare, theta_to_xi, theta_vector,
@@ -55,6 +55,12 @@ class TestLaplacian:
         # unnormalized form tolerates isolated nodes
         lap = laplacian(g, UNNORMALIZED).toarray()
         assert lap[2, 2] == 0
+
+    def test_bad_argument_rejected(self):
+        with pytest.raises(InputError, match="expects a SparseGraph"):
+            laplacian(np.eye(2))
+        with pytest.raises(InputError, match="unknown Laplacian kind 'bogus'"):
+            laplacian(load_graph([(0, 1)]), "bogus")
 
     def test_normalized_sums_degrees_once(self, monkeypatch):
         g = load_graph([(0, 1), (1, 2), (2, 0)])
@@ -107,6 +113,10 @@ class TestEigen:
         b = eigen(t_sym.matrix).eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-10)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="square"):
+            eigen(np.zeros((2, 3)))
+
     def test_size_cap(self):
         with pytest.raises(InputError, match="cap"):
             eigen(np.eye(10), cap=5)
@@ -137,7 +147,7 @@ class TestEigenvalueMap:
         g = connected_er(60, 0.1, 3)
         t = transition_matrix(g, Symmetric())
         lam_t = eigen(t.matrix).eigenvalues
-        s = diffuse_exact_ppr(t, 0.2)
+        s = diffuse(t, Ppr(0.2))
         lam_s = eigen(s.data).eigenvalues
         mapped = np.sort([eigenvalue_map(Ppr(0.2), x) for x in lam_t])
         np.testing.assert_allclose(np.sort(lam_s), mapped, atol=1e-8)
@@ -182,7 +192,7 @@ class TestPolyFilter:
         from graphdiffusion import closed_form_xi
         g = load_graph([(0, 1), (1, 2), (2, 0)])
         t = transition_matrix(g, Symmetric())
-        s = diffuse_exact_ppr(t, 0.75)
+        s = diffuse(t, Ppr(0.75))
         lap = laplacian(t)
         xi = [closed_form_xi(Ppr(0.75), j) for j in range(101)]
         rng = np.random.default_rng(4)
