@@ -11,10 +11,10 @@ from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, largest_connected_component, load_edge_list,
                     load_graph, read_edge_list, save_edge_list, transition_matrix)
-from .cluster import (ClusteringResult, EvalReport, GdcConfig, SbmSpec,
-                      eval_gdc_clustering, generate_sbm, hungarian_accuracy,
-                      kmeans, spectral_cluster, spectral_embedding)
-from .sparsify import (PostProcess, TargetDegree, Threshold, TopK,
+from .cluster import (ClusteringResult, EvalReport, SbmSpec, eval_gdc_clustering,
+                      generate_sbm, hungarian_accuracy, kmeans, spectral_cluster,
+                      spectral_embedding)
+from .sparsify import (Gdc, PostProcess, TargetDegree, Threshold, TopK,
                        diffuse_graph, epsilon_for_degree, postprocess, sparsify)
 from .spectral import (RANDOM_WALK, SYMMETRIC, UNNORMALIZED, SpectrumDelta,
                        SpectrumReport, apply_poly_filter, eigen,

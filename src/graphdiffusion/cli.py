@@ -23,13 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import coeffs as cf
-from .cluster import GdcConfig, SbmSpec, eval_gdc_clustering, generate_sbm
+from .cluster import SbmSpec, eval_gdc_clustering, generate_sbm
 from .engine import Exact, Push, Series
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
                     load_edge_list, save_edge_list, write_meta)
-from .sparsify import PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
+from .sparsify import Gdc, PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
 from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
 
 TOOL_VERSION = "0.1.0"
@@ -109,19 +109,15 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class PipelineConfig:
     values: dict  # config key -> resolved value, in SETTINGS order
-    transition: object
-    spec: object
-    route: object  # engine.Exact() | Series(k) | Push(eps)
-    rule: object
-    post: PostProcess
+    gdc: Gdc  # the operator the values build
 
     def items(self):
         """Flat key/value view used for the sidecar and the config hash."""
         kv = {META_KEYS.get(k, k): "" if v is None else
               str(v).lower() if isinstance(v, bool) else str(v)
               for k, v in self.values.items()}
-        kv["theta"] = ",".join(repr(v) for v in getattr(self.spec, "theta", ()))
-        kv["sparsify"] = _rule_name(self.rule)
+        kv["theta"] = ",".join(repr(v) for v in getattr(self.gdc.spec, "theta", ()))
+        kv["sparsify"] = _rule_name(self.gdc.rule)
         return kv
 
     def config_hash(self):
@@ -133,7 +129,6 @@ def _rule_name(rule):
     for name, (cls, _) in RULES.items():
         if isinstance(rule, cls):
             return f"{name}:{astuple(rule)[0]!r}"
-    return str(rule)
 
 
 def _parse_rule(text):
@@ -269,9 +264,9 @@ def parse_config(ns):
     post = PostProcess(symmetrize=values["symmetrize"],
                        unweighted=values["unweighted"],
                        renorm=None if values["renorm"] == "none" else values["renorm"])
-    return PipelineConfig(values=values, transition=built["transition"],
-                          spec=built["method"], route=built["mode"],
-                          rule=_parse_rule(values["sparsify"]), post=post)
+    return PipelineConfig(values=values, gdc=Gdc(
+        transition=built["transition"], spec=built["method"], route=built["mode"],
+        rule=_parse_rule(values["sparsify"]), post=post))
 
 
 def _read_vector(path):
@@ -300,12 +295,12 @@ def _write_vector(path, values):
             fh.write(f"{v}\n" if isinstance(v, Fraction) else f"{float(v)!r}\n")
 
 
-def _is_identity_route(spec, route):
+def _is_identity_route(gdc):
     # the route sums theta_0 I alone under Series(0) or explicit weights that
     # are 0 past theta_0; theta_0 = 0 is the zero matrix, which keeps no self-loop
-    alone = (isinstance(route, Series) and route.k == 0
-             or isinstance(spec, cf.Explicit) and not any(spec.theta[1:]))
-    return alone and cf.theta(spec, 0) != 0.0
+    alone = (isinstance(gdc.route, Series) and gdc.route.k == 0
+             or isinstance(gdc.spec, cf.Explicit) and not any(gdc.spec.theta[1:]))
+    return alone and cf.theta(gdc.spec, 0) != 0.0
 
 
 def run_pipeline(cfg):
@@ -316,13 +311,12 @@ def run_pipeline(cfg):
     g, index_map = largest_connected_component(g)
     timings["load"] = time.perf_counter() - t0
 
-    if _is_identity_route(cfg.spec, cfg.route):
+    if _is_identity_route(cfg.gdc):
         print("warning: diffusion weights are the identity; the output graph "
               "contains only self-loops", file=sys.stderr)
 
     result, certificate, eps, stage_seconds = diffuse_graph(
-        g, cfg.transition, cfg.spec, cfg.rule, cfg.post, route=cfg.route,
-        threads=cfg.values["threads"])
+        g, cfg.gdc, threads=cfg.values["threads"])
     timings.update(stage_seconds)
 
     if isinstance(result, TransitionMatrix):
@@ -373,8 +367,7 @@ def cmd_spectrum(ns):
     g, _ = largest_connected_component(g)
     before = eigen(laplacian(g, SYMMETRIC), source="input L_sym")
 
-    result = diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, cfg.post,
-                           route=cfg.route, threads=cfg.values["threads"])[0]
+    result = diffuse_graph(g, cfg.gdc, threads=cfg.values["threads"])[0]
     if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
             and not result.source.directed):
         # I - T_rw of a symmetric graph shares its spectrum with the
@@ -396,7 +389,7 @@ def cmd_spectrum(ns):
             fh.write(f"{i},{float(b)!r},{float(a)!r},{float(d)!r}\n")
 
     grid = np.linspace(0.0, 2.0, 201)
-    curve = filter_response_curve(cfg.spec, grid)
+    curve = filter_response_curve(cfg.gdc.spec, grid)
     curve_path = output + ".response.csv"
     with open(curve_path, "w") as fh:
         fh.write("lambda_L,response\n")
@@ -449,8 +442,8 @@ def cmd_gen_sbm(ns):
 
 def cmd_eval_cluster(ns):
     sbm = _sbm_spec(ns)
-    gdc = GdcConfig(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
-                    unweighted=ns.unweighted)
+    gdc = Gdc(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
+              post=PostProcess(symmetrize=True, unweighted=ns.unweighted))
     report = eval_gdc_clustering(sbm, gdc=gdc, seeds=ns.seeds,
                                  num_clusters=ns.clusters, threads=ns.threads)
     if ns.output:

@@ -9,12 +9,11 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .coeffs import Ppr
 from .engine import pool_map
 from .errors import ComputeError, InputError
-from .graph import (Symmetric, SymmetricSelfLoop, graph_from_edges,
-                    largest_connected_component, transition_matrix)
-from .sparsify import PostProcess, SparsifyRule, TopK, diffuse_graph
+from .graph import (Symmetric, graph_from_edges, largest_connected_component,
+                    transition_matrix)
+from .sparsify import Gdc, diffuse_graph
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -221,17 +220,6 @@ def hungarian_accuracy(assignment, labels):
                             matched_permutation=matched)
 
 
-@dataclass(frozen=True)
-class GdcConfig:
-    """Diffusion arm of the paired evaluation."""
-
-    transition: object = SymmetricSelfLoop(1.0)
-    spec: object = Ppr(0.15)
-    rule: SparsifyRule = TopK(64)
-    symmetrize: bool = True
-    unweighted: bool = False
-
-
 @dataclass
 class EvalReport:
     raw_acc: np.ndarray
@@ -255,29 +243,33 @@ def _bootstrap_ci(samples, rng, resamples=BOOTSTRAP_RESAMPLES):
     return (float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5)))
 
 
-def run_gdc_for_clustering(g, cfg):
-    """The graph handed to clustering: diffuse_graph, exact, not renormalized.
+def run_gdc_for_clustering(g, gdc):
+    """The graph handed to clustering: diffuse_graph with gdc, its route
+    included.
 
     The diffusion runs on one thread: eval_gdc_clustering already pools
     over seeds.
     """
-    opts = PostProcess(symmetrize=cfg.symmetrize, unweighted=cfg.unweighted,
-                       renorm=None)
-    return diffuse_graph(g, cfg.transition, cfg.spec, cfg.rule, opts, threads=1)[0]
+    return diffuse_graph(g, gdc, threads=1)[0]
 
 
-def eval_gdc_clustering(sbm_spec, gdc=GdcConfig(), seeds=20, num_clusters=None,
+def eval_gdc_clustering(sbm_spec, gdc=Gdc(), seeds=20, num_clusters=None,
                         threads=0):
-    """Paired clustering accuracies, raw graph versus diffusion graph.
+    """Paired clustering accuracies, raw graph versus diffusion graph gdc.
 
     Each seed runs independently on its own generator stream (master seed
     plus index). The report carries per-seed pairs, means and bootstrap
     95 percent intervals; the interval on the paired delta is the headline
     number. Seeds run in a thread pool unless threads is 1; 0 uses one
     worker per usable core. Results do not depend on the thread count.
+    Clustering embeds a graph, so gdc must not renormalize (post.renorm
+    None); any other renorm is an InputError before the first seed runs.
     """
     if seeds < 1:
         raise InputError(f"need at least one seed, got {seeds}")
+    if gdc.post.renorm is not None:
+        raise InputError("the clustering arm needs a graph, not a transition "
+                         f"matrix; got renorm {gdc.post.renorm!r}, use None")
     if num_clusters is None:
         num_clusters = len(sbm_spec.block_sizes)
 

@@ -46,10 +46,13 @@ columns, each block written into its own contiguous slice of a
 Fortran-ordered N x N array, so either route holds one N x N array plus
 per-block temporaries per running block. Blocks are independent and run in
 a thread pool (threads=1 runs serially, 0 uses one worker per usable core).
-Only the block products release the interpreter lock, so more threads
-barely help push: at N=1000 and eps 1e-4 on 2 shared cores, two threads
-took 0.315 s against 0.341 s for one, and the block products alone ran 1.3
-times as fast on two threads as on one.
+Only the block products release the interpreter lock, so more threads help
+push only where those products dominate. Push at eps 1e-4 on the benchmark
+SBM, median of 5 in-process calls alternating the thread count, one BLAS
+thread, on a machine with 2 shared cores: at N=1000, where the per-round
+Python work dominates, two threads took 0.37-0.39 s against 0.36-0.37 s
+for one; at N=3000, where the drain's full-graph products dominate, 1.59 s
+against 2.54-2.77 s (two runs each).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Sparsification and renormalization of diffusion matrices, and diffuse_graph,
-the whole operator in its fixed stage order: transition matrix, diffusion,
-target degree resolved to a threshold, sparsification, then optional
-unweighting, symmetrization and renormalization into a transition matrix.
+which applies the whole operator, one Gdc value, in its fixed stage order:
+transition matrix, diffusion, target degree resolved to a threshold,
+sparsification, then optional unweighting, symmetrization and
+renormalization into a transition matrix.
 The dense diffusion matrix is read through one checked walk over blocks of
 engine.PUSH_BLOCK columns, in place, the same blocks that the series and push
 fill: every sparsify rule masks those blocks, and epsilon_for_degree ranks
@@ -16,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .coeffs import Ppr
 from .engine import DiffusionMatrix, Exact, diffuse
 from .errors import InputError, check_number
-from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix,
-                    require_nonzero_degrees, scaled, transition_matrix)
+from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
+                    TransitionMatrix, require_nonzero_degrees, scaled,
+                    transition_matrix)
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,23 @@ class PostProcess:
     def __post_init__(self):
         if self.renorm not in (None, "rw", "sym"):
             raise InputError(f"unknown renormalization {self.renorm!r}")
+
+
+@dataclass(frozen=True)
+class Gdc:
+    """The diffusion operator: transition, weights, route, sparsify rule and
+    postprocessing, the five choices diffuse_graph applies in turn.
+
+    The defaults are the clustering arm of eval_gdc_clustering: self-loop
+    symmetric transition (w = 1), PPR with teleport 0.15 solved in closed
+    form, top-64 sparsification and symmetrization without renormalization.
+    """
+
+    transition: object = SymmetricSelfLoop(1.0)
+    spec: object = Ppr(0.15)
+    route: object = Exact()  # engine.Exact() | Series(k) | Push(eps)
+    rule: SparsifyRule = TopK(64)
+    post: PostProcess = PostProcess(symmetrize=True)
 
 
 def _topk_mask(cols, k):
@@ -246,13 +266,13 @@ def postprocess(g, opts):
                             kind=Symmetric(), source=result, degrees=d)
 
 
-def diffuse_graph(g, transition, spec, rule, post, route=Exact(), threads=0):
-    """The diffusion operator on g: transition, diffuse, sparsify, postprocess.
+def diffuse_graph(g, gdc, threads=0):
+    """The diffusion operator gdc (a Gdc) on g: transition, diffuse, sparsify,
+    postprocess.
 
-    route (engine.Exact(), Series(k) or Push(eps)) and threads go to
-    engine.diffuse. A TargetDegree rule is resolved into a Threshold on the
-    diffusion first, within the sparsify stage. The sparsified graph keeps
-    g's original_ids.
+    gdc.route and threads go to engine.diffuse. A TargetDegree rule is
+    resolved into a Threshold on the diffusion first, within the sparsify
+    stage. The sparsified graph keeps g's original_ids.
     The dense diffusion matrix does not outlive the sparsify stage, so
     postprocess runs without it; call diffuse for the matrix itself.
     Returns (result, certificate, eps, seconds): the postprocess result, the
@@ -260,10 +280,11 @@ def diffuse_graph(g, transition, spec, rule, post, route=Exact(), threads=0):
     (None for top-k) and the wall time of each stage by name.
     """
     t0 = time.perf_counter()
-    t = transition_matrix(g, transition)
+    t = transition_matrix(g, gdc.transition)
     t1 = time.perf_counter()
-    s = diffuse(t, spec, route, threads=threads)
+    s = diffuse(t, gdc.spec, gdc.route, threads=threads)
     t2 = time.perf_counter()
+    rule = gdc.rule
     eps = rule.eps if isinstance(rule, Threshold) else None
     if isinstance(rule, TargetDegree):
         eps = epsilon_for_degree(s, rule.avg_degree)
@@ -272,7 +293,7 @@ def diffuse_graph(g, transition, spec, rule, post, route=Exact(), threads=0):
     certificate = s.certificate
     del s
     t3 = time.perf_counter()
-    result = postprocess(sparse_graph, post)
+    result = postprocess(sparse_graph, gdc.post)
     seconds = {"transition": t1 - t0, "diffuse": t2 - t1, "sparsify": t3 - t2,
                "postprocess": time.perf_counter() - t3}
     return result, certificate, eps, seconds

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphdiffusion import (GdcConfig, Heat, PostProcess, Ppr, RandomWalk,
+from graphdiffusion import (Gdc, Heat, PostProcess, Ppr, RandomWalk,
                             SbmSpec, Series, Symmetric, SymmetricSelfLoop,
                             Threshold, closed_form_xi, diffuse, diffuse_push_ppr,
                             eigen, eval_gdc_clustering,
@@ -206,13 +206,14 @@ def test_criterion_8_clustering_improvement_pinned_regime():
     #   default -0.015 [-0.023, -0.008] at master seed 2000, and only
     #   heat t=3 unweighted clears zero (lower bound +0.0007) at one
     #   master seed, which is noise, not a regime.
-    # - the weighted arm GdcConfig(): it loses at every regime tried,
+    # - the weighted arm, the default Gdc(): it loses at every regime tried,
     #   -0.055 [-0.085, -0.030] at the dense point and -0.026
     #   [-0.046, -0.010] at the sparse one (master seed 1000), mostly from
     #   the diffusion's self-mass on the diagonal of S, which top-k keeps.
     start = time.perf_counter()
     sbm = SbmSpec((100, 100, 100), 0.03, 0.005, seed=1000)
-    rep = eval_gdc_clustering(sbm, gdc=GdcConfig(unweighted=True), seeds=20)
+    gdc = Gdc(post=PostProcess(symmetrize=True, unweighted=True))
+    rep = eval_gdc_clustering(sbm, gdc=gdc, seeds=20)
     elapsed = time.perf_counter() - start
     improved = rep.gdc_mean > rep.raw_mean
     ci_excludes_zero = rep.delta_ci[0] > 0.0
@@ -230,7 +231,8 @@ def test_clustering_improvement_sparse_regime_supplementary():
     # partition, unweighted edges after top-k truncation.
     start = time.perf_counter()
     sbm = SbmSpec((100, 100, 100), 0.03, 0.005, seed=0)
-    rep = eval_gdc_clustering(sbm, gdc=GdcConfig(unweighted=True), seeds=20)
+    gdc = Gdc(post=PostProcess(symmetrize=True, unweighted=True))
+    rep = eval_gdc_clustering(sbm, gdc=gdc, seeds=20)
     elapsed = time.perf_counter() - start
     ok = (rep.gdc_mean > rep.raw_mean and rep.delta_ci[0] > 0.0
           and elapsed < 120.0)

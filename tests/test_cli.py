@@ -9,8 +9,8 @@ import graphdiffusion
 from graphdiffusion import (Exact, Heat, Ppr, Push, RandomWalk, Series,
                             SymmetricSelfLoop, TargetDegree, Threshold, TopK,
                             load_edge_list, truncation_k)
-from graphdiffusion.cli import (PipelineConfig, UsageError, build_parser, main,
-                                parse_config, run_pipeline)
+from graphdiffusion.cli import (UsageError, build_parser, main, parse_config,
+                                run_pipeline)
 
 
 def parse(argv):
@@ -27,24 +27,24 @@ def write_k2(tmp_path):
 class TestParseConfig:
     def test_defaults(self, tmp_path):
         cfg = parse(["--input", "a", "--output", "b"])
-        assert isinstance(cfg.transition, SymmetricSelfLoop)
-        assert cfg.transition.w_loop == 1.0
-        assert cfg.spec == Ppr(0.15)
-        assert cfg.route == Exact()
-        assert cfg.rule == TopK(64)
-        assert cfg.post.symmetrize is True
-        assert cfg.post.unweighted is False
-        assert cfg.post.renorm == "rw"
+        assert isinstance(cfg.gdc.transition, SymmetricSelfLoop)
+        assert cfg.gdc.transition.w_loop == 1.0
+        assert cfg.gdc.spec == Ppr(0.15)
+        assert cfg.gdc.route == Exact()
+        assert cfg.gdc.rule == TopK(64)
+        assert cfg.gdc.post.symmetrize is True
+        assert cfg.gdc.post.unweighted is False
+        assert cfg.gdc.post.renorm == "rw"
 
     def test_heat_threshold_combo(self):
         cfg = parse(["--input", "a", "--output", "b", "--method", "heat",
                      "--t", "5", "--sparsify", "eps:0.0001"])
-        assert cfg.spec == Heat(5.0)
-        assert cfg.rule == Threshold(0.0001)
+        assert cfg.gdc.spec == Heat(5.0)
+        assert cfg.gdc.rule == Threshold(0.0001)
 
     def test_degree_rule(self):
         cfg = parse(["--input", "a", "--output", "b", "--sparsify", "degree:64"])
-        assert cfg.rule == TargetDegree(64.0)
+        assert cfg.gdc.rule == TargetDegree(64.0)
 
     def test_alpha_t_conflict(self):
         with pytest.raises(UsageError):
@@ -89,7 +89,7 @@ class TestParseConfig:
         config = tmp_path / "run.conf"
         config.write_text(conf + "\n")
         assert parse(["--input", "a", "--output", "b", "--transition", "rw",
-                      "--config", str(config)] + flags).route == route
+                      "--config", str(config)] + flags).gdc.route == route
 
     @pytest.mark.parametrize("flags,mode,series_k,eps_push", [
         ([], "exact", "", ""), (["--series", "0"], "series", "0", ""),
@@ -111,12 +111,12 @@ class TestParseConfig:
             "input = in.txt\noutput = out.txt\nmethod = heat\nt = 3\n"
             "sparsify = eps:0.001\nsymmetrize = false\nrenorm = none\n")
         cfg = parse(["--config", str(conf)])
-        assert cfg.spec == Heat(3.0)
-        assert cfg.post.symmetrize is False
-        assert cfg.post.renorm is None
+        assert cfg.gdc.spec == Heat(3.0)
+        assert cfg.gdc.post.symmetrize is False
+        assert cfg.gdc.post.renorm is None
         cfg = parse(["--config", str(conf), "--t", "7", "--renorm", "sym"])
-        assert cfg.spec == Heat(7.0)
-        assert cfg.post.renorm == "sym"
+        assert cfg.gdc.spec == Heat(7.0)
+        assert cfg.gdc.post.renorm == "sym"
 
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.conf"

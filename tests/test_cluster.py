@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from graphdiffusion import (ComputeError, GdcConfig, InputError, SbmSpec,
-                            SparseGraph, Symmetric, TopK, eval_gdc_clustering,
+from graphdiffusion import (ComputeError, Gdc, InputError, PostProcess,
+                            RandomWalk, SbmSpec, Series, SparseGraph, Symmetric,
+                            TopK, eval_gdc_clustering,
                             generate_sbm, hungarian_accuracy, kmeans,
                             largest_connected_component, load_graph,
                             spectral_cluster, transition_matrix)
@@ -352,14 +354,14 @@ class TestEval:
         # p_out must stay positive so the sampled graph is connected; a
         # tiny value keeps both arms at accuracy 1.0
         sbm = SbmSpec((30, 30, 30), 1.0, 0.02, seed=5)
-        rep = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3)
+        rep = eval_gdc_clustering(sbm, gdc=Gdc(), seeds=3)
         np.testing.assert_allclose(rep.raw_acc, 1.0)
         np.testing.assert_allclose(rep.gdc_acc, 1.0)
         assert rep.delta_mean == 0.0
 
     def test_single_seed_degenerate_ci(self):
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
-        rep = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=1)
+        rep = eval_gdc_clustering(sbm, gdc=Gdc(), seeds=1)
         assert rep.seeds == 1
         assert rep.delta_ci[0] == rep.delta_ci[1]
 
@@ -367,13 +369,13 @@ class TestEval:
     def test_no_seed_rejected(self, seeds):
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
         with pytest.raises(InputError, match="at least one seed"):
-            eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=seeds)
+            eval_gdc_clustering(sbm, gdc=Gdc(), seeds=seeds)
 
     def test_threads_do_not_change_results(self):
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=2)
-        a = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=1)
-        b = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=3)
-        c = eval_gdc_clustering(sbm, gdc=GdcConfig(), seeds=3, threads=0)
+        a = eval_gdc_clustering(sbm, gdc=Gdc(), seeds=3, threads=1)
+        b = eval_gdc_clustering(sbm, gdc=Gdc(), seeds=3, threads=3)
+        c = eval_gdc_clustering(sbm, gdc=Gdc(), seeds=3, threads=0)
         np.testing.assert_array_equal(a.raw_acc, b.raw_acc)
         np.testing.assert_array_equal(a.gdc_acc, b.gdc_acc)
         np.testing.assert_array_equal(a.raw_acc, c.raw_acc)
@@ -383,13 +385,44 @@ class TestEval:
         ids = [10, 20, 30, 40, 50]
         g = load_graph([(10, 20), (20, 30), (30, 40), (40, 50), (50, 10),
                         (10, 30)])
-        out = run_gdc_for_clustering(g, GdcConfig(rule=TopK(3)))
+        out = run_gdc_for_clustering(g, Gdc(rule=TopK(3)))
         np.testing.assert_array_equal(out.original_ids, ids)
+
+    @pytest.mark.parametrize("renorm", ["rw", "sym"])
+    def test_renormalizing_arm_rejected_before_any_seed(self, monkeypatch,
+                                                        renorm):
+        # a renormalized result is a TransitionMatrix, not a graph to embed
+        def no_graph(spec):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(cluster_mod, "generate_sbm", no_graph)
+        sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
+        gdc = Gdc(post=PostProcess(symmetrize=True, renorm=renorm))
+        with pytest.raises(InputError, match=f"renorm '{renorm}'"):
+            eval_gdc_clustering(sbm, gdc=gdc, seeds=2, threads=1)
+
+    def test_arm_runs_its_route(self, monkeypatch):
+        # the package's sparsify attribute is the function, not the module
+        sparsify_mod = importlib.import_module("graphdiffusion.sparsify")
+        calls = []
+        real = sparsify_mod.diffuse
+
+        def spy(t, spec, route, threads=0):
+            calls.append((t.kind, spec, route, threads))
+            return real(t, spec, route, threads=threads)
+
+        monkeypatch.setattr(sparsify_mod, "diffuse", spy)
+        sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
+        gdc = Gdc(transition=RandomWalk(), route=Series(3))
+        rep = eval_gdc_clustering(sbm, gdc=gdc, seeds=2, threads=1)
+        assert calls == [(RandomWalk(), gdc.spec, Series(3), 1)] * 2
+        assert rep.gdc_acc.shape == (2,)
 
     def test_improvement_in_sparse_regime(self):
         # sparse graphs are where the extra diffusion reach pays off;
         # unweighted edges after top-k give the cleanest neighborhood graph
         sbm = SbmSpec((100, 100, 100), 0.03, 0.005, seed=0)
-        rep = eval_gdc_clustering(sbm, gdc=GdcConfig(unweighted=True), seeds=10)
+        gdc = Gdc(post=PostProcess(symmetrize=True, unweighted=True))
+        rep = eval_gdc_clustering(sbm, gdc=gdc, seeds=10)
         assert rep.gdc_mean > rep.raw_mean
         assert np.sum(rep.gdc_acc > rep.raw_acc) >= 7

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import engine
-from graphdiffusion import (DiffusionMatrix, Exact, InputError, PostProcess,
-                            Ppr, Push, RandomWalk, Series, TargetDegree,
+from graphdiffusion import (DiffusionMatrix, Exact, Gdc, InputError,
+                            PostProcess, Ppr, Push, RandomWalk, Series, TargetDegree,
                             Threshold, TopK, TransitionMatrix, diffuse,
                             diffuse_graph, eigen,
                             epsilon_for_degree, load_graph, postprocess,
@@ -349,9 +349,7 @@ def sbm_1000():
     return g
 
 
-PIPELINE_ROUTES = {"exact": dict(route=Exact()),
-                   "push": dict(route=Push(1e-4)),
-                   "series": dict(route=Series(20))}
+PIPELINE_ROUTES = {"exact": Exact(), "push": Push(1e-4), "series": Series(20)}
 
 
 @pytest.mark.parametrize("route", list(PIPELINE_ROUTES))
@@ -360,18 +358,17 @@ PIPELINE_ROUTES = {"exact": dict(route=Exact()),
 def test_pipeline_peak_memory(sbm_1000, route, rule):
     # the dense S is the pipeline's one N x N array: the masks run on the
     # producer's PUSH_BLOCK columns, and S is gone before postprocess
-    args = (sbm_1000, RandomWalk(), Ppr(0.15), rule,
-            PostProcess(symmetrize=True, renorm="rw"))
-    kwargs = dict(PIPELINE_ROUTES[route], threads=1)
+    gdc = Gdc(RandomWalk(), Ppr(0.15), PIPELINE_ROUTES[route], rule,
+              PostProcess(symmetrize=True, renorm="rw"))
     # the first call, untraced, imports anything the route loads lazily
-    first = diffuse_graph(*args, **kwargs)
+    first = diffuse_graph(sbm_1000, gdc, threads=1)
     t = transition_matrix(sbm_1000, RandomWalk())
-    assert first[1] == diffuse(t, Ppr(0.15), **kwargs).certificate
+    assert first[1] == diffuse(t, Ppr(0.15), gdc.route, threads=1).certificate
     n = sbm_1000.n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = diffuse_graph(*args, **kwargs)[0]
+        result = diffuse_graph(sbm_1000, gdc, threads=1)[0]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -3,8 +3,9 @@
 perfbench/tracer.py wraps functions by name in the graphdiffusion module
 namespaces, and a traced benchmark run fails when a span never fires. These
 checks catch a rename or a move that would silently zero a layer without
-running the benchmark, and one traced run checks that every span of the
-push workload fires. They read perfbench/ and write nothing there.
+running the benchmark, and one small traced run per workload checks that
+every span of that workload fires. They read perfbench/ and write nothing
+there.
 """
 
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from graphdiffusion.cluster import eval_gdc_clustering, run_gdc_for_clustering
 from graphdiffusion.sparsify import diffuse_graph
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,9 +54,23 @@ def test_pipeline_core_calls_traced_names(tracer):
                         ("sparsify", "sparsify"), ("sparsify", "postprocess")):
         assert (short, attr) in traced
         assert diffuse_graph.__globals__[attr] is resolve(short, attr), attr
+    # the clustering arm reaches diffuse_graph through the traced
+    # run_gdc_for_clustering
+    assert ("cluster", "run_gdc_for_clustering") in traced
+    assert (eval_gdc_clustering.__globals__["run_gdc_for_clustering"]
+            is resolve("cluster", "run_gdc_for_clustering"))
+    assert (run_gdc_for_clustering.__globals__["diffuse_graph"]
+            is resolve("sparsify", "diffuse_graph"))
 
 
-def test_traced_push_workload_fires_every_span(tmp_path, monkeypatch):
+# each workload at a size that runs in about a second
+SMALL_SIZES = {"push-sbm-1k": dict(push_n=200),
+               "cluster-sbm-1200": dict(cluster_blocks=(60, 60, 60),
+                                        cluster_seeds=1)}
+
+
+@pytest.mark.parametrize("workload", list(SMALL_SIZES))
+def test_traced_workload_fires_every_span(tmp_path, monkeypatch, workload):
     # run.py pins these to one thread when imported; monkeypatch restores them
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
@@ -63,13 +79,14 @@ def test_traced_push_workload_fires_every_span(tmp_path, monkeypatch):
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
-    run.SIZES = dict(run.SIZES, push_n=200)
-    prepare, spans = run.WORKLOADS["push-sbm-1k"]
+    run.SIZES = dict(run.SIZES, **SMALL_SIZES[workload])
+    prepare, spans = run.WORKLOADS[workload]
     argv = prepare(1, tmp_path).argv(tmp_path / "out.txt")
-    # the exact route also runs the tracer's residual check on diffuse's
-    # positional (T, spec)
-    i = argv.index("--push")
-    argv[i:i + 2] = ["--exact"]
+    if "--push" in argv:
+        # the exact route also runs the tracer's residual check on
+        # diffuse's positional (T, spec)
+        i = argv.index("--push")
+        argv[i:i + 2] = ["--exact"]
     job = {"trace": "timing", "spans_out": str(tmp_path / "spans.json"),
            "argv": argv}
     (tmp_path / "job.json").write_text(json.dumps(job))
