@@ -84,7 +84,6 @@ SETTINGS = {
     "symmetrize": Setting(bool, True, flag=False),
     "unweighted": Setting(bool, False, flag=False),
     "renorm": Setting(RENORMS, "rw"),
-    "seed": Setting(int, 0),
     # threads defaults to GRAPHDIFFUSION_THREADS, which parse_config reads
     "threads": Setting(int, help="0 = automatic"),
     "format": Setting(FORMATS, "edges"),
@@ -251,10 +250,6 @@ def parse_config(ns):
         elif val is None:
             val = s.default
         values[key] = None if val is None else _convert(key, s.kind, val)
-    if values["mode"] == "push" and values["transition"] != "rw":
-        raise UsageError("push mode requires --transition rw")
-    if values["mode"] == "push" and values["method"] == "explicit":
-        raise UsageError("push mode supports the geometric and heat families only")
 
     # each choice builds its object from the settings it owns, which also
     # checks their values before any input is read
@@ -264,9 +259,13 @@ def parse_config(ns):
     post = PostProcess(symmetrize=values["symmetrize"],
                        unweighted=values["unweighted"],
                        renorm=None if values["renorm"] == "none" else values["renorm"])
-    return PipelineConfig(values=values, gdc=Gdc(
-        transition=built["transition"], spec=built["method"], route=built["mode"],
-        rule=_parse_rule(values["sparsify"]), post=post))
+    # the Gdc refuses a combination of choices that no route runs
+    try:
+        gdc = Gdc(transition=built["transition"], spec=built["method"],
+                  route=built["mode"], rule=_parse_rule(values["sparsify"]), post=post)
+    except InputError as exc:
+        raise UsageError(str(exc)) from exc
+    return PipelineConfig(values=values, gdc=gdc)
 
 
 def _read_vector(path):

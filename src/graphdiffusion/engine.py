@@ -27,8 +27,10 @@ array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
   for bit, whatever the threads. The certificate is the analytic tail
   sum_{j > k} theta_j, which bounds every column's L1 error when T is
   column-stochastic (the random walk);
-* Push(eps): geometric push (random walk only) expands mass only where
-  the residual is large, with an explicit residual certifying the error.
+* Push(eps): approximate PPR by residual push (Andersen, Chung and Lang,
+  2006), so Ppr weights on the random walk only, as check_route states; it
+  expands mass only where the residual is large, with an explicit residual
+  certifying the error.
   Only the threshold-phase push events have a ceiling independent of
   graph size; the drain that follows is a Chebyshev semi-iteration on the
   leftover residual, one full-graph matvec per round, so support and wall
@@ -38,8 +40,7 @@ array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
   per round, and each column's result is the same whatever block or
   thread computes it (diffuse_push_ppr is the one-column entry). The
   certificate aggregates the per-column residual and cost accounting; a
-  column's support is its count of nonzero entries. Heat under Push(eps)
-  is the series, truncated where its tail falls below eps.
+  column's support is its count of nonzero entries.
 
 Series and push fill the result through one loop over blocks of PUSH_BLOCK
 columns, each block written into its own contiguous slice of a
@@ -141,7 +142,7 @@ class Series:
 
 @dataclass(frozen=True)
 class Push:
-    """Residual push to tolerance eps (random walk only); heat runs the series."""
+    """Residual push to tolerance eps: PPR weights on the random walk only."""
 
     eps: float
 
@@ -254,7 +255,6 @@ class PushColumn:
     residual_l1: float
     touched: int
     support: int
-    rounds_threshold: int
     rounds_drain: int
 
     def dense(self, n):
@@ -263,11 +263,24 @@ class PushColumn:
         return out
 
 
-def _require_random_walk(T):
-    """Push's precondition on T: the column-stochastic random walk."""
-    if not isinstance(T.kind, RandomWalk):
-        raise InputError("push approximations require the column-stochastic "
-                         "random-walk transition matrix")
+def check_route(kind, spec, route):
+    """Raise InputError unless route can diffuse spec on a transition of kind.
+
+    Exact() and Series(k) take every spec on every kind. Push(eps) is
+    approximate PPR by residual push, so it takes Ppr weights only, on the
+    column-stochastic random walk only: heat and explicit weights are
+    summed as a series. diffuse and diffuse_push_ppr check here before any
+    kernel runs, and a sparsify.Gdc when it is built.
+    """
+    if not isinstance(route, (Exact, Series, Push)):
+        raise InputError(f"unknown diffusion route {route!r}")
+    if isinstance(route, Push) and not isinstance(spec, Ppr):
+        raise InputError("push runs geometric (ppr) weights only; sum heat or "
+                         "explicit weights as a series: Series(k) or Exact() "
+                         "(--series K or --exact)")
+    if isinstance(route, Push) and not isinstance(kind, RandomWalk):
+        raise InputError("push requires the column-stochastic random-walk "
+                         "transition matrix")
 
 
 def _row_l1(r):
@@ -293,9 +306,8 @@ def _push_ppr_block(T, alpha, eps, columns):
     result does not depend on the other sources in its block.
 
     Returns the clipped estimates (n x b) and, per column, the residual
-    L1, the threshold-phase push events (touched), and the threshold and
-    drain round counts. Its callers check T, alpha and eps once, before
-    the first block.
+    L1, the threshold-phase push events (touched) and the drain round
+    count. Its callers check T, alpha and eps once, before the first block.
     """
     m = T.matrix
     b = len(columns)
@@ -306,7 +318,6 @@ def _push_ppr_block(T, alpha, eps, columns):
     r = np.zeros((T.n, b))
     r[columns, np.arange(b)] = 1.0
     touched = np.zeros(b, dtype=np.int64)
-    rounds_threshold = np.zeros(b, dtype=np.int64)
     while True:
         active = r >= thresholds
         # only nodes active in some column push or spread mass; updating
@@ -315,9 +326,7 @@ def _push_ppr_block(T, alpha, eps, columns):
         if not rows.size:
             break
         act = active[rows]
-        counts = act.sum(axis=0)
-        rounds_threshold += counts > 0
-        touched += counts
+        touched += act.sum(axis=0)
         ra = r[rows] * act
         p[rows] += alpha * ra
         r[rows] -= ra
@@ -360,7 +369,7 @@ def _push_ppr_block(T, alpha, eps, columns):
     # the exact column is nonnegative, so clipping never increases an
     # entry's error and the residual still bounds the column's L1 error
     np.maximum(p, 0.0, out=p)
-    return p, _row_l1(r), touched, rounds_threshold, rounds_drain
+    return p, _row_l1(r), touched, rounds_drain
 
 
 def diffuse_push_ppr(T, alpha, eps, column):
@@ -386,18 +395,14 @@ def diffuse_push_ppr(T, alpha, eps, column):
     run on a block of one column; diffuse's Push route runs it on blocks of
     PUSH_BLOCK columns with the same per-column result.
     """
-    _require_random_walk(T)
-    Push(eps)  # the route checks eps
-    Ppr(alpha)  # the spec checks alpha
+    check_route(T.kind, Ppr(alpha), Push(eps))
     n = T.n
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
-    p, residual_l1, touched, rounds_threshold, rounds_drain = _push_ppr_block(
-        T, alpha, eps, [column])
+    p, residual_l1, touched, rounds_drain = _push_ppr_block(T, alpha, eps, [column])
     nz = np.flatnonzero(p[:, 0])
     return PushColumn(indices=nz, values=p[nz, 0], residual_l1=float(residual_l1[0]),
                       touched=int(touched[0]), support=int(nz.size),
-                      rounds_threshold=int(rounds_threshold[0]),
                       rounds_drain=int(rounds_drain[0]))
 
 
@@ -415,7 +420,7 @@ def _push_matrix(T, alpha, eps, threads):
     """Push(eps) for Ppr(alpha): every column, pushed one block at a time."""
 
     def block(lo, hi):
-        p, residual_l1, touched, _, rounds_drain = _push_ppr_block(
+        p, residual_l1, touched, rounds_drain = _push_ppr_block(
             T, alpha, eps, np.arange(lo, hi))
         return p, (np.count_nonzero(p, axis=0), residual_l1, touched, rounds_drain)
 
@@ -427,32 +432,22 @@ def _push_matrix(T, alpha, eps, threads):
 def diffuse(T, spec, route=Exact(), threads=0):
     """The diffusion of T under spec by route, the one entry to every route.
 
+    check_route checks route, spec and T's kind once per call, before any
+    kernel runs: Push(eps) takes Ppr weights on the random walk only.
     Geometric Exact() is the closed-form solve, with certificate
-    {'residual_max'}, and geometric Push(eps) the block push kernel, with
-    certificate {'residual_l1_max', 'support_mean', 'touched_mean',
-    'drain_rounds_mean'} (empty for N = 0). Everything else is the series,
-    with certificate {'tail_mass'}: at Series(k)'s k, else at the order
-    whose analytic tail is below SERIES_TAIL_TOL under Exact() and below
-    eps for heat under Push(eps) (push's per-column L1 <= eps on the random
-    walk it requires). Push takes the random-walk T only, checked once per
-    call, and explicit weights have no push route. threads sizes the pool
-    of the series and push blocks (see worker_count); it does not reach the
-    closed form, which runs on the BLAS library's own threads. The module
-    docstring gives each route's time, memory and accuracy.
+    {'residual_max'}, and Push(eps) the block push kernel, with certificate
+    {'residual_l1_max', 'support_mean', 'touched_mean', 'drain_rounds_mean'}
+    (empty for N = 0). Everything else is the series, with certificate
+    {'tail_mass'}: at Series(k)'s k, else at the order whose analytic tail
+    is below SERIES_TAIL_TOL. threads sizes the pool of the series and push
+    blocks (see worker_count); it does not reach the closed form, which runs
+    on the BLAS library's own threads. The module docstring gives each
+    route's time, memory and accuracy.
     """
+    check_route(T.kind, spec, route)
     if isinstance(route, Push):
-        if not isinstance(spec, (Ppr, Heat)):
-            raise InputError("push mode supports the geometric and heat families only")
-        _require_random_walk(T)
-        if isinstance(spec, Ppr):
-            return _push_matrix(T, spec.alpha, route.eps, threads)
-        k = truncation_k(spec, route.eps)
-    elif isinstance(route, Exact) and isinstance(spec, Ppr):
+        return _push_matrix(T, spec.alpha, route.eps, threads)
+    if isinstance(route, Exact) and isinstance(spec, Ppr):
         return _exact_ppr(T, spec.alpha)
-    elif isinstance(route, Series):
-        k = route.k
-    elif isinstance(route, Exact):
-        k = truncation_k(spec, SERIES_TAIL_TOL)
-    else:
-        raise InputError(f"unknown diffusion route {route!r}")
+    k = route.k if isinstance(route, Series) else truncation_k(spec, SERIES_TAIL_TOL)
     return _series(T, spec, k, threads)

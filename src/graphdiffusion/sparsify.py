@@ -91,6 +91,10 @@ class Gdc:
     The defaults are the clustering arm of eval_gdc_clustering: self-loop
     symmetric transition (w = 1), PPR with teleport 0.15 solved in closed
     form, top-64 sparsification and symmetrization without renormalization.
+    A Gdc checks its parts when built, so an operator no route can run
+    fails before any graph is read: engine.check_route takes the
+    transition, weights and route, and the rule and post must be a
+    SparsifyRule and a PostProcess.
     """
 
     transition: object = SymmetricSelfLoop(1.0)
@@ -98,6 +102,13 @@ class Gdc:
     route: object = Exact()  # engine.Exact() | Series(k) | Push(eps)
     rule: SparsifyRule = TopK(64)
     post: PostProcess = PostProcess(symmetrize=True)
+
+    def __post_init__(self):
+        engine.check_route(self.transition, self.spec, self.route)
+        if not isinstance(self.rule, SparsifyRule):
+            raise InputError(f"unknown sparsify rule {self.rule!r}")
+        if not isinstance(self.post, PostProcess):
+            raise InputError(f"postprocessing must be a PostProcess, got {self.post!r}")
 
 
 def _topk_mask(cols, k):

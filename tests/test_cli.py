@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestParseConfig:
                    "--wloop", "2"])
 
     def test_push_needs_random_walk(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="random-walk transition"):
             parse(["--input", "a", "--output", "b", "--push", "1e-4"])
 
     @pytest.mark.parametrize("flags,conf,message", [
@@ -118,6 +119,19 @@ class TestParseConfig:
         assert cfg.gdc.spec == Heat(7.0)
         assert cfg.gdc.post.renorm == "sym"
 
+    def test_seed_is_not_a_transform_setting(self, tmp_path, capsys):
+        # every route is deterministic; only gen-sbm and eval-cluster draw
+        out = tmp_path / "out.txt"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\nseed = 3\n")
+        assert main(["transform", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: unknown config key 'seed'"]
+        assert main(["transform", "--input", write_k2(tmp_path), "--output",
+                     str(out), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith("E_USAGE: unrecognized arguments")
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("inptu = x\n")
@@ -138,11 +152,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("command,line,message", [
         ("transform", "alpha = abc", "bad float for alpha: 'abc'"),
         ("transform", "threads = two", "bad int for threads: 'two'"),
-        ("transform", "seed = 1.5", "bad int for seed: '1.5'"),
         ("gen-sbm", None, "bad int for --blocks: 'abc'"),
         ("eval-cluster", None, "bad int for --blocks: 'abc'"),
         ("transform", "symmetrize = maybe", "bad boolean for symmetrize: 'maybe'")],
-        ids=["alpha", "threads", "seed", "gen-sbm", "eval-cluster", "symmetrize"])
+        ids=["alpha", "threads", "gen-sbm", "eval-cluster", "symmetrize"])
     def test_bad_number_is_usage_error(self, tmp_path, capsys, command, line,
                                        message):
         out = tmp_path / "out.txt"
@@ -206,21 +219,20 @@ class TestParseConfig:
         "method": "ppr", "alpha": "0.15", "t": "", "theta": "", "mode": "exact",
         "series_k": "", "eps_push": "", "sparsify": "topk:64",
         "symmetrize": "true", "unweighted": "false", "renorm": "rw",
-        "seed": "0", "threads": "0", "format": "edges"}
+        "threads": "0", "format": "edges"}
 
     # between them the flags set every setting; conf holds the same values
     @pytest.mark.parametrize("flags,conf,changed", [
         ([], "", {}),
-        (["--wloop", "2", "--series", "0", "--format", "npz", "--seed", "3",
-          "--threads", "1"],
-         "wloop = 2\nmode = series\nseries_k = 0\nformat = npz\nseed = 3\n"
-         "threads = 1",
-         {"w_loop": "2.0", "mode": "series", "series_k": "0", "format": "npz",
-          "seed": "3", "threads": "1"}),
-        (["--method", "heat", "--t", "3", "--transition", "rw", "--push", "1e-4"],
-         "method = heat\nt = 3\ntransition = rw\nmode = push\neps_push = 1e-4",
-         {"transition": "rw", "w_loop": "", "method": "heat", "alpha": "",
-          "t": "3.0", "mode": "push", "eps_push": "0.0001"}),
+        (["--wloop", "2", "--method", "heat", "--t", "3", "--series", "0",
+          "--format", "npz", "--threads", "1"],
+         "wloop = 2\nmethod = heat\nt = 3\nmode = series\nseries_k = 0\n"
+         "format = npz\nthreads = 1",
+         {"w_loop": "2.0", "method": "heat", "alpha": "", "t": "3.0",
+          "mode": "series", "series_k": "0", "format": "npz", "threads": "1"}),
+        (["--transition", "rw", "--push", "1e-4"],
+         "transition = rw\nmode = push\neps_push = 1e-4",
+         {"transition": "rw", "w_loop": "", "mode": "push", "eps_push": "0.0001"}),
         (["--method", "explicit", "--theta-file", "THETA", "--exact",
           "--sparsify", "degree:8", "--symmetrize", "--renorm", "none"],
          "method = explicit\ntheta_file = THETA\nmode = exact\n"
@@ -233,7 +245,7 @@ class TestParseConfig:
          "unweighted = true\nrenorm = sym\nformat = edges",
          {"alpha": "0.2", "sparsify": "eps:0.001", "symmetrize": "false",
           "unweighted": "true", "renorm": "sym"})],
-        ids=["defaults", "symloop-series", "heat-push", "explicit", "ppr-post"])
+        ids=["defaults", "symloop-series", "rw-push", "explicit", "ppr-post"])
     def test_meta_items_pinned(self, tmp_path, monkeypatch, flags, conf, changed):
         monkeypatch.delenv("GRAPHDIFFUSION_THREADS", raising=False)
         theta = tmp_path / "theta.txt"
@@ -497,14 +509,14 @@ class TestTransform:
         inp = write_k2(tmp_path)
         out = str(tmp_path / "out.txt")
         main(["transform", "--input", inp, "--output", out,
-              "--sparsify", "degree:1.5", "--seed", "3"])
+              "--sparsify", "degree:1.5"])
         meta = dict(line.split(" = ", 1) for line in
                     (tmp_path / "out.txt.meta").read_text().splitlines())
         assert meta["method"] == "ppr"
         assert meta["alpha"] == "0.15"
         assert meta["sparsify"].startswith("degree:")
         assert float(meta["epsilon_resolved"]) > 0
-        assert meta["seed"] == "3"
+        assert "seed" not in meta
         assert len(meta["config_hash"]) == 64
         assert "stage_seconds_diffuse" in meta
 
@@ -590,29 +602,27 @@ class TestTransform:
         np.testing.assert_allclose(g.to_scipy().toarray(),
                                    0.4 * np.eye(3) + 0.2, atol=1e-5)
 
-    def test_heat_push_is_series_at_truncation_order(self, tmp_path):
-        inp = tmp_path / "g.txt"
-        inp.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n1 4\n")
-        k = truncation_k(Heat(3.0), 1e-4)
-        outs = []
-        for mode in (["--push", "1e-4"], ["--series", str(k)]):
-            out = tmp_path / f"out{len(outs)}.txt"
-            rc = main(["transform", "--input", inp.as_posix(), "--output",
-                       str(out), "--method", "heat", "--t", "3",
-                       "--transition", "rw", "--sparsify", "topk:3"] + mode)
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        meta = dict(line.split(" = ", 1) for line in
-                    (tmp_path / "out0.txt.meta").read_text().splitlines())
-        assert float(meta["certificate_tail_mass"]) <= 1e-4
+    @pytest.mark.parametrize("transition", ["rw", "symloop"])
+    def test_heat_push_fails_before_input(self, tmp_path, capsys, transition):
+        # push is PPR only: heat is summed by --series K or --exact
+        out = tmp_path / "o.txt"
+        rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
+                   "--output", str(out), "--method", "heat", "--t", "3",
+                   "--transition", transition, "--push", "1e-4"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E_USAGE: push runs geometric")
+        assert "--series K" in err[0] and "--exact" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra,keys", [
         ([], ["certificate_residual_max"]),
         (["--method", "heat", "--t", "3", "--exact"], ["certificate_tail_mass"]),
         (["--series", "5"], ["certificate_tail_mass"]),
-        (["--method", "heat", "--t", "3", "--transition", "rw", "--push", "1e-4"],
-         ["certificate_tail_mass"]),
+        # the order whose tail is below 1e-4: the tail bounds each column's
+        # L1 error on the random walk
+        (["--method", "heat", "--t", "3", "--transition", "rw", "--series",
+          str(truncation_k(Heat(3.0), 1e-4))], ["certificate_tail_mass"]),
         (["--transition", "rw", "--push", "1e-6"],
          ["certificate_residual_l1_max", "certificate_support_mean",
           "certificate_touched_mean", "certificate_drain_rounds_mean"]),
@@ -663,12 +673,12 @@ class TestOtherCommands:
         rc = main(["convert-coeffs", "--input", str(theta), "--output", xi,
                    "--direction", "theta-to-xi"])
         assert rc == 0
-        vals = [float(v) for v in open(xi).read().split()]
+        vals = [float(v) for v in Path(xi).read_text().split()]
         assert vals == pytest.approx([1.0, -1.0, 0.0])
         back = str(tmp_path / "back.txt")
         main(["convert-coeffs", "--input", xi, "--output", back,
               "--direction", "xi-to-theta"])
-        vals = [float(v) for v in open(back).read().split()]
+        vals = [float(v) for v in Path(back).read_text().split()]
         assert vals == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_convert_coeffs_exact_mode(self, tmp_path):
@@ -678,7 +688,7 @@ class TestOtherCommands:
         rc = main(["convert-coeffs", "--input", str(theta), "--output", out,
                    "--direction", "theta-to-xi", "--mode", "exact"])
         assert rc == 0
-        assert open(out).read().split() == ["1", "-3/4", "1/4"]
+        assert Path(out).read_text().split() == ["1", "-3/4", "1/4"]
 
     @pytest.mark.parametrize("token", ["abc", "1/0", "nan", "inf"])
     @pytest.mark.parametrize("command", ["transform", "float", "exact"])
@@ -706,13 +716,13 @@ class TestOtherCommands:
         rc = main(["spectrum", "--input", str(inp), "--output", out,
                    "--sparsify", "topk:4"])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "index,lambda_before,lambda_after,delta"
         assert len(lines) == 9
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert all(np.isfinite(float(v)) for v in first[1:])
-        curve = open(out + ".response.csv").read().splitlines()
+        curve = Path(out + ".response.csv").read_text().splitlines()
         assert curve[0] == "lambda_L,response"
         assert len(curve) == 202
         lam, resp = curve[1].split(",")
@@ -726,7 +736,7 @@ class TestOtherCommands:
         assert rc == 0
         g = load_edge_list(out)
         assert g.n == 20
-        labels = [int(x) for x in open(out + ".labels").read().split()]
+        labels = [int(x) for x in Path(out + ".labels").read_text().split()]
         assert labels == [0] * 10 + [1] * 10
 
     def test_eval_cluster(self, tmp_path, capsys):
@@ -735,7 +745,7 @@ class TestOtherCommands:
                    "--p-out", "0.05", "--seeds", "2", "--topk", "8",
                    "--output", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "seed,raw_accuracy,gdc_accuracy,delta"
         assert len(lines) == 3
         row = lines[1].split(",")
@@ -755,7 +765,7 @@ def sbm_40(tmp_path):
 
 
 def read_meta(path):
-    return dict(line.split(" = ", 1) for line in open(path).read().splitlines())
+    return dict(line.split(" = ", 1) for line in Path(path).read_text().splitlines())
 
 
 class TestSmallGraphs:
@@ -816,7 +826,8 @@ class TestSmallGraphs:
                    "explicit", "--theta-file", str(theta), "--push", "1e-4"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "E_USAGE: push mode supports the geometric and heat families only"]
+            "E_USAGE: push runs geometric (ppr) weights only; sum heat or explicit "
+            "weights as a series: Series(k) or Exact() (--series K or --exact)"]
         assert sorted(os.listdir(tmp_path)) == ["theta.txt"]
 
     def test_eval_cluster_topk_past_n(self, tmp_path, capsys):

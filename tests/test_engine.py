@@ -346,7 +346,7 @@ class TestDispatch:
         assert str(info.value) == "series order must be an integer, got None"
 
     def test_push_rejects_explicit(self):
-        with pytest.raises(InputError, match="geometric and heat"):
+        with pytest.raises(InputError, match=r"geometric \(ppr\) weights only"):
             diffuse(t_of([(0, 1)]), Explicit((1.0,)), Push(1e-6))
 
     def test_unknown_mode(self):

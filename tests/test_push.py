@@ -89,12 +89,11 @@ class TestPushGeometric:
         for j in (0, 41, 89):
             p, r = np.zeros(t.n), np.zeros(t.n)
             r[j] = 1.0
-            touched = rounds = drains = 0
+            touched = drains = 0
             while True:
                 active = np.flatnonzero(r >= thresholds)
                 if active.size == 0:
                     break
-                rounds += 1
                 touched += int(active.size)
                 ra = r[active]
                 p[active] += alpha * ra
@@ -116,8 +115,8 @@ class TestPushGeometric:
             np.testing.assert_array_equal(col.indices, nz)
             np.testing.assert_array_equal(col.values, p[nz])
             assert col.residual_l1 == float(np.abs(r).sum())
-            assert (col.touched, col.support, col.rounds_threshold,
-                    col.rounds_drain) == (touched, nz.size, rounds, drains)
+            assert (col.touched, col.support, col.rounds_drain) == (
+                touched, nz.size, drains)
 
     def test_residual_commitment(self):
         t = rw([(0, 1), (1, 2), (2, 0), (2, 3)])
@@ -151,7 +150,6 @@ class TestPushGeometric:
         t = rw([(0, 1), (1, 2)])
         col = diffuse_push_ppr(t, 0.5, 1e-6, 0)
         assert col.touched >= col.support
-        assert col.rounds_threshold >= 1
 
 
 class TestPushDrain:
@@ -208,8 +206,8 @@ class TestPushDrain:
         # T has eigenvalue -1 on each graph, an end of the drain's interval
         t = rw(edges)
         exact = diffuse(t, Ppr(alpha)).data
-        p, residual_l1, _, _, rounds_drain = _push_ppr_block(t, alpha, eps,
-                                                             np.arange(t.n))
+        p, residual_l1, _, rounds_drain = _push_ppr_block(t, alpha, eps,
+                                                          np.arange(t.n))
         assert rounds_drain.any()
         # clipped at 0, so every nonzero entry is positive
         assert (p >= 0).all()
@@ -218,26 +216,28 @@ class TestPushDrain:
         assert (residual_l1 <= 50.0 * eps).all()
 
 
-def heat_push(t, t_val, eps):
-    """Heat under push: the series truncated where its tail drops below eps."""
-    return diffuse(t, Heat(t_val), Push(eps))
+def heat_to_tolerance(t, t_val, eps):
+    """Heat to push's tolerance eps: the series truncated where its analytic
+    tail drops below eps, which bounds each column's L1 error on the random
+    walk. Push itself runs PPR only."""
+    return diffuse(t, Heat(t_val), Series(truncation_k(Heat(t_val), eps)))
 
 
 class TestPushHeat:
     def test_tiny_time_is_identity(self):
         t = rw([(0, 1)])
-        col = heat_push(t, 1e-9, 1e-6).data[:, 0]
+        col = heat_to_tolerance(t, 1e-9, 1e-6).data[:, 0]
         np.testing.assert_allclose(col, [1.0, 0.0], atol=1e-6)
 
     def test_k2(self):
-        col = heat_push(rw([(0, 1)]), np.log(2.0), 1e-6).data[:, 0]
+        col = heat_to_tolerance(rw([(0, 1)]), np.log(2.0), 1e-6).data[:, 0]
         err = np.abs(col - np.array([0.625, 0.375])).sum()
         assert err < 1e-4
 
     def test_ring_against_series(self):
         t = rw([(i, (i + 1) % 50) for i in range(50)])
         series = diffuse(t, Heat(3.0), Series(200)).data[:, 0]
-        col = heat_push(t, 3.0, 1e-5).data[:, 0]
+        col = heat_to_tolerance(t, 3.0, 1e-5).data[:, 0]
         assert np.abs(col - series).sum() < 1e-3
 
     @pytest.mark.parametrize("t_val,eps", [(1.0, 1e-4), (5.0, 1e-5)])
@@ -245,30 +245,38 @@ class TestPushHeat:
         t = rw([(i, j) for i in range(10) for j in range(i + 1, 10)
                 if (i * j) % 4 != 1])
         series = diffuse(t, Heat(t_val), Series(220)).data
-        s = heat_push(t, t_val, eps)
+        s = heat_to_tolerance(t, t_val, eps)
         assert s.exactness == f"series:{truncation_k(Heat(t_val), eps)}"
         assert np.abs(s.data - series).sum(axis=0).max() <= eps
         assert s.certificate["tail_mass"] <= eps
 
-    def test_requires_random_walk(self):
-        t = transition_matrix(load_graph([(0, 1)]), Symmetric())
-        with pytest.raises(InputError, match="random-walk"):
-            heat_push(t, 1.0, 1e-6)
+    @pytest.mark.parametrize("kind", [RandomWalk(), Symmetric()], ids=["rw", "sym"])
+    def test_push_refuses_heat(self, kind):
+        t = transition_matrix(load_graph([(0, 1)]), kind)
+        with pytest.raises(InputError, match=r"Series\(k\) or Exact\(\)"):
+            diffuse(t, Heat(1.0), Push(1e-6))
 
 
 class TestPushMatrix:
     @pytest.mark.parametrize("spec", [Ppr(0.2), Heat(1.0)])
     def test_random_walk_checked_once(self, monkeypatch, spec):
+        # one check per call, before any kernel: push passes it with Ppr
+        # weights on the random walk alone
         calls = []
-        check = engine._require_random_walk
-        monkeypatch.setattr(engine, "_require_random_walk",
-                            lambda t: calls.append(t) or check(t))
+        check = engine.check_route
+        monkeypatch.setattr(engine, "check_route",
+                            lambda *a: calls.append(a) or check(*a))
         t = rw([(0, 1), (1, 2)])
-        diffuse(t, spec, Push(1e-6))
-        assert calls == [t]
         sym = transition_matrix(load_graph([(0, 1)]), Symmetric())
-        with pytest.raises(InputError, match="random-walk"):
+        ppr = isinstance(spec, Ppr)
+        if ppr:
+            diffuse(t, spec, Push(1e-6))
+        else:
+            with pytest.raises(InputError, match="Series"):
+                diffuse(t, spec, Push(1e-6))
+        with pytest.raises(InputError, match="random-walk" if ppr else "Series"):
             diffuse(sym, spec, Push(1e-6))
+        assert calls == [(t.kind, spec, Push(1e-6)), (sym.kind, spec, Push(1e-6))]
 
     def test_assembles_all_columns(self):
         t = rw([(0, 1), (1, 2), (2, 0)])

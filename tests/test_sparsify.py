@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import engine
-from graphdiffusion import (DiffusionMatrix, Exact, Gdc, InputError,
+from graphdiffusion import (DiffusionMatrix, Exact, Gdc, Heat, InputError,
                             PostProcess, Ppr, Push, RandomWalk, Series, TargetDegree,
                             Threshold, TopK, TransitionMatrix, diffuse,
                             diffuse_graph, eigen,
@@ -347,6 +347,20 @@ def sbm_1000():
     g, _ = largest_connected_component(g)
     assert g.n == 1000
     return g
+
+
+@pytest.mark.parametrize("parts,message", [
+    ({"route": Push(1e-4)}, "random-walk transition"),
+    ({"transition": RandomWalk(), "spec": Heat(3.0), "route": Push(1e-4)},
+     r"Series\(k\) or Exact\(\)"),
+    ({"route": "push"}, "unknown diffusion route 'push'"),
+    ({"rule": "topk:64"}, "unknown sparsify rule 'topk:64'"),
+    ({"post": "sym"}, "postprocessing must be a PostProcess, got 'sym'")],
+    ids=["symloop-push", "heat-push", "route-name", "rule-text", "post-text"])
+def test_gdc_checks_its_parts_when_built(parts, message):
+    # an operator no route runs fails before any graph is read
+    with pytest.raises(InputError, match=message):
+        Gdc(**parts)
 
 
 PIPELINE_ROUTES = {"exact": Exact(), "push": Push(1e-4), "series": Series(20)}
