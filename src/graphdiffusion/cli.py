@@ -3,8 +3,12 @@ eval-cluster.
 
 Exit codes: 0 success, 1 computation error, 2 I/O or usage error. Errors
 print a single machine-parsable line (E_IO / E_USAGE / E_COMPUTE prefix) on
-stderr. The default thread count comes from GRAPHDIFFUSION_THREADS (0 means
-automatic).
+stderr. Every subcommand builds the values of its settings (the operator and
+its parts, the SBM, the counts) before it reads input or draws a graph, and
+a value that does not build is a usage error; what the input files hold (an
+edge list, a weight file) and what goes wrong in the computation is
+E_COMPUTE. The default thread count comes from GRAPHDIFFUSION_THREADS (0
+means automatic).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import coeffs as cf
-from .cluster import SbmSpec, eval_gdc_clustering, generate_sbm
+from .cluster import SbmSpec, check_counts, eval_gdc_clustering, generate_sbm
 from .engine import Exact, Push, Series
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
@@ -35,15 +40,15 @@ from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectr
 TOOL_VERSION = "0.1.0"
 
 # One table per choice: each name maps to what builds the choice's object
-# from the settings it owns (see SETTINGS). A rule maps to its class and the
-# type of its argument.
+# from the settings it owns (see SETTINGS); explicit takes the weights that
+# parse_config reads from the theta file. A rule and a route, written
+# name[:arg], map to their class and the type of their argument, None for no
+# argument.
 TRANSITIONS = {"rw": RandomWalk, "sym": Symmetric, "symloop": SymmetricSelfLoop}
-# explicit takes the theta file's path and builds the weights from its numbers
-METHODS = {"ppr": cf.Ppr, "heat": cf.Heat,
-           "explicit": lambda path: cf.Explicit(tuple(_read_vector(path)))}
+METHODS = {"ppr": cf.Ppr, "heat": cf.Heat, "explicit": lambda weights: weights}
 RULES = {"topk": (TopK, int), "eps": (Threshold, float),
          "degree": (TargetDegree, float)}
-ROUTES = {"exact": Exact, "series": Series, "push": Push}
+ROUTES = {"exact": (Exact, None), "series": (Series, int), "push": (Push, float)}
 RENORMS = ("sym", "rw", "none")
 FORMATS = ("edges", "npz")
 
@@ -77,9 +82,7 @@ SETTINGS = {
     "t": Setting(float, REQUIRED, ("method", "heat"), "diffusion time (heat)"),
     "theta_file": Setting(str, REQUIRED, ("method", "explicit"),
                           "one weight per line (explicit)"),
-    "mode": Setting(ROUTES, "exact", flag=False),
-    "series_k": Setting(int, REQUIRED, ("mode", "series"), flag=False),
-    "eps_push": Setting(float, REQUIRED, ("mode", "push"), flag=False),
+    "route": Setting(str, "exact", help="exact, series:K or push:EPS", flag=False),
     "sparsify": Setting(str, "topk:64", help="topk:K, eps:E or degree:D"),
     "symmetrize": Setting(bool, True, flag=False),
     "unweighted": Setting(bool, False, flag=False),
@@ -91,7 +94,8 @@ SETTINGS = {
 # the .meta key of a setting whose config key differs, and the name an
 # unknown value's message gives a setting
 META_KEYS = {"wloop": "w_loop", "theta_file": "theta"}
-LABELS = {"renorm": "renormalization", "format": "output format"}
+LABELS = {"renorm": "renormalization", "format": "output format",
+          "sparsify": "sparsify rule"}
 
 
 class UsageError(Exception):
@@ -116,7 +120,8 @@ class PipelineConfig:
               str(v).lower() if isinstance(v, bool) else str(v)
               for k, v in self.values.items()}
         kv["theta"] = ",".join(repr(v) for v in getattr(self.gdc.spec, "theta", ()))
-        kv["sparsify"] = _rule_name(self.gdc.rule)
+        kv["route"] = _render(ROUTES, self.gdc.route)
+        kv["sparsify"] = _render(RULES, self.gdc.rule)
         return kv
 
     def config_hash(self):
@@ -124,21 +129,36 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _rule_name(rule):
-    for name, (cls, _) in RULES.items():
-        if isinstance(rule, cls):
-            return f"{name}:{astuple(rule)[0]!r}"
+def _render(table, obj):
+    """The name[:arg] text of obj, a value of one of table's classes."""
+    for name, (cls, kind) in table.items():
+        if isinstance(obj, cls):
+            return name if kind is None else f"{name}:{astuple(obj)[0]!r}"
 
 
-def _parse_rule(text):
-    name, _, arg = text.partition(":")
-    if name not in RULES:
-        raise UsageError(f"bad sparsify rule {text!r}; use topk:K, eps:E or degree:D")
-    cls, kind = RULES[name]
+def _parse(table, key, text):
+    """The object that text, name[:arg], names in table, the table of setting
+    key; a name its table lacks, an argument it does not take or a bad
+    argument is a usage error."""
+    name, colon, arg = text.partition(":")
+    what = LABELS.get(key, key)
+    if name not in table or (table[name][1] is None) == bool(colon):
+        raise UsageError(f"bad {what} {text!r}; use {SETTINGS[key].help}")
+    cls, kind = table[name]
     try:
-        return cls(kind(arg))
+        return cls() if kind is None else cls(kind(arg))
     except (ValueError, InputError) as exc:
-        raise UsageError(f"bad sparsify rule {text!r}: {exc}") from exc
+        raise UsageError(f"bad {what} {text!r}: {exc}") from exc
+
+
+@contextmanager
+def _settings_built():
+    """Report an InputError raised while a setting's value is built as a
+    usage error."""
+    try:
+        yield
+    except InputError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _read_config_file(path):
@@ -188,14 +208,6 @@ def _convert(key, kind, val):
     return val
 
 
-class _RouteFlag(argparse.Action):
-    """Stores a route's argument and sets mode to the route the flag names."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.mode = option_string.lstrip("-")
-
-
 def _add_pipeline_flags(p):
     for key, s in SETTINGS.items():
         if s.flag:
@@ -203,13 +215,14 @@ def _add_pipeline_flags(p):
                        {"choices": s.kind} if s.kind is not str else {})
             p.add_argument("--" + key.replace("_", "-"), help=s.help, **convert)
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="mode", action="store_const", const="exact",
-                      help="closed-form solve")
-    mode.add_argument("--series", dest="series_k", action=_RouteFlag, type=int,
-                      metavar="K", help="truncated series")
-    mode.add_argument("--push", dest="eps_push", action=_RouteFlag, type=float,
-                      metavar="EPS", help="per-column push approximation")
+    # each route flag sets the route setting, name:arg
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--exact", dest="route", action="store_const", const="exact",
+                       help="closed-form solve")
+    route.add_argument("--series", dest="route", type="series:{}".format,
+                       metavar="K", help="truncated series")
+    route.add_argument("--push", dest="route", type="push:{}".format,
+                       metavar="EPS", help="per-column push approximation")
     sym = p.add_mutually_exclusive_group()
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_const", const=True)
     sym.add_argument("--no-symmetrize", dest="symmetrize", action="store_const", const=False)
@@ -220,8 +233,11 @@ def parse_config(ns):
     """Resolve flags plus optional config file into a PipelineConfig.
 
     Defaults without any flags: self-loop symmetric transition (w = 1),
-    geometric diffusion with teleport 0.15 solved in closed form, top-64
-    sparsification, symmetrization and random-walk renormalization.
+    geometric diffusion with teleport 0.15 solved in closed form (route
+    exact), top-64 sparsification, symmetrization and random-walk
+    renormalization. A value that does not build, or a combination of
+    choices that no route runs, is a UsageError before any input is read;
+    a theta file whose numbers are not a list of weights is an InputError.
     """
     file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key in file_values:
@@ -251,25 +267,29 @@ def parse_config(ns):
             val = s.default
         values[key] = None if val is None else _convert(key, s.kind, val)
 
-    # each choice builds its object from the settings it owns, which also
-    # checks their values before any input is read
-    built = {choice: SETTINGS[choice].kind[name](
-        *(values[key] for key, s in SETTINGS.items() if s.owner == (choice, name)))
-        for choice, name in values.items() if isinstance(SETTINGS[choice].kind, dict)}
-    post = PostProcess(symmetrize=values["symmetrize"],
-                       unweighted=values["unweighted"],
-                       renorm=None if values["renorm"] == "none" else values["renorm"])
-    # the Gdc refuses a combination of choices that no route runs
-    try:
+    args = dict(values)
+    if values["theta_file"] is not None:
+        # the theta file's contents are input, so a bad weight list is E_COMPUTE
+        args["theta_file"] = cf.Explicit(tuple(_read_vector(values["theta_file"])))
+    # each choice builds its object from the settings it owns, and the Gdc
+    # refuses a combination of choices that no route runs
+    with _settings_built():
+        built = {choice: SETTINGS[choice].kind[name](
+            *(args[key] for key, s in SETTINGS.items() if s.owner == (choice, name)))
+            for choice, name in values.items() if isinstance(SETTINGS[choice].kind, dict)}
+        post = PostProcess(symmetrize=values["symmetrize"],
+                           unweighted=values["unweighted"],
+                           renorm=None if values["renorm"] == "none" else values["renorm"])
         gdc = Gdc(transition=built["transition"], spec=built["method"],
-                  route=built["mode"], rule=_parse_rule(values["sparsify"]), post=post)
-    except InputError as exc:
-        raise UsageError(str(exc)) from exc
+                  route=_parse(ROUTES, "route", values["route"]),
+                  rule=_parse(RULES, "sparsify", values["sparsify"]), post=post)
     return PipelineConfig(values=values, gdc=gdc)
 
 
 def _read_vector(path):
-    """One finite number per line (a decimal or a fraction p/q); '#' comments."""
+    """One number per line (a decimal or a fraction p/q), each as the exact
+    Fraction it writes; '#' comments. A number must be finite as a float.
+    """
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -282,7 +302,10 @@ def _read_vector(path):
                 v = math.nan
             if not math.isfinite(v):
                 raise InputError(f"{path}:{lineno}: expected a finite number")
-            out.append(v)
+            # float reads any exponent at once, while Fraction builds 10**E:
+            # a nonzero finite float bounds E, and a decimal below the float
+            # range, which float reads as 0.0, reads as 0
+            out.append(Fraction(line) if v else Fraction(0))
     if not out:
         raise InputError(f"{path}: no numbers found")
     return out
@@ -401,8 +424,8 @@ def cmd_spectrum(ns):
 
 def cmd_convert_coeffs(ns):
     vec = _read_vector(ns.input)
-    if ns.mode == "exact":
-        vec = [Fraction(v).limit_denominator(10 ** 12) for v in vec]
+    if ns.mode == "float":
+        vec = [float(v) for v in vec]
     if ns.direction == "theta-to-xi":
         out = cf.theta_to_xi(vec, mode=ns.mode)
     else:
@@ -420,7 +443,8 @@ def _add_sbm_flags(p):
 
 def _sbm_spec(ns):
     blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
-    return SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
+    with _settings_built():
+        return SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
 
 
 def cmd_gen_sbm(ns):
@@ -441,8 +465,10 @@ def cmd_gen_sbm(ns):
 
 def cmd_eval_cluster(ns):
     sbm = _sbm_spec(ns)
-    gdc = Gdc(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
-              post=PostProcess(symmetrize=True, unweighted=ns.unweighted))
+    with _settings_built():
+        gdc = Gdc(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
+                  post=PostProcess(symmetrize=True, unweighted=ns.unweighted))
+        check_counts(sbm, ns.seeds, ns.clusters)
     report = eval_gdc_clustering(sbm, gdc=gdc, seeds=ns.seeds,
                                  num_clusters=ns.clusters, threads=ns.threads)
     if ns.output:

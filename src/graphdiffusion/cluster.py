@@ -128,9 +128,9 @@ def kmeans(points, k, seed=0):
     return best_labels
 
 
-def spectral_embedding(g, num_clusters, normalize_rows=True,
-                       allow_disconnected=False):
-    """Rows of the bottom eigenvectors of the symmetric normalized Laplacian.
+def spectral_embedding(g, num_clusters):
+    """Rows of the bottom eigenvectors of the symmetric normalized Laplacian,
+    each scaled to unit length.
 
     The bottom num_clusters eigenvectors of I - D^-1/2 A D^-1/2 are the top
     eigenvectors of a = transition_matrix(g, Symmetric()), symmetrized as
@@ -139,17 +139,11 @@ def spectral_embedding(g, num_clusters, normalize_rows=True,
     raises InputError naming it. Memory is O(nnz + N * num_clusters); no
     N x N array is formed. Columns run from the largest eigenvalue down.
 
-    Disconnected input is refused by default; pass allow_disconnected when
-    components are meaningful clusters themselves (sparsification of a
-    diffusion graph can split blocks apart, and the component indicator
-    vectors are then exactly the right embedding).
+    A disconnected graph is embedded as it is: sparsifying a diffusion can
+    split blocks apart, and the indicator vectors of the components are
+    then the embedding that separates them.
     """
     n = g.n
-    if not allow_disconnected:
-        ncomp, _ = csgraph.connected_components(g.to_scipy(), directed=False)
-        if ncomp != 1:
-            raise InputError(f"input has {ncomp} connected components; run the "
-                             "largest-connected-component extraction first")
     if num_clusters < 2:
         raise InputError("need at least 2 clusters")
     if num_clusters >= n:
@@ -166,19 +160,14 @@ def spectral_embedding(g, num_clusters, normalize_rows=True,
                            f"{num_clusters} eigenvectors before its iteration "
                            "limit") from exc
     emb = vecs[:, np.argsort(-vals, kind="stable")]
-    if normalize_rows:
-        norms = np.linalg.norm(emb, axis=1)
-        norms[norms == 0] = 1.0
-        emb = emb / norms[:, None]
-    return emb
+    norms = np.linalg.norm(emb, axis=1)
+    norms[norms == 0] = 1.0
+    return emb / norms[:, None]
 
 
-def spectral_cluster(g, num_clusters, seed=0, normalize_rows=True,
-                     allow_disconnected=False):
-    """K-means labels on the spectral embedding of a connected graph."""
-    emb = spectral_embedding(g, num_clusters, normalize_rows=normalize_rows,
-                             allow_disconnected=allow_disconnected)
-    return kmeans(emb, num_clusters, seed=seed)
+def spectral_cluster(g, num_clusters, seed=0):
+    """K-means labels on the spectral embedding of g."""
+    return kmeans(spectral_embedding(g, num_clusters), num_clusters, seed=seed)
 
 
 @dataclass
@@ -253,6 +242,19 @@ def run_gdc_for_clustering(g, gdc):
     return diffuse_graph(g, gdc, threads=1)[0]
 
 
+def check_counts(sbm_spec, seeds, num_clusters):
+    """The cluster count eval_gdc_clustering runs with: num_clusters, or the
+    block count of sbm_spec for None. InputError unless seeds >= 1 and the
+    count is at least 2."""
+    if seeds < 1:
+        raise InputError(f"need at least one seed, got {seeds}")
+    if num_clusters is None:
+        num_clusters = len(sbm_spec.block_sizes)
+    if num_clusters < 2:
+        raise InputError(f"need at least 2 clusters, got {num_clusters}")
+    return num_clusters
+
+
 def eval_gdc_clustering(sbm_spec, gdc=Gdc(), seeds=20, num_clusters=None,
                         threads=0):
     """Paired clustering accuracies, raw graph versus diffusion graph gdc.
@@ -263,15 +265,13 @@ def eval_gdc_clustering(sbm_spec, gdc=Gdc(), seeds=20, num_clusters=None,
     number. Seeds run in a thread pool unless threads is 1; 0 uses one
     worker per usable core. Results do not depend on the thread count.
     Clustering embeds a graph, so gdc must not renormalize (post.renorm
-    None); any other renorm is an InputError before the first seed runs.
+    None); any other renorm, and a count that check_counts refuses, is an
+    InputError before the first seed runs.
     """
-    if seeds < 1:
-        raise InputError(f"need at least one seed, got {seeds}")
+    num_clusters = check_counts(sbm_spec, seeds, num_clusters)
     if gdc.post.renorm is not None:
         raise InputError("the clustering arm needs a graph, not a transition "
                          f"matrix; got renorm {gdc.post.renorm!r}, use None")
-    if num_clusters is None:
-        num_clusters = len(sbm_spec.block_sizes)
 
     def one(i):
         spec_i = SbmSpec(sbm_spec.block_sizes, sbm_spec.p_in, sbm_spec.p_out,
@@ -279,12 +279,10 @@ def eval_gdc_clustering(sbm_spec, gdc=Gdc(), seeds=20, num_clusters=None,
         g, labels = generate_sbm(spec_i)
         lcc, index_map = largest_connected_component(g)
         labels = labels[index_map >= 0]
-        raw_labels = spectral_cluster(lcc, num_clusters, seed=spec_i.seed,
-                                      allow_disconnected=True)
+        raw_labels = spectral_cluster(lcc, num_clusters, seed=spec_i.seed)
         raw = hungarian_accuracy(raw_labels, labels).accuracy
         gdc_graph = run_gdc_for_clustering(lcc, gdc)
-        gdc_labels = spectral_cluster(gdc_graph, num_clusters, seed=spec_i.seed,
-                                      allow_disconnected=True)
+        gdc_labels = spectral_cluster(gdc_graph, num_clusters, seed=spec_i.seed)
         acc = hungarian_accuracy(gdc_labels, labels).accuracy
         return raw, acc
 

@@ -87,11 +87,14 @@ def worker_count(threads):
     """Pool size for a threads knob: itself if positive, else the usable cores.
 
     Automatic (0 or negative) means one worker per core this process may
-    run on, so BLAS-heavy workers do not oversubscribe the machine.
+    run on, so BLAS-heavy workers do not oversubscribe the machine; where
+    the platform cannot tell those cores (macOS, Windows), one per core.
     """
     if threads and threads > 0:
         return int(threads)
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pool_map(fn, items, threads):
@@ -256,11 +259,6 @@ class PushColumn:
     touched: int
     support: int
     rounds_drain: int
-
-    def dense(self, n):
-        out = np.zeros(n)
-        out[self.indices] = self.values
-        return out
 
 
 def check_route(kind, spec, route):

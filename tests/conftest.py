@@ -21,6 +21,13 @@ def connected_er(n, p, seed):
     raise AssertionError(f"no connected ER({n}, {p}) found from seed {seed}")
 
 
+def dense_column(col, n):
+    """A push column's entries as a dense length-n vector."""
+    out = np.zeros(n)
+    out[col.indices] = col.values
+    return out
+
+
 def random_theta(k, rng):
     """Nonnegative weights of length k+1 summing to one."""
     w = rng.random(k + 1)

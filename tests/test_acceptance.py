@@ -25,7 +25,7 @@ from graphdiffusion import (Gdc, Heat, PostProcess, Ppr, RandomWalk,
                             theta_vector, transition_matrix, truncation_k,
                             xi_to_theta)
 from graphdiffusion.cli import main as cli_main
-from conftest import connected_er, random_theta
+from conftest import connected_er, dense_column, random_theta
 
 
 def report(name, ok, detail):
@@ -157,7 +157,8 @@ def test_criterion_6_push_accuracy_and_locality():
     touched_small = []
     for j in range(1000):
         col = diffuse_push_ppr(t1, 0.15, 1e-6, j)
-        worst_l1 = max(worst_l1, float(np.abs(col.dense(1000) - exact[:, j]).sum()))
+        err = np.abs(dense_column(col, 1000) - exact[:, j]).sum()
+        worst_l1 = max(worst_l1, float(err))
         touched_small.append(col.touched)
 
     sbm_big = SbmSpec((2000, 2000), 0.045, 0.015, seed=43)

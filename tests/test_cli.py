@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,12 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="random-walk transition"):
             parse(["--input", "a", "--output", "b", "--push", "1e-4"])
 
+    # the route is one setting, route = name[:arg]: the keys that once held
+    # it and its argument are unknown
     @pytest.mark.parametrize("flags,conf,message", [
-        ([], "series_k = 5", "series_k applies only to mode series, not exact"),
-        ([], "mode = exact\neps_push = 1e-4",
-         "eps_push applies only to mode push, not exact"),
-        (["--series", "12"], "eps_push = 1e-4",
-         "eps_push applies only to mode push, not series")],
+        ([], "series_k = 5", "unknown config key 'series_k'"),
+        ([], "mode = exact\neps_push = 1e-4", "unknown config key 'mode'"),
+        (["--series", "12"], "eps_push = 1e-4", "unknown config key 'eps_push'")],
         ids=["series_k-alone", "exact-eps_push", "series-flag-eps_push"])
     def test_unused_route_setting_is_usage_error(self, tmp_path, capsys, flags,
                                                  conf, message):
@@ -81,10 +82,10 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("conf,flags,route", [
-        ("mode = push\neps_push = 1e-4", ["--push", "1e-3"], Push(1e-3)),
-        ("mode = push\neps_push = 1e-4", [], Push(1e-4)),
-        ("mode = series\nseries_k = 5", ["--series", "12"], Series(12)),
-        ("mode = series\nseries_k = 5", [], Series(5))],
+        ("route = push:1e-4", ["--push", "1e-3"], Push(1e-3)),
+        ("route = push:1e-4", [], Push(1e-4)),
+        ("route = series:5", ["--series", "12"], Series(12)),
+        ("route = series:5", [], Series(5))],
         ids=["push-flag", "push-file", "series-flag", "series-file"])
     def test_route_flag_overrides_file_argument(self, tmp_path, conf, flags, route):
         config = tmp_path / "run.conf"
@@ -92,15 +93,32 @@ class TestParseConfig:
         assert parse(["--input", "a", "--output", "b", "--transition", "rw",
                       "--config", str(config)] + flags).gdc.route == route
 
-    @pytest.mark.parametrize("flags,mode,series_k,eps_push", [
-        ([], "exact", "", ""), (["--series", "0"], "series", "0", ""),
-        (["--series", "12"], "series", "12", ""),
-        (["--transition", "rw", "--push", "1e-4"], "push", "", "0.0001")],
+    @pytest.mark.parametrize("flags,route", [
+        ([], "exact"), (["--series", "0"], "series:0"),
+        (["--series", "12"], "series:12"),
+        (["--transition", "rw", "--push", "1e-4"], "push:0.0001")],
         ids=["exact", "series-0", "series-12", "push"])
-    def test_route_sidecar_keys(self, flags, mode, series_k, eps_push):
+    def test_route_sidecar_keys(self, flags, route):
         items = parse(["--input", "a", "--output", "b"] + flags).items()
-        assert (items["mode"], items["series_k"], items["eps_push"]) == (
-            mode, series_k, eps_push)
+        assert items["route"] == route
+        assert not {"mode", "series_k", "eps_push"} & set(items)
+
+    # a route without its argument is among the owned-setting cases below
+    @pytest.mark.parametrize("line,message", [
+        ("route = exact:1", "bad route 'exact:1'; use exact, series:K or push:EPS"),
+        ("route = ppr", "bad route 'ppr'; use exact, series:K or push:EPS"),
+        ("route = series:1.5",
+         "bad route 'series:1.5': invalid literal for int() with base 10: '1.5'")],
+        ids=["exact-arg", "name", "series-float"])
+    def test_bad_route_setting_is_one_usage_line(self, tmp_path, capsys, line,
+                                                 message):
+        out = tmp_path / "out.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\n"
+                          f"transition = rw\n{line}\n")
+        assert main(["transform", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
 
     def test_paths_required(self):
         with pytest.raises(UsageError):
@@ -216,8 +234,8 @@ class TestParseConfig:
 
     DEFAULT_ITEMS = {
         "input": "a", "output": "b", "transition": "symloop", "w_loop": "1.0",
-        "method": "ppr", "alpha": "0.15", "t": "", "theta": "", "mode": "exact",
-        "series_k": "", "eps_push": "", "sparsify": "topk:64",
+        "method": "ppr", "alpha": "0.15", "t": "", "theta": "", "route": "exact",
+        "sparsify": "topk:64",
         "symmetrize": "true", "unweighted": "false", "renorm": "rw",
         "threads": "0", "format": "edges"}
 
@@ -226,16 +244,16 @@ class TestParseConfig:
         ([], "", {}),
         (["--wloop", "2", "--method", "heat", "--t", "3", "--series", "0",
           "--format", "npz", "--threads", "1"],
-         "wloop = 2\nmethod = heat\nt = 3\nmode = series\nseries_k = 0\n"
+         "wloop = 2\nmethod = heat\nt = 3\nroute = series:0\n"
          "format = npz\nthreads = 1",
          {"w_loop": "2.0", "method": "heat", "alpha": "", "t": "3.0",
-          "mode": "series", "series_k": "0", "format": "npz", "threads": "1"}),
+          "route": "series:0", "format": "npz", "threads": "1"}),
         (["--transition", "rw", "--push", "1e-4"],
-         "transition = rw\nmode = push\neps_push = 1e-4",
-         {"transition": "rw", "w_loop": "", "mode": "push", "eps_push": "0.0001"}),
+         "transition = rw\nroute = push:1e-4",
+         {"transition": "rw", "w_loop": "", "route": "push:0.0001"}),
         (["--method", "explicit", "--theta-file", "THETA", "--exact",
           "--sparsify", "degree:8", "--symmetrize", "--renorm", "none"],
-         "method = explicit\ntheta_file = THETA\nmode = exact\n"
+         "method = explicit\ntheta_file = THETA\nroute = exact\n"
          "sparsify = degree:8\nsymmetrize = true\nrenorm = none",
          {"method": "explicit", "alpha": "", "theta": "0.5,0.25",
           "sparsify": "degree:8.0", "renorm": "none"}),
@@ -262,7 +280,8 @@ class TestParseConfig:
         assert by_file.config_hash() == by_flag.config_hash()
 
     # each owned setting given under another choice, by flag where one exists
-    # and by config file, and each required one left out
+    # and by config file, and each required one left out, a route's argument
+    # among them
     @pytest.mark.parametrize("flags,conf,message", [
         (["--transition", "rw", "--wloop", "2"], "",
          "wloop applies only to transition symloop, not rw"),
@@ -280,21 +299,13 @@ class TestParseConfig:
          "theta_file applies only to method explicit, not ppr"),
         ([], "method = heat\nt = 1\ntheta_file = THETA",
          "theta_file applies only to method explicit, not heat"),
-        ([], "mode = push\neps_push = 1e-4\nseries_k = 5",
-         "series_k applies only to mode series, not push"),
-        (["--exact"], "series_k = 5",
-         "series_k applies only to mode series, not exact"),
-        ([], "mode = series\nseries_k = 3\neps_push = 1e-4",
-         "eps_push applies only to mode push, not series"),
-        (["--series", "3"], "eps_push = 1e-4",
-         "eps_push applies only to mode push, not series"),
         (["--method", "heat"], "", "method heat requires t"),
         ([], "method = explicit", "method explicit requires theta_file"),
-        ([], "mode = push", "mode push requires eps_push"),
-        ([], "mode = series", "mode series requires series_k")],
+        ([], "transition = rw\nroute = push",
+         "bad route 'push'; use exact, series:K or push:EPS"),
+        ([], "route = series", "bad route 'series'; use exact, series:K or push:EPS")],
         ids=["wloop-flag", "wloop-file", "alpha-flag", "alpha-file", "t-flag",
-             "t-file", "theta_file-flag", "theta_file-file", "series_k-file",
-             "series_k-exact-flag", "eps_push-file", "eps_push-series-flag",
+             "t-file", "theta_file-flag", "theta_file-file",
              "heat-requires-t", "explicit-requires-theta_file",
              "push-requires-eps_push", "series-requires-series_k"])
     def test_owned_setting_under_another_choice(self, tmp_path, capsys, flags,
@@ -378,12 +389,15 @@ class TestTransform:
         assert len(line) <= 200
 
     @pytest.mark.parametrize("flags,conf,theta,rc,message", [
-        ([], "mode exact", None, 2, "E_USAGE: CONF:2: expected 'key = value'"),
+        ([], "route exact", None, 2, "E_USAGE: CONF:2: expected 'key = value'"),
         (["--sparsify", "top:3"], "", None, 2,
          "E_USAGE: bad sparsify rule 'top:3'; use topk:K, eps:E or degree:D"),
         (["--method", "explicit", "--theta-file", "THETA"], "", "# none\n", 1,
-         "E_COMPUTE: THETA: no numbers found")],
-        ids=["config-line", "rule-name", "empty-theta"])
+         "E_COMPUTE: THETA: no numbers found"),
+        # the weights are the file's contents, not a setting's value
+        (["--method", "explicit", "--theta-file", "THETA"], "", "0.75\n3/4\n", 1,
+         "E_COMPUTE: explicit weights must sum to at most 1")],
+        ids=["config-line", "rule-name", "empty-theta", "theta-sum"])
     def test_malformed_setting_fails_before_input(self, tmp_path, capsys, flags,
                                                   conf, theta, rc, message):
         config = tmp_path / "run.conf"
@@ -451,29 +465,30 @@ class TestTransform:
     @pytest.mark.parametrize("flags,conf", [
         (["--push", "-1"], ""),
         (["--push", "nan"], ""),
-        ([], "mode = push\neps_push = 0\n"),
+        ([], "route = push:0\n"),
     ])
     def test_bad_push_tolerance_fails_before_input(self, tmp_path, capsys,
                                                    flags, conf):
-        self._fails_before_input(tmp_path, capsys, flags, conf,
-                                 "E_COMPUTE: push tolerance must be positive")
+        self._fails_before_input(tmp_path, capsys, flags, conf, "push",
+                                 "push tolerance must be positive")
 
     @pytest.mark.parametrize("flags,conf", [
         (["--series", "-1"], ""),
-        ([], "mode = series\nseries_k = -2\n"),
+        ([], "route = series:-2\n"),
     ])
     def test_bad_series_order_fails_before_input(self, tmp_path, capsys,
                                                  flags, conf):
-        self._fails_before_input(tmp_path, capsys, flags, conf,
-                                 "E_COMPUTE: series order must be non-negative")
+        self._fails_before_input(tmp_path, capsys, flags, conf, "series",
+                                 "series order must be non-negative")
 
     @pytest.mark.parametrize("flags,message", [
         (["--method", "heat", "--t", "inf"],
-         "E_COMPUTE: diffusion time must be a finite number, got inf"),
+         "E_USAGE: diffusion time must be a finite number, got inf"),
         (["--transition", "rw", "--push", "inf"],
-         "E_COMPUTE: push tolerance must be a finite number, got inf"),
+         "E_USAGE: bad route 'push:inf': push tolerance must be a finite number, "
+         "got inf"),
         (["--wloop", "inf"],
-         "E_COMPUTE: self-loop weight must be a finite number, got inf"),
+         "E_USAGE: self-loop weight must be a finite number, got inf"),
         (["--sparsify", "eps:inf"],
          "E_USAGE: bad sparsify rule 'eps:inf': "
          "threshold must be a finite number, got inf")],
@@ -489,15 +504,18 @@ class TestTransform:
         assert not out.exists()
 
     @staticmethod
-    def _fails_before_input(tmp_path, capsys, flags, conf, message):
+    def _fails_before_input(tmp_path, capsys, flags, conf, route, reason):
         # the input does not exist, so reading it first would exit 2 with E_IO
         config = tmp_path / "run.conf"
         config.write_text(conf)
         rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
                    "--output", str(tmp_path / "o.txt"), "--transition", "rw",
                    "--config", str(config)] + flags)
-        assert rc == 1
-        assert capsys.readouterr().err.startswith(message)
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"E_USAGE: bad route '{route}:")
+        assert f"': {reason}, got " in line
+        assert not (tmp_path / "o.txt").exists()
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", "a", "--output", "b",
@@ -681,6 +699,22 @@ class TestOtherCommands:
         vals = [float(v) for v in Path(back).read_text().split()]
         assert vals == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
+    def test_convert_coeffs_exact_round_trip(self, tmp_path):
+        # each line is read as the Fraction it writes, so exact mode returns
+        # its input however many digits a weight has
+        theta = ["0.5", "1e-20", "0.123456789012345678", "1/3"]
+        path = tmp_path / "theta.txt"
+        path.write_text("\n".join(theta) + "\n")
+        xi, back = str(tmp_path / "xi.txt"), str(tmp_path / "back.txt")
+        for direction, src, dst in (("theta-to-xi", str(path), xi),
+                                    ("xi-to-theta", xi, back)):
+            assert main(["convert-coeffs", "--input", src, "--output", dst,
+                         "--direction", direction, "--mode", "exact"]) == 0
+        assert [Fraction(v) for v in Path(back).read_text().split()] == [
+            Fraction(v) for v in theta]
+        assert Path(back).read_text().split()[:2] == [
+            "1/2", "1/100000000000000000000"]
+
     def test_convert_coeffs_exact_mode(self, tmp_path):
         theta = tmp_path / "theta.txt"
         theta.write_text("1/2\n1/4\n1/4\n")
@@ -738,6 +772,50 @@ class TestOtherCommands:
         assert g.n == 20
         labels = [int(x) for x in Path(out + ".labels").read_text().split()]
         assert labels == [0] * 10 + [1] * 10
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval-cluster", "--topk", "0"], "top-k count must be positive, got 0"),
+        (["eval-cluster", "--alpha", "1.5"],
+         "teleport probability must be in (0, 1), got 1.5"),
+        (["eval-cluster", "--alpha", "inf"],
+         "teleport probability must be a finite number, got inf"),
+        (["eval-cluster", "--seeds", "0"], "need at least one seed, got 0"),
+        (["eval-cluster", "--clusters", "1"], "need at least 2 clusters, got 1"),
+        (["eval-cluster", "--blocks", "20"], "need at least 2 clusters, got 1"),
+        (["gen-sbm", "--p-in", "0.1", "--p-out", "0.5"],
+         "need 0 <= p_out < p_in <= 1 for an assortative partition, "
+         "got p_in=0.1, p_out=0.5"),
+        (["eval-cluster", "--p-in", "0.1", "--p-out", "0.5"],
+         "need 0 <= p_out < p_in <= 1 for an assortative partition, "
+         "got p_in=0.1, p_out=0.5"),
+        (["transform", "--alpha", "2"],
+         "teleport probability must be in (0, 1), got 2.0")],
+        ids=["topk", "alpha", "alpha-inf", "seeds", "clusters", "one-block",
+             "gen-sbm-p", "eval-cluster-p", "transform-alpha"])
+    def test_bad_value_is_usage_error_before_drawing(self, tmp_path, capsys,
+                                                     monkeypatch, argv, message):
+        import graphdiffusion.cli as cli
+        import graphdiffusion.cluster as cluster
+        drawn = []
+        for module in (cli, cluster):
+            monkeypatch.setattr(module, "generate_sbm",
+                                lambda spec: drawn.append(spec) or (None, None))
+        out = tmp_path / "out.txt"
+        # the last of a repeated flag wins, so argv overrides these values;
+        # transform's input does not exist, so reading it would be E_IO
+        base = {"transform": ["--input", str(tmp_path / "missing.txt")]}.get(
+            argv[0], ["--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1"])
+        assert main(argv[:1] + base + ["--output", str(out)] + argv[1:]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert drawn == [] and not out.exists()
+
+    def test_clusters_past_the_drawn_graph_is_compute_error(self, capsys):
+        # the LCC is known only once the graph is drawn
+        assert main(["eval-cluster", "--blocks", "5,5", "--p-in", "0.9",
+                     "--p-out", "0.1", "--seeds", "1", "--clusters", "10",
+                     "--threads", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "E_COMPUTE: need fewer clusters than nodes, got 10 clusters for 10 nodes"]
 
     def test_eval_cluster(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")

@@ -123,11 +123,6 @@ class TestSpectralCluster:
             accs.append(hungarian_accuracy(got, labels[im >= 0]).accuracy)
         assert np.mean(accs) > 0.9
 
-    def test_disconnected_rejected(self):
-        g = load_graph([(0, 1), (2, 3)])
-        with pytest.raises(InputError, match="connected"):
-            spectral_cluster(g, 2, seed=0)
-
     def test_cluster_count_validated(self):
         g = load_graph([(0, 1), (1, 2)])
         with pytest.raises(InputError):
@@ -148,13 +143,15 @@ class TestSparseEmbedding:
 
     def test_spans_dense_bottom_eigenspace(self):
         g = self.sbm()
-        emb = spectral_embedding(g, 3, normalize_rows=False)
+        emb = spectral_embedding(g, 3)
         a = g.to_scipy().toarray()
         s = 1.0 / np.sqrt(a.sum(axis=0))
         lap = np.eye(g.n) - (s[:, None] * a) * s[None, :]
         vals, vecs = np.linalg.eigh((lap + lap.T) * 0.5)
         assert vals[3] - vals[2] > 0.1
-        ref = vecs[:, :3]
+        # rows of a basis V Q, for any orthogonal Q, have the norms of the
+        # rows of V, so the Gram matrix of normalized rows is one per eigenspace
+        ref = vecs[:, :3] / np.linalg.norm(vecs[:, :3], axis=1)[:, None]
         np.testing.assert_allclose(emb @ emb.T, ref @ ref.T, atol=1e-8)
 
     def test_repeated_calls_bit_identical(self):
@@ -172,7 +169,7 @@ class TestSparseEmbedding:
                  for i in range(8) for j in range(i + 1, 8)]
         g = load_graph(edges)
         labels = np.repeat([0, 1, 2], 8)
-        got = spectral_cluster(g, 3, seed=0, allow_disconnected=True)
+        got = spectral_cluster(g, 3, seed=0)
         assert hungarian_accuracy(got, labels).accuracy == 1.0
 
     def test_operator_bit_symmetric_on_undirected_graph(self, monkeypatch):
@@ -211,7 +208,7 @@ class TestSparseEmbedding:
     def test_isolated_node_named_when_disconnected_allowed(self):
         g = load_graph([(0, 1), (1, 2), (2, 0), (4, 5)], n_hint=6)
         with pytest.raises(InputError, match="node 3 has degree 0"):
-            spectral_embedding(g, 2, allow_disconnected=True)
+            spectral_embedding(g, 2)
 
     def test_non_convergence_is_compute_error(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -400,6 +397,19 @@ class TestEval:
         gdc = Gdc(post=PostProcess(symmetrize=True, renorm=renorm))
         with pytest.raises(InputError, match=f"renorm '{renorm}'"):
             eval_gdc_clustering(sbm, gdc=gdc, seeds=2, threads=1)
+
+    @pytest.mark.parametrize("blocks,clusters", [((20, 20), 1), ((40,), None)],
+                             ids=["clusters", "one-block"])
+    def test_one_cluster_rejected_before_any_seed(self, monkeypatch, blocks,
+                                                  clusters):
+        def no_graph(spec):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(cluster_mod, "generate_sbm", no_graph)
+        sbm = SbmSpec(blocks, 0.5, 0.05, seed=1)
+        with pytest.raises(InputError, match="need at least 2 clusters, got 1"):
+            eval_gdc_clustering(sbm, gdc=Gdc(), seeds=2, num_clusters=clusters,
+                                threads=1)
 
     def test_arm_runs_its_route(self, monkeypatch):
         # the package's sparsify attribute is the function, not the module

@@ -13,6 +13,8 @@ from graphdiffusion import engine
 from graphdiffusion.cluster import SbmSpec, generate_sbm
 from graphdiffusion.engine import PUSH_BLOCK, _push_ppr_block, worker_count
 
+from conftest import dense_column
+
 
 def rw(edges):
     return transition_matrix(load_graph(edges), RandomWalk())
@@ -44,18 +46,18 @@ def absorbing_single_node():
 class TestPushGeometric:
     def test_absorbing_node(self):
         col = diffuse_push_ppr(absorbing_single_node(), 0.5, 1e-10, 0)
-        np.testing.assert_allclose(col.dense(1), [1.0], atol=1e-9)
+        np.testing.assert_allclose(dense_column(col, 1), [1.0], atol=1e-9)
 
     def test_k2(self):
         col = diffuse_push_ppr(rw([(0, 1)]), 0.5, 1e-8, 0)
-        err = np.abs(col.dense(2) - np.array([2 / 3, 1 / 3])).sum()
+        err = np.abs(dense_column(col, 2) - np.array([2 / 3, 1 / 3])).sum()
         assert err < 1e-6
 
     def test_star_center(self):
         t = rw([(0, i) for i in range(1, 100)])
         exact = diffuse(t, Ppr(0.15)).data[:, 0]
         col = diffuse_push_ppr(t, 0.15, 1e-4, 0)
-        assert np.abs(col.dense(100) - exact).sum() < 1e-2
+        assert np.abs(dense_column(col, 100) - exact).sum() < 1e-2
 
     def test_exactness_identity(self):
         # p plus the exactly propagated residual reproduces the exact column
@@ -131,7 +133,7 @@ class TestPushGeometric:
         errs = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             col = diffuse_push_ppr(t, 0.2, eps, 0)
-            errs.append(np.abs(col.dense(t.n) - exact).sum())
+            errs.append(np.abs(dense_column(col, t.n) - exact).sum())
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_requires_random_walk(self):
@@ -189,9 +191,9 @@ class TestPushDrain:
                 drains += 1
                 p += alpha * r
                 r = (1 - alpha) * (m @ r)
-            np.testing.assert_array_equal(col.dense(n), p)
+            np.testing.assert_array_equal(dense_column(col, n), p)
             assert col.rounds_drain == drains > 0
-            err = np.abs(col.dense(n) - exact[:, j]).sum()
+            err = np.abs(dense_column(col, n) - exact[:, j]).sum()
             assert err <= col.residual_l1 + 1e-12
             assert col.residual_l1 <= 50.0 * eps
 
@@ -293,10 +295,17 @@ class TestPushMatrix:
         assert np.array_equal(a.data, b.data)
 
     def test_worker_count(self):
-        cores = len(os.sched_getaffinity(0))
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
         assert worker_count(0) == worker_count(-1) == worker_count(None) == cores
         assert worker_count(1) == 1
         assert worker_count(3) == 3
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert worker_count(0) == os.cpu_count()
+        assert worker_count(2) == 2
 
     def test_explicit_rejected(self):
         from graphdiffusion import Explicit
@@ -312,7 +321,7 @@ class TestPushMatrix:
         singles = []
         for j in range(t.n):
             col = diffuse_push_ppr(t, 0.2, 1e-5, j)
-            assert np.array_equal(out.data[:, j], col.dense(t.n))
+            assert np.array_equal(out.data[:, j], dense_column(col, t.n))
             singles.append(col)
         # the block certificate aggregates exactly the single-column counts
         assert out.certificate == {
