@@ -3,12 +3,14 @@ eval-cluster.
 
 Exit codes: 0 success, 1 computation error, 2 I/O or usage error. Errors
 print a single machine-parsable line (E_IO / E_USAGE / E_COMPUTE prefix) on
-stderr. Every subcommand builds the values of its settings (the operator and
-its parts, the SBM, the counts) before it reads input or draws a graph, and
-a value that does not build is a usage error; what the input files hold (an
-edge list, a weight file) and what goes wrong in the computation is
-E_COMPUTE. The default thread count comes from GRAPHDIFFUSION_THREADS (0
-means automatic).
+stderr. Each choice of the operator is one setting written name[:arg]:
+transition, method, route and sparsify, each parsed from its table by _parse
+and written to .meta by _render. Every subcommand builds the values of its
+settings (the operator and its parts, the SBM, the counts) before it reads
+input or draws a graph, and a value that does not build is a usage error;
+what the input files hold (an edge list, a weight file) and what goes wrong
+in the computation is E_COMPUTE. The default thread count comes from
+GRAPHDIFFUSION_THREADS (0 means automatic).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 
 from . import coeffs as cf
 from .cluster import SbmSpec, check_counts, eval_gdc_clustering, generate_sbm
-from .engine import Exact, Push, Series
+from .engine import Exact, Push, Series, worker_count
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
@@ -39,61 +41,50 @@ from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectr
 
 TOOL_VERSION = "0.1.0"
 
-# One table per choice: each name maps to what builds the choice's object
-# from the settings it owns (see SETTINGS); explicit takes the weights that
-# parse_config reads from the theta file. A rule and a route, written
-# name[:arg], map to their class and the type of their argument, None for no
-# argument.
-TRANSITIONS = {"rw": RandomWalk, "sym": Symmetric, "symloop": SymmetricSelfLoop}
-METHODS = {"ppr": cf.Ppr, "heat": cf.Heat, "explicit": lambda weights: weights}
+# One table per choice of the operator, written name[:arg]: each name maps
+# to its class and the type of its argument, None for no argument. The
+# argument may be left out where the class has a default for it. explicit's
+# argument is a weight file, which parse_config reads; an Explicit renders
+# as its weights.
+TRANSITIONS = {"rw": (RandomWalk, None), "sym": (Symmetric, None),
+               "symloop": (SymmetricSelfLoop, float)}
+METHODS = {"ppr": (cf.Ppr, float), "heat": (cf.Heat, float),
+           "explicit": (cf.Explicit, str)}
 RULES = {"topk": (TopK, int), "eps": (Threshold, float),
          "degree": (TargetDegree, float)}
 ROUTES = {"exact": (Exact, None), "series": (Series, int), "push": (Push, float)}
 RENORMS = ("sym", "rw", "none")
 FORMATS = ("edges", "npz")
 
-REQUIRED = object()  # the default of a setting that its owner cannot do without
-
 
 class Setting(NamedTuple):
-    """A pipeline setting: the type of its value (int, float, bool, str or
-    a choice's name table), its default, the (choice, name) whose object
-    takes it as an argument, and its flag's help. flag=False marks the
-    settings whose flags are written by hand."""
+    """A pipeline setting: the type of its value (int, bool, str, or a tuple
+    of the names it may take), its default and its flag's help, which for
+    a name[:arg] setting is its grammar. flag=False marks the settings whose
+    flags are written by hand."""
 
     kind: object
     default: object = None
-    owner: tuple | None = None
     help: str | None = None
     flag: bool = True
 
 
-# Every pipeline setting, keyed by its config key, in .meta order. A setting
-# owned by a choice applies only under it, where it defaults to its default;
-# under another choice it is None and an error if given.
+# Every pipeline setting, keyed by its config key, in .meta order
 SETTINGS = {
     "input": Setting(str, help="edge-list file to transform"),
     "output": Setting(str, help="destination path"),
-    "transition": Setting(TRANSITIONS, "symloop"),
-    "wloop": Setting(float, 1.0, ("transition", "symloop"),
-                     "self-loop weight for symloop"),
-    "method": Setting(METHODS, "ppr"),
-    "alpha": Setting(float, 0.15, ("method", "ppr"), "teleport probability (ppr)"),
-    "t": Setting(float, REQUIRED, ("method", "heat"), "diffusion time (heat)"),
-    "theta_file": Setting(str, REQUIRED, ("method", "explicit"),
-                          "one weight per line (explicit)"),
-    "route": Setting(str, "exact", help="exact, series:K or push:EPS", flag=False),
-    "sparsify": Setting(str, "topk:64", help="topk:K, eps:E or degree:D"),
+    "transition": Setting(str, "symloop", "rw, sym or symloop[:W]"),
+    "method": Setting(str, "ppr", "ppr[:A], heat:T or explicit:FILE"),
+    "route": Setting(str, "exact", "exact, series:K or push:EPS", flag=False),
+    "sparsify": Setting(str, "topk:64", "topk:K, eps:E or degree:D"),
     "symmetrize": Setting(bool, True, flag=False),
     "unweighted": Setting(bool, False, flag=False),
     "renorm": Setting(RENORMS, "rw"),
-    # threads defaults to GRAPHDIFFUSION_THREADS, which parse_config reads
+    # threads defaults to GRAPHDIFFUSION_THREADS (see _env_threads)
     "threads": Setting(int, help="0 = automatic"),
     "format": Setting(FORMATS, "edges"),
 }
-# the .meta key of a setting whose config key differs, and the name an
-# unknown value's message gives a setting
-META_KEYS = {"wloop": "w_loop", "theta_file": "theta"}
+# the name an unknown value's message gives a setting
 LABELS = {"renorm": "renormalization", "format": "output format",
           "sparsify": "sparsify rule"}
 
@@ -116,12 +107,13 @@ class PipelineConfig:
 
     def items(self):
         """Flat key/value view used for the sidecar and the config hash."""
-        kv = {META_KEYS.get(k, k): "" if v is None else
-              str(v).lower() if isinstance(v, bool) else str(v)
+        kv = {k: str(v).lower() if isinstance(v, bool) else str(v)
               for k, v in self.values.items()}
-        kv["theta"] = ",".join(repr(v) for v in getattr(self.gdc.spec, "theta", ()))
-        kv["route"] = _render(ROUTES, self.gdc.route)
-        kv["sparsify"] = _render(RULES, self.gdc.rule)
+        gdc = self.gdc
+        kv.update(transition=_render(TRANSITIONS, gdc.transition),
+                  method=_render(METHODS, gdc.spec),
+                  route=_render(ROUTES, gdc.route),
+                  sparsify=_render(RULES, gdc.rule))
         return kv
 
     def config_hash(self):
@@ -138,15 +130,17 @@ def _render(table, obj):
 
 def _parse(table, key, text):
     """The object that text, name[:arg], names in table, the table of setting
-    key; a name its table lacks, an argument it does not take or a bad
+    key. A name its table lacks, an argument its class does not take, an
+    argument left out where the class has no default for it, or a bad
     argument is a usage error."""
     name, colon, arg = text.partition(":")
     what = LABELS.get(key, key)
-    if name not in table or (table[name][1] is None) == bool(colon):
+    cls, kind = table.get(name, (None, None))
+    if (cls is None or colon and not (kind and arg)
+            or not colon and kind and fields(cls)[0].default is MISSING):
         raise UsageError(f"bad {what} {text!r}; use {SETTINGS[key].help}")
-    cls, kind = table[name]
     try:
-        return cls() if kind is None else cls(kind(arg))
+        return cls(kind(arg)) if colon else cls()
     except (ValueError, InputError) as exc:
         raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
@@ -188,20 +182,20 @@ def _as_bool(val, key):
     raise UsageError(f"bad boolean for {key}: {val!r}")
 
 
-def _number(val, key, kind=float):
-    """val as a kind (int or float); a value that does not parse is a usage error."""
+def _int(val, key):
+    """val as an int; a value that does not parse is a usage error."""
     try:
-        return kind(val)
+        return int(val)
     except ValueError as exc:
-        raise UsageError(f"bad {kind.__name__} for {key}: {val!r}") from exc
+        raise UsageError(f"bad int for {key}: {val!r}") from exc
 
 
 def _convert(key, kind, val):
     """A flag's or a config file's value of setting key as its kind."""
     if kind is bool:
         return _as_bool(val, key)
-    if kind in (int, float):
-        return _number(val, key, kind)
+    if kind is int:
+        return _int(val, key)
     if kind is not str and val not in kind:
         label = LABELS.get(key, key)
         raise UsageError(f"unknown {label} {val!r}; use one of {', '.join(kind)}")
@@ -211,7 +205,7 @@ def _convert(key, kind, val):
 def _add_pipeline_flags(p):
     for key, s in SETTINGS.items():
         if s.flag:
-            convert = ({"type": s.kind} if s.kind in (int, float) else
+            convert = ({"type": s.kind} if s.kind is int else
                        {"choices": s.kind} if s.kind is not str else {})
             p.add_argument("--" + key.replace("_", "-"), help=s.help, **convert)
     p.add_argument("--config", help="flat key=value config file; flags override it")
@@ -229,15 +223,25 @@ def _add_pipeline_flags(p):
     p.add_argument("--unweighted", action="store_const", const=True, default=None)
 
 
+def _env_threads():
+    """The thread count GRAPHDIFFUSION_THREADS sets, as text; "0" (automatic)
+    where it is unset."""
+    return os.environ.get("GRAPHDIFFUSION_THREADS", "0")
+
+
 def parse_config(ns):
     """Resolve flags plus optional config file into a PipelineConfig.
 
-    Defaults without any flags: self-loop symmetric transition (w = 1),
-    geometric diffusion with teleport 0.15 solved in closed form (route
-    exact), top-64 sparsification, symmetrization and random-walk
-    renormalization. A value that does not build, or a combination of
-    choices that no route runs, is a UsageError before any input is read;
-    a theta file whose numbers are not a list of weights is an InputError.
+    Defaults without any flags: transition symloop (w = 1), method ppr
+    (teleport 0.15), route exact (the closed form), sparsify topk:64,
+    symmetrization and random-walk renormalization. The transition, method,
+    route and sparsify rule are each one name[:arg] setting, whose argument
+    may be left out where its class has a default. A value that does not
+    build, a negative thread count, or a combination of choices that no
+    route runs, is a UsageError before any input is read. The weight file
+    of method explicit:FILE is input, read once every setting has built: a
+    missing one is an OSError, and one whose numbers are not a list of
+    weights is an InputError.
     """
     file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key in file_values:
@@ -245,44 +249,34 @@ def parse_config(ns):
             raise UsageError(f"unknown config key {key!r}")
 
     # the variable stands in for a threads line that the file lacks
-    file_values.setdefault("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
+    file_values.setdefault("threads", _env_threads())
 
     def get(key):
         flag = getattr(ns, key, None)
-        return flag if flag is not None else file_values.get(key)
+        return flag if flag is not None else file_values.get(key, SETTINGS[key].default)
 
     if not get("input") or not get("output"):
         raise UsageError("--input and --output are required")
-    values = {}
-    for key, s in SETTINGS.items():
-        val = get(key)
-        choice, name = s.owner or (None, None)
-        if choice and values[choice] != name:
-            if val is not None:
-                raise UsageError(f"{key} applies only to {choice} {name}, "
-                                 f"not {values[choice]}")
-        elif val is None and s.default is REQUIRED:
-            raise UsageError(f"{choice} {name} requires {key}")
-        elif val is None:
-            val = s.default
-        values[key] = None if val is None else _convert(key, s.kind, val)
+    values = {key: _convert(key, s.kind, get(key)) for key, s in SETTINGS.items()}
 
-    args = dict(values)
-    if values["theta_file"] is not None:
-        # the theta file's contents are input, so a bad weight list is E_COMPUTE
-        args["theta_file"] = cf.Explicit(tuple(_read_vector(values["theta_file"])))
-    # each choice builds its object from the settings it owns, and the Gdc
-    # refuses a combination of choices that no route runs
+    name, _, path = values["method"].partition(":")
+    explicit = name == "explicit" and path
     with _settings_built():
-        built = {choice: SETTINGS[choice].kind[name](
-            *(args[key] for key, s in SETTINGS.items() if s.owner == (choice, name)))
-            for choice, name in values.items() if isinstance(SETTINGS[choice].kind, dict)}
-        post = PostProcess(symmetrize=values["symmetrize"],
-                           unweighted=values["unweighted"],
-                           renorm=None if values["renorm"] == "none" else values["renorm"])
-        gdc = Gdc(transition=built["transition"], spec=built["method"],
-                  route=_parse(ROUTES, "route", values["route"]),
-                  rule=_parse(RULES, "sparsify", values["sparsify"]), post=post)
+        worker_count(values["threads"])  # refuses a negative count
+        parts = dict(transition=_parse(TRANSITIONS, "transition", values["transition"]),
+                     route=_parse(ROUTES, "route", values["route"]),
+                     rule=_parse(RULES, "sparsify", values["sparsify"]),
+                     post=PostProcess(symmetrize=values["symmetrize"],
+                                      unweighted=values["unweighted"],
+                                      renorm=None if values["renorm"] == "none"
+                                      else values["renorm"]))
+        spec = None if explicit else _parse(METHODS, "method", values["method"])
+    # the weight file is input, read once every setting has built and
+    # outside the conversion: a bad weight list in it is E_COMPUTE, not E_USAGE
+    spec = spec or cf.Explicit(tuple(_read_vector(path)))
+    with _settings_built():
+        # the Gdc refuses a combination of choices that no route runs
+        gdc = Gdc(spec=spec, **parts)
     return PipelineConfig(values=values, gdc=gdc)
 
 
@@ -317,14 +311,6 @@ def _write_vector(path, values):
             fh.write(f"{v}\n" if isinstance(v, Fraction) else f"{float(v)!r}\n")
 
 
-def _is_identity_route(gdc):
-    # the route sums theta_0 I alone under Series(0) or explicit weights that
-    # are 0 past theta_0; theta_0 = 0 is the zero matrix, which keeps no self-loop
-    alone = (isinstance(gdc.route, Series) and gdc.route.k == 0
-             or isinstance(gdc.spec, cf.Explicit) and not any(gdc.spec.theta[1:]))
-    return alone and cf.theta(gdc.spec, 0) != 0.0
-
-
 def run_pipeline(cfg):
     """Load, diffuse, sparsify, postprocess, export. Returns the metadata."""
     timings = {}
@@ -332,10 +318,6 @@ def run_pipeline(cfg):
     g = load_edge_list(cfg.values["input"], directed=False)
     g, index_map = largest_connected_component(g)
     timings["load"] = time.perf_counter() - t0
-
-    if _is_identity_route(cfg.gdc):
-        print("warning: diffusion weights are the identity; the output graph "
-              "contains only self-loops", file=sys.stderr)
 
     result, certificate, eps, stage_seconds = diffuse_graph(
         g, cfg.gdc, threads=cfg.values["threads"])
@@ -347,6 +329,8 @@ def run_pipeline(cfg):
                                            allow_loops=True)
     else:
         out_graph = result
+    if out_graph.values.size and np.all(out_graph.row_idx == out_graph.column_of_entry()):
+        print("warning: the output graph contains only self-loops", file=sys.stderr)
 
     meta = dict(cfg.items())
     meta.update({
@@ -442,7 +426,7 @@ def _add_sbm_flags(p):
 
 
 def _sbm_spec(ns):
-    blocks = tuple(_number(b, "--blocks", int) for b in ns.blocks.split(","))
+    blocks = tuple(_int(b, "--blocks") for b in ns.blocks.split(","))
     with _settings_built():
         return SbmSpec(blocks, ns.p_in, ns.p_out, seed=ns.seed)
 
@@ -469,6 +453,7 @@ def cmd_eval_cluster(ns):
         gdc = Gdc(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
                   post=PostProcess(symmetrize=True, unweighted=ns.unweighted))
         check_counts(sbm, ns.seeds, ns.clusters)
+        worker_count(ns.threads)  # refuses a negative count
     report = eval_gdc_clustering(sbm, gdc=gdc, seeds=ns.seeds,
                                  num_clusters=ns.clusters, threads=ns.threads)
     if ns.output:
@@ -521,8 +506,7 @@ def build_parser():
     p.add_argument("--topk", type=int, default=64)
     p.add_argument("--unweighted", action="store_true")
     # argparse converts a string default with type only when the command runs
-    p.add_argument("--threads", type=int,
-                   default=os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
+    p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--output", help="per-seed CSV report")
     p.set_defaults(func=cmd_eval_cluster)
     return parser

@@ -28,9 +28,10 @@ FLOAT_CONVERSION_CAP = 60
 
 @dataclass(frozen=True)
 class Ppr:
-    """Geometric weights theta_k = alpha (1 - alpha)^k."""
+    """Geometric weights theta_k = alpha (1 - alpha)^k; alpha, the teleport
+    probability, defaults to 0.15."""
 
-    alpha: float
+    alpha: float = 0.15
 
     def __post_init__(self):
         check_number(self.alpha, "teleport probability")

@@ -86,11 +86,14 @@ SERIES_TAIL_TOL = 1e-12
 def worker_count(threads):
     """Pool size for a threads knob: itself if positive, else the usable cores.
 
-    Automatic (0 or negative) means one worker per core this process may
-    run on, so BLAS-heavy workers do not oversubscribe the machine; where
-    the platform cannot tell those cores (macOS, Windows), one per core.
+    Automatic (0 or None) means one worker per core this process may run
+    on, so BLAS-heavy workers do not oversubscribe the machine; where the
+    platform cannot tell those cores (macOS, Windows), one per core. A
+    negative count is an InputError.
     """
-    if threads and threads > 0:
+    if threads is not None and threads < 0:
+        raise InputError(f"thread count must be non-negative, got {threads}")
+    if threads:
         return int(threads)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -97,8 +97,8 @@ class Gdc:
     SparsifyRule and a PostProcess.
     """
 
-    transition: object = SymmetricSelfLoop(1.0)
-    spec: object = Ppr(0.15)
+    transition: object = SymmetricSelfLoop()
+    spec: object = Ppr()
     route: object = Exact()  # engine.Exact() | Series(k) | Push(eps)
     rule: SparsifyRule = TopK(64)
     post: PostProcess = PostProcess(symmetrize=True)

@@ -11,7 +11,8 @@ import graphdiffusion
 from graphdiffusion import (Exact, Heat, Ppr, Push, RandomWalk, Series,
                             SymmetricSelfLoop, TargetDegree, Threshold, TopK,
                             load_edge_list, truncation_k)
-from graphdiffusion.cli import (UsageError, build_parser, main, parse_config,
+from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
+                                _parse, _render, build_parser, main, parse_config,
                                 run_pipeline)
 
 
@@ -39,8 +40,8 @@ class TestParseConfig:
         assert cfg.gdc.post.renorm == "rw"
 
     def test_heat_threshold_combo(self):
-        cfg = parse(["--input", "a", "--output", "b", "--method", "heat",
-                     "--t", "5", "--sparsify", "eps:0.0001"])
+        cfg = parse(["--input", "a", "--output", "b", "--method", "heat:5",
+                     "--sparsify", "eps:0.0001"])
         assert cfg.gdc.spec == Heat(5.0)
         assert cfg.gdc.rule == Threshold(0.0001)
 
@@ -48,18 +49,13 @@ class TestParseConfig:
         cfg = parse(["--input", "a", "--output", "b", "--sparsify", "degree:64"])
         assert cfg.gdc.rule == TargetDegree(64.0)
 
-    def test_alpha_t_conflict(self):
-        with pytest.raises(UsageError):
-            parse(["--input", "a", "--output", "b", "--alpha", "0.1", "--t", "2"])
-
     def test_heat_needs_t(self):
         with pytest.raises(UsageError):
             parse(["--input", "a", "--output", "b", "--method", "heat"])
 
     def test_wloop_needs_symloop(self):
-        with pytest.raises(UsageError):
-            parse(["--input", "a", "--output", "b", "--transition", "rw",
-                   "--wloop", "2"])
+        with pytest.raises(UsageError, match="bad transition 'rw:2'"):
+            parse(["--input", "a", "--output", "b", "--transition", "rw:2"])
 
     def test_push_needs_random_walk(self):
         with pytest.raises(UsageError, match="random-walk transition"):
@@ -120,6 +116,107 @@ class TestParseConfig:
         assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
         assert not out.exists()
 
+    # each name[:arg] table with the key of its setting; an argument of each
+    # type that every class of the table accepts
+    TABLES = {"transition": TRANSITIONS, "method": METHODS, "route": ROUTES,
+              "sparsify": RULES}
+    SAMPLE_ARGS = {int: 3, float: 0.1, None: None}
+
+    @pytest.mark.parametrize("key,name", [
+        (key, name) for key, table in TABLES.items() for name in table
+        if name != "explicit"])  # explicit's argument names a file
+    def test_name_arg_table_round_trips(self, key, name):
+        table = self.TABLES[key]
+        cls, kind = table[name]
+        arg = self.SAMPLE_ARGS[kind]
+        obj = cls() if arg is None else cls(arg)
+        text = _render(table, obj)
+        assert text == (name if arg is None else f"{name}:{arg!r}")
+        assert _parse(table, key, text) == obj
+
+    @pytest.mark.parametrize("key,text,default", [
+        ("transition", "symloop", SymmetricSelfLoop(1.0)),
+        ("method", "ppr", Ppr(0.15))])
+    def test_bare_name_is_the_class_default(self, key, text, default):
+        assert _parse(self.TABLES[key], key, text) == default
+
+    # an argument left out where the class has no default, or given where
+    # the class takes none
+    @pytest.mark.parametrize("line,message", [
+        ("method = heat", "bad method 'heat'; use ppr[:A], heat:T or explicit:FILE"),
+        ("route = series", "bad route 'series'; use exact, series:K or push:EPS"),
+        ("sparsify = topk", "bad sparsify rule 'topk'; use topk:K, eps:E or degree:D"),
+        ("transition = rw:1", "bad transition 'rw:1'; use rw, sym or symloop[:W]"),
+        ("route = exact:1", "bad route 'exact:1'; use exact, series:K or push:EPS"),
+        ("transition = symloop:",
+         "bad transition 'symloop:'; use rw, sym or symloop[:W]"),
+        ("method = explicit:",
+         "bad method 'explicit:'; use ppr[:A], heat:T or explicit:FILE")],
+        ids=["heat", "series", "topk", "rw-1", "exact-1", "symloop-empty",
+             "explicit-empty"])
+    def test_missing_or_extra_argument_is_one_usage_line(self, tmp_path, capsys,
+                                                         line, message):
+        # the input does not exist, so reading it first would exit 2 with E_IO
+        out = tmp_path / "o.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {tmp_path / 'missing.txt'}\noutput = {out}\n"
+                          f"{line}\n")
+        assert main(["transform", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,line,message", [
+        (["--alpha", "0.2"], "", "unrecognized arguments: --alpha 0.2"),
+        (["--t", "3"], "", "ambiguous option: --t could match --transition, --threads"),
+        (["--wloop", "2"], "", "unrecognized arguments: --wloop 2"),
+        (["--theta-file", "w.txt"], "", "unrecognized arguments: --theta-file w.txt"),
+        ([], "alpha = 0.2", "unknown config key 'alpha'"),
+        ([], "t = 3", "unknown config key 't'"),
+        ([], "wloop = 2", "unknown config key 'wloop'"),
+        ([], "theta_file = w.txt", "unknown config key 'theta_file'")],
+        ids=["alpha-flag", "t-flag", "wloop-flag", "theta-file-flag", "alpha-key",
+             "t-key", "wloop-key", "theta_file-key"])
+    def test_removed_setting_is_one_usage_line(self, tmp_path, capsys, flags, line,
+                                               message):
+        out = tmp_path / "o.txt"
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {tmp_path / 'missing.txt'}\noutput = {out}\n"
+                          f"{line}\n")
+        assert main(["transform", "--config", str(config)] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,line,env", [
+        ("transform", ["--threads", "-3"], "", None),
+        ("transform", [], "threads = -3", None),
+        ("transform", [], "", "-3"),
+        ("eval-cluster", ["--threads", "-3"], None, None),
+        ("eval-cluster", [], None, "-3")],
+        ids=["flag", "config", "variable", "eval-cluster-flag", "eval-cluster-variable"])
+    def test_negative_threads_is_usage_error_before_input(self, tmp_path, capsys,
+                                                          monkeypatch, command,
+                                                          flags, line, env):
+        import graphdiffusion.cluster as cluster
+        drawn = []
+        monkeypatch.setattr(cluster, "generate_sbm", lambda spec: drawn.append(spec))
+        if env is None:
+            monkeypatch.delenv("GRAPHDIFFUSION_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GRAPHDIFFUSION_THREADS", env)
+        out = tmp_path / "o.txt"
+        if command == "transform":
+            config = tmp_path / "run.conf"
+            config.write_text(f"input = {tmp_path / 'missing.txt'}\noutput = {out}\n"
+                              f"{line}\n")
+            argv = ["transform", "--config", str(config)]
+        else:
+            argv = ["eval-cluster", "--blocks", "10,10", "--p-in", "0.5",
+                    "--p-out", "0.1", "--output", str(out)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: thread count must be non-negative, got -3"]
+        assert drawn == [] and not out.exists()
+
     def test_paths_required(self):
         with pytest.raises(UsageError):
             parse(["--input", "a"])
@@ -127,13 +224,13 @@ class TestParseConfig:
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(
-            "input = in.txt\noutput = out.txt\nmethod = heat\nt = 3\n"
+            "input = in.txt\noutput = out.txt\nmethod = heat:3\n"
             "sparsify = eps:0.001\nsymmetrize = false\nrenorm = none\n")
         cfg = parse(["--config", str(conf)])
         assert cfg.gdc.spec == Heat(3.0)
         assert cfg.gdc.post.symmetrize is False
         assert cfg.gdc.post.renorm is None
-        cfg = parse(["--config", str(conf), "--t", "7", "--renorm", "sym"])
+        cfg = parse(["--config", str(conf), "--method", "heat:7", "--renorm", "sym"])
         assert cfg.gdc.spec == Heat(7.0)
         assert cfg.gdc.post.renorm == "sym"
 
@@ -168,7 +265,8 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,line,message", [
-        ("transform", "alpha = abc", "bad float for alpha: 'abc'"),
+        ("transform", "method = ppr:abc",
+         "bad method 'ppr:abc': could not convert string to float: 'abc'"),
         ("transform", "threads = two", "bad int for threads: 'two'"),
         ("gen-sbm", None, "bad int for --blocks: 'abc'"),
         ("eval-cluster", None, "bad int for --blocks: 'abc'"),
@@ -203,8 +301,8 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,threads,message", [
-        (["transform", "--input", "x", "--output", "y", "--alpha", "abc"], None,
-         "argument --alpha: invalid float value: 'abc'"),
+        (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1",
+          "--alpha", "abc"], None, "argument --alpha: invalid float value: 'abc'"),
         (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1",
           "--seeds", "x"], None, "argument --seeds: invalid int value: 'x'"),
         (["transform", "--input", "x", "--output", "y", "--bogus"], None,
@@ -228,47 +326,50 @@ class TestParseConfig:
     def test_hash_stable_and_sensitive(self):
         a = parse(["--input", "a", "--output", "b"])
         b = parse(["--input", "a", "--output", "b"])
-        c = parse(["--input", "a", "--output", "b", "--alpha", "0.2"])
-        assert a.config_hash() == b.config_hash()
+        c = parse(["--input", "a", "--output", "b", "--method", "ppr:0.2"])
+        # a left-out argument is its class's default, so the hash is the same
+        d = parse(["--input", "a", "--output", "b", "--method", "ppr:0.15",
+                   "--transition", "symloop:1"])
+        assert a.config_hash() == b.config_hash() == d.config_hash()
         assert a.config_hash() != c.config_hash()
 
     DEFAULT_ITEMS = {
-        "input": "a", "output": "b", "transition": "symloop", "w_loop": "1.0",
-        "method": "ppr", "alpha": "0.15", "t": "", "theta": "", "route": "exact",
-        "sparsify": "topk:64",
+        "input": "a", "output": "b", "transition": "symloop:1.0",
+        "method": "ppr:0.15", "route": "exact", "sparsify": "topk:64",
         "symmetrize": "true", "unweighted": "false", "renorm": "rw",
         "threads": "0", "format": "edges"}
 
     # between them the flags set every setting; conf holds the same values
     @pytest.mark.parametrize("flags,conf,changed", [
         ([], "", {}),
-        (["--wloop", "2", "--method", "heat", "--t", "3", "--series", "0",
+        (["--transition", "symloop:2", "--method", "heat:3", "--series", "0",
           "--format", "npz", "--threads", "1"],
-         "wloop = 2\nmethod = heat\nt = 3\nroute = series:0\n"
+         "transition = symloop:2\nmethod = heat:3\nroute = series:0\n"
          "format = npz\nthreads = 1",
-         {"w_loop": "2.0", "method": "heat", "alpha": "", "t": "3.0",
+         {"transition": "symloop:2.0", "method": "heat:3.0",
           "route": "series:0", "format": "npz", "threads": "1"}),
         (["--transition", "rw", "--push", "1e-4"],
          "transition = rw\nroute = push:1e-4",
-         {"transition": "rw", "w_loop": "", "route": "push:0.0001"}),
-        (["--method", "explicit", "--theta-file", "THETA", "--exact",
+         {"transition": "rw", "route": "push:0.0001"}),
+        # an explicit method renders as the weights its file held
+        (["--method", "explicit:THETA", "--exact",
           "--sparsify", "degree:8", "--symmetrize", "--renorm", "none"],
-         "method = explicit\ntheta_file = THETA\nroute = exact\n"
+         "method = explicit:THETA\nroute = exact\n"
          "sparsify = degree:8\nsymmetrize = true\nrenorm = none",
-         {"method": "explicit", "alpha": "", "theta": "0.5,0.25",
-          "sparsify": "degree:8.0", "renorm": "none"}),
-        (["--alpha", "0.2", "--sparsify", "eps:1e-3", "--no-symmetrize",
+         {"method": "explicit:(0.5, 0.25)", "sparsify": "degree:8.0",
+          "renorm": "none"}),
+        (["--method", "ppr:0.2", "--sparsify", "eps:1e-3", "--no-symmetrize",
           "--unweighted", "--renorm", "sym", "--format", "edges"],
-         "alpha = 0.2\nsparsify = eps:1e-3\nsymmetrize = false\n"
+         "method = ppr:0.2\nsparsify = eps:1e-3\nsymmetrize = false\n"
          "unweighted = true\nrenorm = sym\nformat = edges",
-         {"alpha": "0.2", "sparsify": "eps:0.001", "symmetrize": "false",
+         {"method": "ppr:0.2", "sparsify": "eps:0.001", "symmetrize": "false",
           "unweighted": "true", "renorm": "sym"})],
         ids=["defaults", "symloop-series", "rw-push", "explicit", "ppr-post"])
     def test_meta_items_pinned(self, tmp_path, monkeypatch, flags, conf, changed):
         monkeypatch.delenv("GRAPHDIFFUSION_THREADS", raising=False)
         theta = tmp_path / "theta.txt"
         theta.write_text("0.5\n0.25\n")
-        flags = [str(theta) if f == "THETA" else f for f in flags]
+        flags = [f.replace("THETA", str(theta)) for f in flags]
         config = tmp_path / "run.conf"
         config.write_text(f"input = a\noutput = b\n"
                           f"{conf.replace('THETA', str(theta))}\n")
@@ -279,28 +380,28 @@ class TestParseConfig:
         assert list(by_file.items().items()) == list(expected.items())
         assert by_file.config_hash() == by_flag.config_hash()
 
-    # each owned setting given under another choice, by flag where one exists
-    # and by config file, and each required one left out, a route's argument
-    # among them
+    # The settings a choice once owned (wloop, alpha, t, theta_file) are the
+    # argument of that choice now, name[:arg]: the old flags and keys are
+    # unknown, an argument given to a choice that takes none is a usage
+    # error, and so is one left out where the class has no default for it.
     @pytest.mark.parametrize("flags,conf,message", [
-        (["--transition", "rw", "--wloop", "2"], "",
-         "wloop applies only to transition symloop, not rw"),
-        ([], "transition = sym\nwloop = 2",
-         "wloop applies only to transition symloop, not sym"),
-        (["--method", "heat", "--t", "2", "--alpha", "0.1"], "",
-         "alpha applies only to method ppr, not heat"),
-        ([], "method = explicit\ntheta_file = THETA\nalpha = 0.1",
-         "alpha applies only to method ppr, not explicit"),
-        (["--alpha", "0.1", "--t", "2"], "",
-         "t applies only to method heat, not ppr"),
-        ([], "method = explicit\ntheta_file = THETA\nt = 1",
-         "t applies only to method heat, not explicit"),
-        (["--theta-file", "THETA"], "",
-         "theta_file applies only to method explicit, not ppr"),
-        ([], "method = heat\nt = 1\ntheta_file = THETA",
-         "theta_file applies only to method explicit, not heat"),
-        (["--method", "heat"], "", "method heat requires t"),
-        ([], "method = explicit", "method explicit requires theta_file"),
+        (["--transition", "rw:2"], "",
+         "bad transition 'rw:2'; use rw, sym or symloop[:W]"),
+        ([], "transition = sym:2",
+         "bad transition 'sym:2'; use rw, sym or symloop[:W]"),
+        (["--method", "heat:2", "--alpha", "0.1"], "",
+         "unrecognized arguments: --alpha 0.1"),
+        ([], "method = explicit:THETA\nalpha = 0.1", "unknown config key 'alpha'"),
+        # argparse reads --t as a prefix of two flags
+        (["--t", "2"], "", "ambiguous option: --t could match --transition, --threads"),
+        ([], "method = explicit:THETA\nt = 1", "unknown config key 't'"),
+        (["--theta-file", "THETA"], "", "unrecognized arguments: --theta-file THETA"),
+        ([], "method = heat:1\ntheta_file = THETA",
+         "unknown config key 'theta_file'"),
+        (["--method", "heat"], "",
+         "bad method 'heat'; use ppr[:A], heat:T or explicit:FILE"),
+        ([], "method = explicit",
+         "bad method 'explicit'; use ppr[:A], heat:T or explicit:FILE"),
         ([], "transition = rw\nroute = push",
          "bad route 'push'; use exact, series:K or push:EPS"),
         ([], "route = series", "bad route 'series'; use exact, series:K or push:EPS")],
@@ -318,7 +419,8 @@ class TestParseConfig:
         config.write_text(f"input = {write_k2(tmp_path)}\noutput = {out}\n"
                           f"{conf.replace('THETA', str(theta))}\n")
         assert main(["transform", "--config", str(config)] + flags) == 2
-        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"E_USAGE: {message.replace('THETA', str(theta))}"]
         assert not out.exists()
 
 
@@ -327,7 +429,7 @@ class TestTransform:
         inp = write_k2(tmp_path)
         out = str(tmp_path / "out.txt")
         rc = main(["transform", "--input", inp, "--output", out,
-                   "--transition", "rw", "--alpha", "0.5",
+                   "--transition", "rw", "--method", "ppr:0.5",
                    "--sparsify", "eps:0.3", "--no-symmetrize",
                    "--renorm", "none"])
         assert rc == 0
@@ -342,7 +444,7 @@ class TestTransform:
         theta.write_text("1.0\n")
         out = str(tmp_path / "out.txt")
         rc = main(["transform", "--input", inp, "--output", out,
-                   "--method", "explicit", "--theta-file", str(theta),
+                   "--method", f"explicit:{theta}",
                    "--sparsify", "eps:0.5", "--no-symmetrize",
                    "--renorm", "none"])
         assert rc == 0
@@ -350,7 +452,7 @@ class TestTransform:
         g = load_edge_list(out, directed=True, allow_self_loops=True)
         np.testing.assert_allclose(g.to_scipy().toarray(), np.eye(2))
 
-    @pytest.mark.parametrize("method", [[], ["--method", "heat", "--t", "3"]],
+    @pytest.mark.parametrize("method", [[], ["--method", "heat:3"]],
                              ids=["ppr", "heat"])
     def test_series_zero_warns(self, tmp_path, capsys, method):
         # Series(0) sums theta_0 I alone under every method
@@ -367,6 +469,26 @@ class TestTransform:
                  if ln and not ln.startswith("#")]
         assert len(lines) == 60 and all(u == v for u, v, *_ in lines)
 
+    def test_top1_self_loops_warn(self, tmp_path, capsys):
+        # the diagonal is the heaviest entry of every PPR column, so topk:1
+        # keeps self-loops alone; the warning reads the output graph
+        inp = str(tmp_path / "g.txt")
+        assert main(["gen-sbm", "--blocks", "30,30", "--p-in", "0.3",
+                     "--p-out", "0.05", "--seed", "1", "--output", inp]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.txt"
+        assert main(["transform", "--input", inp, "--output", str(out),
+                     "--sparsify", "topk:1"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: the output graph contains only self-loops"]
+        lines = [ln.split() for ln in out.read_text().splitlines()
+                 if ln and not ln.startswith("#")]
+        assert len(lines) == 60 and all(u == v for u, v, *_ in lines)
+        # topk:2 keeps a neighbour too, and no warning is printed
+        assert main(["transform", "--input", inp, "--output", str(out),
+                     "--sparsify", "topk:2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_zero_degree_error_names_input_ids(self, tmp_path, capsys):
         # heat at t = 800 underflows theta_0, so Series(0) is the zero
         # matrix and every node of the 60-node graph loses its edges
@@ -380,7 +502,7 @@ class TestTransform:
             (ln.split() for ln in inp.read_text().splitlines()
              if ln and not ln.startswith("#"))))
         rc = main(["transform", "--input", str(shifted), "--output",
-                   str(tmp_path / "o.txt"), "--method", "heat", "--t", "800",
+                   str(tmp_path / "o.txt"), "--method", "heat:800",
                    "--series", "0"])
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()
@@ -392,10 +514,10 @@ class TestTransform:
         ([], "route exact", None, 2, "E_USAGE: CONF:2: expected 'key = value'"),
         (["--sparsify", "top:3"], "", None, 2,
          "E_USAGE: bad sparsify rule 'top:3'; use topk:K, eps:E or degree:D"),
-        (["--method", "explicit", "--theta-file", "THETA"], "", "# none\n", 1,
+        (["--method", "explicit:THETA"], "", "# none\n", 1,
          "E_COMPUTE: THETA: no numbers found"),
         # the weights are the file's contents, not a setting's value
-        (["--method", "explicit", "--theta-file", "THETA"], "", "0.75\n3/4\n", 1,
+        (["--method", "explicit:THETA"], "", "0.75\n3/4\n", 1,
          "E_COMPUTE: explicit weights must sum to at most 1")],
         ids=["config-line", "rule-name", "empty-theta", "theta-sum"])
     def test_malformed_setting_fails_before_input(self, tmp_path, capsys, flags,
@@ -405,12 +527,29 @@ class TestTransform:
         path = tmp_path / "theta.txt"
         if theta is not None:
             path.write_text(theta)
-        flags = [str(path) if f == "THETA" else f for f in flags]
+        flags = [f.replace("THETA", str(path)) for f in flags]
         assert main(["transform", "--input", str(tmp_path / "missing.txt"),
                      "--config", str(config)] + flags) == rc
         assert capsys.readouterr().err.splitlines() == [
             message.replace("CONF", str(config)).replace("THETA", str(path))]
         assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--threads", "-3"], "thread count must be non-negative, got -3"),
+        (["--sparsify", "top:3"],
+         "bad sparsify rule 'top:3'; use topk:K, eps:E or degree:D")],
+        ids=["threads", "rule"])
+    def test_setting_checked_before_weight_file(self, tmp_path, capsys, flags,
+                                                message):
+        # the weight file is input too, read once every setting has built
+        theta = tmp_path / "theta.txt"
+        theta.write_text("# none\n")
+        out = tmp_path / "o.txt"
+        assert main(["transform", "--input", str(tmp_path / "missing.txt"),
+                     "--output", str(out), "--method", f"explicit:{theta}"]
+                    + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         rc = main(["transform", "--input", str(tmp_path / "nope.txt"),
@@ -455,8 +594,8 @@ class TestTransform:
         theta = tmp_path / "theta.txt"
         theta.write_text("0\n")
         rc = main(["transform", "--input", str(inp),
-                   "--output", str(tmp_path / "o.txt"), "--method", "explicit",
-                   "--theta-file", str(theta), "--sparsify", "degree:4"])
+                   "--output", str(tmp_path / "o.txt"), "--method", f"explicit:{theta}",
+                   "--sparsify", "degree:4"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             "E_COMPUTE: the diffusion has no positive entry; "
@@ -482,13 +621,15 @@ class TestTransform:
                                  "series order must be non-negative")
 
     @pytest.mark.parametrize("flags,message", [
-        (["--method", "heat", "--t", "inf"],
-         "E_USAGE: diffusion time must be a finite number, got inf"),
+        (["--method", "heat:inf"],
+         "E_USAGE: bad method 'heat:inf': diffusion time must be a finite number, "
+         "got inf"),
         (["--transition", "rw", "--push", "inf"],
          "E_USAGE: bad route 'push:inf': push tolerance must be a finite number, "
          "got inf"),
-        (["--wloop", "inf"],
-         "E_USAGE: self-loop weight must be a finite number, got inf"),
+        (["--transition", "symloop:inf"],
+         "E_USAGE: bad transition 'symloop:inf': self-loop weight must be a "
+         "finite number, got inf"),
         (["--sparsify", "eps:inf"],
          "E_USAGE: bad sparsify rule 'eps:inf': "
          "threshold must be a finite number, got inf")],
@@ -530,8 +671,8 @@ class TestTransform:
               "--sparsify", "degree:1.5"])
         meta = dict(line.split(" = ", 1) for line in
                     (tmp_path / "out.txt.meta").read_text().splitlines())
-        assert meta["method"] == "ppr"
-        assert meta["alpha"] == "0.15"
+        assert meta["method"] == "ppr:0.15"
+        assert not {"alpha", "t", "w_loop", "theta"} & set(meta)
         assert meta["sparsify"].startswith("degree:")
         assert float(meta["epsilon_resolved"]) > 0
         assert "seed" not in meta
@@ -549,7 +690,7 @@ class TestTransform:
         inp.write_text("".join(f"{i} {j}\n" for i, j in edges))
         out = str(tmp_path / "out.txt")
         main(["transform", "--input", str(inp), "--output", out,
-              "--alpha", "0.2", "--sparsify", "topk:4"])
+              "--method", "ppr:0.2", "--sparsify", "topk:4"])
         got = load_edge_list(out, directed=True, allow_self_loops=True)
 
         g = load_edge_list(str(inp))
@@ -612,7 +753,7 @@ class TestTransform:
         inp.write_text("0 1\n1 2\n2 0\n")
         out = str(tmp_path / "out.txt")
         rc = main(["transform", "--input", inp.as_posix(), "--output", out,
-                   "--transition", "rw", "--alpha", "0.5", "--push", "1e-8",
+                   "--transition", "rw", "--method", "ppr:0.5", "--push", "1e-8",
                    "--sparsify", "topk:3", "--no-symmetrize",
                    "--renorm", "none"])
         assert rc == 0
@@ -625,7 +766,7 @@ class TestTransform:
         # push is PPR only: heat is summed by --series K or --exact
         out = tmp_path / "o.txt"
         rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
-                   "--output", str(out), "--method", "heat", "--t", "3",
+                   "--output", str(out), "--method", "heat:3",
                    "--transition", transition, "--push", "1e-4"])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
@@ -635,11 +776,11 @@ class TestTransform:
 
     @pytest.mark.parametrize("extra,keys", [
         ([], ["certificate_residual_max"]),
-        (["--method", "heat", "--t", "3", "--exact"], ["certificate_tail_mass"]),
+        (["--method", "heat:3", "--exact"], ["certificate_tail_mass"]),
         (["--series", "5"], ["certificate_tail_mass"]),
         # the order whose tail is below 1e-4: the tail bounds each column's
         # L1 error on the random walk
-        (["--method", "heat", "--t", "3", "--transition", "rw", "--series",
+        (["--method", "heat:3", "--transition", "rw", "--series",
           str(truncation_k(Heat(3.0), 1e-4))], ["certificate_tail_mass"]),
         (["--transition", "rw", "--push", "1e-6"],
          ["certificate_residual_l1_max", "certificate_support_mean",
@@ -732,7 +873,7 @@ class TestOtherCommands:
         out = tmp_path / "out.txt"
         if command == "transform":
             argv = ["transform", "--input", write_k2(tmp_path), "--output", str(out),
-                    "--method", "explicit", "--theta-file", str(vec)]
+                    "--method", f"explicit:{vec}"]
         else:
             argv = ["convert-coeffs", "--input", str(vec), "--output", str(out),
                     "--direction", "theta-to-xi", "--mode", command]
@@ -788,8 +929,8 @@ class TestOtherCommands:
         (["eval-cluster", "--p-in", "0.1", "--p-out", "0.5"],
          "need 0 <= p_out < p_in <= 1 for an assortative partition, "
          "got p_in=0.1, p_out=0.5"),
-        (["transform", "--alpha", "2"],
-         "teleport probability must be in (0, 1), got 2.0")],
+        (["transform", "--method", "ppr:2"],
+         "bad method 'ppr:2': teleport probability must be in (0, 1), got 2.0")],
         ids=["topk", "alpha", "alpha-inf", "seeds", "clusters", "one-block",
              "gen-sbm-p", "eval-cluster-p", "transform-alpha"])
     def test_bad_value_is_usage_error_before_drawing(self, tmp_path, capsys,
@@ -889,8 +1030,7 @@ class TestSmallGraphs:
         for k in ("2", "4"):
             out = tmp_path / f"series{k}.txt"
             assert main(["transform", "--input", sbm_40, "--output", str(out),
-                         "--method", "explicit", "--theta-file", str(theta),
-                         "--series", k]) == 0
+                         "--method", f"explicit:{theta}", "--series", k]) == 0
             outs.append(out.read_bytes())
             assert read_meta(f"{out}.meta")["certificate_tail_mass"] == "0.0"
         assert outs[0] == outs[1]
@@ -901,7 +1041,7 @@ class TestSmallGraphs:
         out = tmp_path / "o.txt"
         rc = main(["transform", "--input", str(tmp_path / "missing.txt"),
                    "--output", str(out), "--transition", "rw", "--method",
-                   "explicit", "--theta-file", str(theta), "--push", "1e-4"])
+                   f"explicit:{theta}", "--push", "1e-4"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "E_USAGE: push runs geometric (ppr) weights only; sum heat or explicit "

@@ -297,9 +297,14 @@ class TestPushMatrix:
     def test_worker_count(self):
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count())
-        assert worker_count(0) == worker_count(-1) == worker_count(None) == cores
+        assert worker_count(0) == worker_count(None) == cores
         assert worker_count(1) == 1
         assert worker_count(3) == 3
+
+    @pytest.mark.parametrize("threads", [-1, -3])
+    def test_negative_worker_count_rejected(self, threads):
+        with pytest.raises(InputError, match="thread count must be non-negative"):
+            worker_count(threads)
 
     def test_worker_count_without_affinity(self, monkeypatch):
         # macOS and Windows have no sched_getaffinity
