@@ -5,11 +5,14 @@ Exit codes: 0 success, 1 computation error, 2 I/O or usage error. Errors
 print a single machine-parsable line (E_IO / E_USAGE / E_COMPUTE prefix) on
 stderr. Each choice of the operator is one setting written name[:arg]:
 transition, method, route and sparsify, each parsed from its table by _parse
-and written to .meta by _render. Every subcommand builds the values of its
-settings (the operator and its parts, the SBM, the counts) before it reads
-input or draws a graph, and a value that does not build is a usage error;
-what the input files hold (an edge list, a weight file) and what goes wrong
-in the computation is E_COMPUTE. The default thread count comes from
+and written to .meta by _render. transform, spectrum and the clustering arm
+of eval-cluster read their settings through one table, SETTINGS: READS names
+the keys each one reads, _add_setting_flags adds their flags and
+parse_config builds them into one Gdc. Every subcommand builds the values of
+its settings (the operator and its parts, the SBM, the counts) before it
+reads input or draws a graph, and a value that does not build is a usage
+error; what the input files hold (an edge list, a weight file) and what goes
+wrong in the computation is E_COMPUTE. The default thread count comes from
 GRAPHDIFFUSION_THREADS (0 means automatic).
 """
 
@@ -60,13 +63,15 @@ FORMATS = ("edges", "npz")
 class Setting(NamedTuple):
     """A pipeline setting: the type of its value (int, bool, str, or a tuple
     of the names it may take), its default and its flag's help, which for
-    a name[:arg] setting is its grammar. flag=False marks the settings whose
-    flags are written by hand."""
+    a name[:arg] setting is its grammar. A setting given flags, (flag, value,
+    help) each, has these in place of --KEY VALUE, as one exclusive group:
+    a flag sets its value, or, for a value name:ARG, name and the flag's
+    argument."""
 
     kind: object
     default: object = None
     help: str | None = None
-    flag: bool = True
+    flags: tuple = ()
 
 
 # Every pipeline setting, keyed by its config key, in .meta order
@@ -75,15 +80,25 @@ SETTINGS = {
     "output": Setting(str, help="destination path"),
     "transition": Setting(str, "symloop", "rw, sym or symloop[:W]"),
     "method": Setting(str, "ppr", "ppr[:A], heat:T or explicit:FILE"),
-    "route": Setting(str, "exact", "exact, series:K or push:EPS", flag=False),
+    "route": Setting(str, "exact", "exact, series:K or push:EPS", flags=(
+        ("--exact", "exact", "closed-form solve"),
+        ("--series", "series:K", "truncated series"),
+        ("--push", "push:EPS", "per-column push approximation"))),
     "sparsify": Setting(str, "topk:64", "topk:K, eps:E or degree:D"),
-    "symmetrize": Setting(bool, True, flag=False),
-    "unweighted": Setting(bool, False, flag=False),
-    "renorm": Setting(RENORMS, "rw"),
-    # threads defaults to GRAPHDIFFUSION_THREADS (see _env_threads)
+    "symmetrize": Setting(bool, True, flags=(("--symmetrize", True, None),
+                                             ("--no-symmetrize", False, None))),
+    "unweighted": Setting(bool, False, flags=(("--unweighted", True, None),)),
+    "renorm": Setting(RENORMS, "rw", ", ".join(RENORMS)),
+    # threads defaults to GRAPHDIFFUSION_THREADS (see parse_config)
     "threads": Setting(int, help="0 = automatic"),
-    "format": Setting(FORMATS, "edges"),
+    "format": Setting(FORMATS, "edges", ", ".join(FORMATS)),
 }
+# The settings each subcommand reads. It has no flag and no config key for
+# the others, which keep their defaults, the choices of Gdc(); eval-cluster
+# fixes renorm to none (build_parser), as Gdc() has it.
+READS = {"transform": tuple(SETTINGS),
+         "spectrum": tuple(key for key in SETTINGS if key != "format"),
+         "eval-cluster": ("method", "sparsify", "unweighted", "threads")}
 # the name an unknown value's message gives a setting
 LABELS = {"renorm": "renormalization", "format": "output format",
           "sparsify": "sparsify rule"}
@@ -94,7 +109,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are UsageError; subparsers inherit it."""
+    """An argument parser whose errors are UsageError and which takes no
+    shortened flag; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -191,7 +210,8 @@ def _int(val, key):
 
 
 def _convert(key, kind, val):
-    """A flag's or a config file's value of setting key as its kind."""
+    """A flag's, a config file's or the thread variable's value of setting
+    key as its kind."""
     if kind is bool:
         return _as_bool(val, key)
     if kind is int:
@@ -202,60 +222,58 @@ def _convert(key, kind, val):
     return val
 
 
-def _add_pipeline_flags(p):
-    for key, s in SETTINGS.items():
-        if s.flag:
-            convert = ({"type": s.kind} if s.kind is int else
-                       {"choices": s.kind} if s.kind is not str else {})
-            p.add_argument("--" + key.replace("_", "-"), help=s.help, **convert)
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    # each route flag sets the route setting, name:arg
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--exact", dest="route", action="store_const", const="exact",
-                       help="closed-form solve")
-    route.add_argument("--series", dest="route", type="series:{}".format,
-                       metavar="K", help="truncated series")
-    route.add_argument("--push", dest="route", type="push:{}".format,
-                       metavar="EPS", help="per-column push approximation")
-    sym = p.add_mutually_exclusive_group()
-    sym.add_argument("--symmetrize", dest="symmetrize", action="store_const", const=True)
-    sym.add_argument("--no-symmetrize", dest="symmetrize", action="store_const", const=False)
-    p.add_argument("--unweighted", action="store_const", const=True, default=None)
+def _add_setting_flags(p, keys):
+    """The flags of the settings that keys names, each value kept as text
+    for parse_config to convert, and --config where they include the input:
+    a config file names a whole run, input and output included."""
+    for key in keys:
+        s = SETTINGS[key]
+        if not s.flags:
+            p.add_argument("--" + key.replace("_", "-"), help=s.help)
+            continue
+        group = p.add_mutually_exclusive_group()
+        for flag, value, about in s.flags:
+            name, colon, metavar = str(value).partition(":")
+            if colon:
+                group.add_argument(flag, dest=key, type=f"{name}:{{}}".format,
+                                   metavar=metavar, help=about)
+            else:
+                group.add_argument(flag, dest=key, action="store_const", const=value,
+                                   help=about)
+    if "input" in keys:
+        p.add_argument("--config", help="flat key=value config file; flags override it")
 
 
-def _env_threads():
-    """The thread count GRAPHDIFFUSION_THREADS sets, as text; "0" (automatic)
-    where it is unset."""
-    return os.environ.get("GRAPHDIFFUSION_THREADS", "0")
-
-
-def parse_config(ns):
-    """Resolve flags plus optional config file into a PipelineConfig.
+def parse_config(ns, keys=READS["transform"]):
+    """Resolve the flags of the settings keys names, plus an optional config
+    file, into a PipelineConfig.
 
     Defaults without any flags: transition symloop (w = 1), method ppr
     (teleport 0.15), route exact (the closed form), sparsify topk:64,
     symmetrization and random-walk renormalization. The transition, method,
     route and sparsify rule are each one name[:arg] setting, whose argument
-    may be left out where its class has a default. A value that does not
-    build, a negative thread count, or a combination of choices that no
-    route runs, is a UsageError before any input is read. The weight file
-    of method explicit:FILE is input, read once every setting has built: a
-    missing one is an OSError, and one whose numbers are not a list of
-    weights is an InputError.
+    may be left out where its class has a default. A setting outside keys
+    has no flag and no config key: it keeps its default, or the value its
+    subcommand fixes with set_defaults. A config key outside keys, a value
+    that does not build, a negative thread count, or a combination of
+    choices that no route runs, is a UsageError before any input is read.
+    The weight file of method explicit:FILE is input, read once every
+    setting has built: a missing one is an OSError, and one whose numbers
+    are not a list of weights is an InputError.
     """
     file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key in file_values:
-        if key not in SETTINGS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
 
     # the variable stands in for a threads line that the file lacks
-    file_values.setdefault("threads", _env_threads())
+    file_values.setdefault("threads", os.environ.get("GRAPHDIFFUSION_THREADS", "0"))
 
     def get(key):
         flag = getattr(ns, key, None)
         return flag if flag is not None else file_values.get(key, SETTINGS[key].default)
 
-    if not get("input") or not get("output"):
+    if not all(get(key) for key in ("input", "output") if key in keys):
         raise UsageError("--input and --output are required")
     values = {key: _convert(key, s.kind, get(key)) for key, s in SETTINGS.items()}
 
@@ -367,7 +385,7 @@ def cmd_transform(ns):
 
 
 def cmd_spectrum(ns):
-    cfg = parse_config(ns)
+    cfg = parse_config(ns, READS["spectrum"])
     output = cfg.values["output"]
     g = load_edge_list(cfg.values["input"], directed=False)
     g, _ = largest_connected_component(g)
@@ -449,13 +467,12 @@ def cmd_gen_sbm(ns):
 
 def cmd_eval_cluster(ns):
     sbm = _sbm_spec(ns)
+    cfg = parse_config(ns, READS["eval-cluster"])
     with _settings_built():
-        gdc = Gdc(spec=cf.Ppr(ns.alpha), rule=TopK(ns.topk),
-                  post=PostProcess(symmetrize=True, unweighted=ns.unweighted))
         check_counts(sbm, ns.seeds, ns.clusters)
-        worker_count(ns.threads)  # refuses a negative count
-    report = eval_gdc_clustering(sbm, gdc=gdc, seeds=ns.seeds,
-                                 num_clusters=ns.clusters, threads=ns.threads)
+    report = eval_gdc_clustering(sbm, gdc=cfg.gdc, seeds=ns.seeds,
+                                 num_clusters=ns.clusters,
+                                 threads=cfg.values["threads"])
     if ns.output:
         with open(ns.output, "w") as fh:
             fh.write("seed,raw_accuracy,gdc_accuracy,delta\n")
@@ -478,11 +495,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="run the full diffusion pipeline")
-    _add_pipeline_flags(p)
+    _add_setting_flags(p, READS["transform"])
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("spectrum", help="compare spectra before/after the pipeline")
-    _add_pipeline_flags(p)
+    _add_setting_flags(p, READS["spectrum"])
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("convert-coeffs", help="convert weight vectors")
@@ -502,13 +519,10 @@ def build_parser():
     _add_sbm_flags(p)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.15)
-    p.add_argument("--topk", type=int, default=64)
-    p.add_argument("--unweighted", action="store_true")
-    # argparse converts a string default with type only when the command runs
-    p.add_argument("--threads", type=int, default=_env_threads())
+    _add_setting_flags(p, READS["eval-cluster"])
     p.add_argument("--output", help="per-seed CSV report")
-    p.set_defaults(func=cmd_eval_cluster)
+    # eval_gdc_clustering embeds a graph, not a transition matrix
+    p.set_defaults(func=cmd_eval_cluster, renorm="none")
     return parser
 
 

@@ -10,7 +10,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .engine import pool_map
-from .errors import ComputeError, InputError
+from .errors import ComputeError, InputError, check_number
 from .graph import (Symmetric, graph_from_edges, largest_connected_component,
                     transition_matrix)
 from .sparsify import Gdc, diffuse_graph
@@ -22,7 +22,8 @@ BOOTSTRAP_RESAMPLES = 1000
 
 @dataclass(frozen=True)
 class SbmSpec:
-    """Planted-partition sampler: p_in within blocks, p_out across."""
+    """Planted-partition sampler: p_in within blocks, p_out across, drawn
+    from the non-negative integer seed."""
 
     block_sizes: tuple
     p_in: float
@@ -37,6 +38,9 @@ class SbmSpec:
         if not 0.0 <= self.p_out < self.p_in <= 1.0:
             raise InputError("need 0 <= p_out < p_in <= 1 for an assortative "
                              f"partition, got p_in={self.p_in}, p_out={self.p_out}")
+        check_number(self.seed, "seed", integer=True)
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n(self):

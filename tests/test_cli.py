@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import graphdiffusion
-from graphdiffusion import (Exact, Heat, Ppr, Push, RandomWalk, Series,
-                            SymmetricSelfLoop, TargetDegree, Threshold, TopK,
-                            load_edge_list, truncation_k)
+from graphdiffusion import (ComputeError, Exact, Gdc, Heat, PostProcess, Ppr, Push,
+                            RandomWalk, Series, SymmetricSelfLoop, TargetDegree,
+                            Threshold, TopK, load_edge_list, truncation_k)
 from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
                                 _parse, _render, build_parser, main, parse_config,
                                 run_pipeline)
@@ -167,7 +167,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("flags,line,message", [
         (["--alpha", "0.2"], "", "unrecognized arguments: --alpha 0.2"),
-        (["--t", "3"], "", "ambiguous option: --t could match --transition, --threads"),
+        (["--t", "3"], "", "unrecognized arguments: --t 3"),
         (["--wloop", "2"], "", "unrecognized arguments: --wloop 2"),
         (["--theta-file", "w.txt"], "", "unrecognized arguments: --theta-file w.txt"),
         ([], "alpha = 0.2", "unknown config key 'alpha'"),
@@ -297,21 +297,26 @@ class TestParseConfig:
             "E_USAGE: bad int for threads: 'two'"]
         assert main(["eval-cluster", "--blocks", "10,10", "--p-in", "0.5",
                      "--p-out", "0.1", "--output", str(out)]) == 2
-        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: bad int for threads: 'two'"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,threads,message", [
-        (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1",
-          "--alpha", "abc"], None, "argument --alpha: invalid float value: 'abc'"),
+        (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "abc"],
+         None, "argument --p-out: invalid float value: 'abc'"),
         (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1",
           "--seeds", "x"], None, "argument --seeds: invalid int value: 'x'"),
         (["transform", "--input", "x", "--output", "y", "--bogus"], None,
          "unrecognized arguments: --bogus"),
+        # a prefix of a flag is not that flag
+        (["transform", "--input", "x", "--output", "y", "--spars", "topk:3"], None,
+         "unrecognized arguments: --spars topk:3"),
         (["transform", "--input", "x", "--output", "y", "--exact", "--push",
           "1e-4"], None, "argument --push: not allowed with argument --exact"),
         (["eval-cluster", "--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1"],
-         "two", "argument --threads: invalid int value: 'two'")],
-        ids=["float", "int", "unknown-flag", "exclusive-modes", "threads-variable"])
+         "two", "bad int for threads: 'two'")],
+        ids=["float", "int", "unknown-flag", "abbreviated-flag", "exclusive-modes",
+             "threads-variable"])
     def test_argument_error_is_one_usage_line(self, capsys, monkeypatch, argv,
                                               threads, message):
         if threads is not None:
@@ -392,8 +397,7 @@ class TestParseConfig:
         (["--method", "heat:2", "--alpha", "0.1"], "",
          "unrecognized arguments: --alpha 0.1"),
         ([], "method = explicit:THETA\nalpha = 0.1", "unknown config key 'alpha'"),
-        # argparse reads --t as a prefix of two flags
-        (["--t", "2"], "", "ambiguous option: --t could match --transition, --threads"),
+        (["--t", "2"], "", "unrecognized arguments: --t 2"),
         ([], "method = explicit:THETA\nt = 1", "unknown config key 't'"),
         (["--theta-file", "THETA"], "", "unrecognized arguments: --theta-file THETA"),
         ([], "method = heat:1\ntheta_file = THETA",
@@ -915,11 +919,13 @@ class TestOtherCommands:
         assert labels == [0] * 10 + [1] * 10
 
     @pytest.mark.parametrize("argv,message", [
-        (["eval-cluster", "--topk", "0"], "top-k count must be positive, got 0"),
-        (["eval-cluster", "--alpha", "1.5"],
-         "teleport probability must be in (0, 1), got 1.5"),
-        (["eval-cluster", "--alpha", "inf"],
-         "teleport probability must be a finite number, got inf"),
+        (["eval-cluster", "--sparsify", "topk:0"],
+         "bad sparsify rule 'topk:0': top-k count must be positive, got 0"),
+        (["eval-cluster", "--method", "ppr:1.5"],
+         "bad method 'ppr:1.5': teleport probability must be in (0, 1), got 1.5"),
+        (["eval-cluster", "--method", "ppr:inf"],
+         "bad method 'ppr:inf': teleport probability must be a finite number, "
+         "got inf"),
         (["eval-cluster", "--seeds", "0"], "need at least one seed, got 0"),
         (["eval-cluster", "--clusters", "1"], "need at least 2 clusters, got 1"),
         (["eval-cluster", "--blocks", "20"], "need at least 2 clusters, got 1"),
@@ -929,10 +935,13 @@ class TestOtherCommands:
         (["eval-cluster", "--p-in", "0.1", "--p-out", "0.5"],
          "need 0 <= p_out < p_in <= 1 for an assortative partition, "
          "got p_in=0.1, p_out=0.5"),
+        (["gen-sbm", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["eval-cluster", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["transform", "--method", "ppr:2"],
          "bad method 'ppr:2': teleport probability must be in (0, 1), got 2.0")],
         ids=["topk", "alpha", "alpha-inf", "seeds", "clusters", "one-block",
-             "gen-sbm-p", "eval-cluster-p", "transform-alpha"])
+             "gen-sbm-p", "eval-cluster-p", "gen-sbm-seed", "eval-cluster-seed",
+             "transform-alpha"])
     def test_bad_value_is_usage_error_before_drawing(self, tmp_path, capsys,
                                                      monkeypatch, argv, message):
         import graphdiffusion.cli as cli
@@ -958,10 +967,50 @@ class TestOtherCommands:
         assert capsys.readouterr().err.splitlines() == [
             "E_COMPUTE: need fewer clusters than nodes, got 10 clusters for 10 nodes"]
 
+    def test_cluster_arm_reads_the_transform_settings(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import graphdiffusion.cli as cli
+        import graphdiffusion.cluster as cluster
+        seen = []
+
+        def capture(sbm, gdc, **kwargs):
+            seen.append(gdc)
+            raise ComputeError("captured")
+
+        monkeypatch.setattr(cli, "eval_gdc_clustering", capture)
+        sbm = ["--blocks", "10,10", "--p-in", "0.5", "--p-out", "0.1"]
+        for flags in ([], ["--unweighted"],
+                      ["--method", "heat:2", "--sparsify", "degree:8"]):
+            assert main(["eval-cluster"] + sbm + flags) == 1
+        # a choice the arm takes no flag for stays at the library's default
+        assert seen[0] == Gdc()
+        assert seen[1] == Gdc(post=PostProcess(symmetrize=True, unweighted=True))
+        assert (seen[2].spec, seen[2].rule) == (Heat(2.0), TargetDegree(8.0))
+        capsys.readouterr()
+
+        drawn = []
+        monkeypatch.setattr(cluster, "generate_sbm", lambda spec: drawn.append(spec))
+        out = tmp_path / "out.txt"
+        missing = ["--input", str(tmp_path / "missing.txt")]
+        conf = tmp_path / "run.conf"
+        conf.write_text("format = npz\n")
+        for argv, message in [
+                (["eval-cluster"] + sbm + ["--alpha", "0.2"],
+                 "unrecognized arguments: --alpha 0.2"),
+                (["eval-cluster"] + sbm + ["--topk", "8"],
+                 "unrecognized arguments: --topk 8"),
+                (["spectrum"] + missing + ["--format", "npz"],
+                 "unrecognized arguments: --format npz"),
+                (["spectrum"] + missing + ["--config", str(conf)],
+                 "unknown config key 'format'")]:
+            assert main(argv + ["--output", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"E_USAGE: {message}"]
+        assert drawn == [] and not out.exists() and len(seen) == 3
+
     def test_eval_cluster(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")
         rc = main(["eval-cluster", "--blocks", "15,15", "--p-in", "0.8",
-                   "--p-out", "0.05", "--seeds", "2", "--topk", "8",
+                   "--p-out", "0.05", "--seeds", "2", "--sparsify", "topk:8",
                    "--output", out])
         assert rc == 0
         lines = Path(out).read_text().splitlines()
@@ -1054,8 +1103,8 @@ class TestSmallGraphs:
         for k in ("90", "500"):
             out = tmp_path / f"topk{k}.csv"
             assert main(["eval-cluster", "--blocks", "30,30,30", "--p-in", "0.3",
-                         "--p-out", "0.02", "--seeds", "3", "--topk", k,
-                         "--output", str(out)]) == 0
+                         "--p-out", "0.02", "--seeds", "3", "--sparsify",
+                         f"topk:{k}", "--output", str(out)]) == 0
             runs.append((out.read_text(), capsys.readouterr().out))
         assert runs[0] == runs[1]
 

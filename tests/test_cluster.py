@@ -71,6 +71,10 @@ class TestSbm:
             SbmSpec((5, 5), 0.0, 0.0, seed=0)
         with pytest.raises(InputError):
             SbmSpec((5, 0), 0.5, 0.1, seed=0)
+        # default_rng takes non-negative integers only
+        for seed in (-1, 1.5, True):
+            with pytest.raises(InputError, match="seed must be"):
+                SbmSpec((5, 5), 0.5, 0.1, seed=seed)
 
     def test_deterministic_given_seed(self):
         a, _ = generate_sbm(SbmSpec((40, 40), 0.2, 0.05, seed=7))
