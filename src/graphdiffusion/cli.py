@@ -389,20 +389,19 @@ def cmd_spectrum(ns):
     output = cfg.values["output"]
     g = load_edge_list(cfg.values["input"], directed=False)
     g, _ = largest_connected_component(g)
-    before = eigen(laplacian(g, SYMMETRIC), source="input L_sym")
+    before = eigen(laplacian(g, SYMMETRIC))
 
     result = diffuse_graph(g, cfg.gdc, threads=cfg.values["threads"])[0]
     if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
             and not result.source.directed):
         # I - T_rw of a symmetric graph shares its spectrum with the
         # symmetric normalized Laplacian of the same graph
-        after = eigen(laplacian(result.source, SYMMETRIC),
-                      source="output L_sym (similar to rw form)")
+        after = eigen(laplacian(result.source, SYMMETRIC))
     else:
         # I - T, or L_sym of a graph, through its symmetric part, which is
         # the matrix itself bit for bit when the output is undirected
         lap = laplacian(result)
-        after = eigen((lap + lap.T) * 0.5, source="output Laplacian (symmetrized)")
+        after = eigen((lap + lap.T) * 0.5)
 
     delta = spectrum_compare(before, after)
     with open(output, "w") as fh:

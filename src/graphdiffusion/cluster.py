@@ -38,9 +38,7 @@ class SbmSpec:
         if not 0.0 <= self.p_out < self.p_in <= 1.0:
             raise InputError("need 0 <= p_out < p_in <= 1 for an assortative "
                              f"partition, got p_in={self.p_in}, p_out={self.p_out}")
-        check_number(self.seed, "seed", integer=True)
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        check_number(self.seed, "seed", integer=True, must="non-negative")
 
     @property
     def n(self):

@@ -34,9 +34,7 @@ class Ppr:
     alpha: float = 0.15
 
     def __post_init__(self):
-        check_number(self.alpha, "teleport probability")
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"teleport probability must be in (0, 1), got {self.alpha}")
+        check_number(self.alpha, "teleport probability", must="in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,7 @@ class Heat:
     t: float
 
     def __post_init__(self):
-        check_number(self.t, "diffusion time")
-        if not self.t > 0.0:
-            raise InputError(f"diffusion time must be positive, got {self.t}")
+        check_number(self.t, "diffusion time", must="positive")
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,7 @@ DiffusionSpec = Ppr | Heat | Explicit
 
 def theta(spec, k):
     """The k-th diffusion weight of spec."""
-    if k < 0:
-        raise InputError(f"weight index must be non-negative, got {k}")
+    check_number(k, "weight index", integer=True, must="non-negative")
     if isinstance(spec, Ppr):
         return spec.alpha * (1.0 - spec.alpha) ** k
     if isinstance(spec, Heat):
@@ -118,8 +113,7 @@ def theta_tail(spec, K):
 
 def truncation_k(spec, tail_tol):
     """Smallest K whose analytic tail sum_{k > K} theta_k is below tail_tol."""
-    if not tail_tol > 0:
-        raise InputError(f"tail tolerance must be positive, got {tail_tol}")
+    check_number(tail_tol, "tail tolerance", must="positive")
     if isinstance(spec, Ppr):
         # (1 - alpha)^(K+1) < tol; start at the closed-form estimate and
         # nudge to absorb float rounding at the boundary
@@ -165,7 +159,7 @@ def _binomial_convert(coeffs, mode):
         if K > FLOAT_CONVERSION_CAP:
             raise InputError(
                 f"float conversion is limited to K <= {FLOAT_CONVERSION_CAP} "
-                f"(got K = {K}); use mode='exact' for larger orders")
+                f"(got K = {K}); use mode='exact' (--mode exact) for larger orders")
         vals = [np.longdouble(c) for c in coeffs]
         out = []
         for i in range(K + 1):
@@ -205,8 +199,7 @@ def closed_form_xi(spec, j):
     whose filter series converges only for alpha > 0.5 (see
     closed_form_converges); the value is returned regardless.
     """
-    if j < 0:
-        raise InputError(f"coefficient index must be non-negative, got {j}")
+    check_number(j, "coefficient index", integer=True, must="non-negative")
     if isinstance(spec, Ppr):
         return (1.0 - 1.0 / spec.alpha) ** j
     if isinstance(spec, Heat):

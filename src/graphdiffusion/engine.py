@@ -89,10 +89,10 @@ def worker_count(threads):
     Automatic (0 or None) means one worker per core this process may run
     on, so BLAS-heavy workers do not oversubscribe the machine; where the
     platform cannot tell those cores (macOS, Windows), one per core. A
-    negative count is an InputError.
+    negative or non-integer count is an InputError.
     """
-    if threads is not None and threads < 0:
-        raise InputError(f"thread count must be non-negative, got {threads}")
+    if threads is not None:
+        check_number(threads, "thread count", integer=True, must="non-negative")
     if threads:
         return int(threads)
     if hasattr(os, "sched_getaffinity"):
@@ -141,9 +141,7 @@ class Series:
     k: int
 
     def __post_init__(self):
-        check_number(self.k, "series order", integer=True)
-        if self.k < 0:
-            raise InputError(f"series order must be non-negative, got {self.k}")
+        check_number(self.k, "series order", integer=True, must="non-negative")
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,7 @@ class Push:
     eps: float
 
     def __post_init__(self):
-        check_number(self.eps, "push tolerance")
-        if not self.eps > 0:
-            raise InputError(f"push tolerance must be positive, got {self.eps}")
+        check_number(self.eps, "push tolerance", must="positive")
 
 
 @dataclass
@@ -281,7 +277,7 @@ def check_route(kind, spec, route):
                          "(--series K or --exact)")
     if isinstance(route, Push) and not isinstance(kind, RandomWalk):
         raise InputError("push requires the column-stochastic random-walk "
-                         "transition matrix")
+                         "transition matrix (--transition rw)")
 
 
 def _row_l1(r):
@@ -398,6 +394,7 @@ def diffuse_push_ppr(T, alpha, eps, column):
     """
     check_route(T.kind, Ppr(alpha), Push(eps))
     n = T.n
+    check_number(column, "column", integer=True)
     if not 0 <= column < n:
         raise InputError(f"column {column} out of range for {n} nodes")
     p, residual_l1, touched, rounds_drain = _push_ppr_block(T, alpha, eps, [column])

@@ -38,9 +38,7 @@ class SymmetricSelfLoop:
     w_loop: float = 1.0
 
     def __post_init__(self):
-        check_number(self.w_loop, "self-loop weight")
-        if not self.w_loop > 0:
-            raise InputError(f"self-loop weight must be positive, got {self.w_loop}")
+        check_number(self.w_loop, "self-loop weight", must="positive")
 
 
 TransitionKind = RandomWalk | Symmetric | SymmetricSelfLoop

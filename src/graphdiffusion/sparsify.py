@@ -36,9 +36,7 @@ class TopK:
     k: int
 
     def __post_init__(self):
-        check_number(self.k, "top-k count", integer=True)
-        if not self.k > 0:
-            raise InputError(f"top-k count must be positive, got {self.k}")
+        check_number(self.k, "top-k count", integer=True, must="positive")
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,7 @@ class Threshold:
     eps: float
 
     def __post_init__(self):
-        check_number(self.eps, "threshold")
-        if not self.eps > 0:
-            raise InputError(f"threshold must be positive, got {self.eps}")
+        check_number(self.eps, "threshold", must="positive")
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,7 @@ class TargetDegree:
     avg_degree: float
 
     def __post_init__(self):
-        check_number(self.avg_degree, "target degree")
-        if not self.avg_degree > 0:
-            raise InputError(f"target degree must be positive, got {self.avg_degree}")
+        check_number(self.avg_degree, "target degree", must="positive")
 
 
 SparsifyRule = TopK | Threshold | TargetDegree
@@ -188,10 +182,9 @@ def epsilon_for_degree(S, avg_degree):
     never lose the m-th largest. The result is an order statistic, so it
     does not depend on the block width or the matrix's memory order.
     """
+    check_number(avg_degree, "average degree", must="positive")
     mat = _entries(S)
     n = mat.shape[0]
-    if not avg_degree > 0:
-        raise InputError(f"average degree must be positive, got {avg_degree}")
     m = int(np.ceil(n * min(avg_degree, n)))
     top = np.zeros(0)
     for cols in _checked_blocks(mat):

@@ -46,34 +46,33 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    source: str
 
 
-def eigen(matrix, want_vectors=False, source="", cap=DENSE_EIGEN_CAP):
+def eigen(matrix, want_vectors=False, cap=DENSE_EIGEN_CAP):
     """Dense symmetric eigendecomposition, ascending order.
 
     Asymmetric input is refused: random-walk normalized operators share
     their spectrum with the symmetric kind via the similarity transform
-    D^1/2 T_rw D^-1/2, so analyze that instead. Raise cap explicitly to
-    decompose matrices above the default size guard.
+    D^1/2 T_rw D^-1/2, so analyze that instead. A matrix of more than cap
+    rows is refused from its shape, before a sparse one is made dense; pass
+    a larger cap to decompose it anyway.
     """
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InputError("eigen expects a square matrix")
+    n = shape[0]
+    if n > cap:
+        raise InputError(f"matrix size {n} exceeds the dense eigensolver cap {cap}")
     m = np.asarray(matrix.toarray() if sp.issparse(matrix) else matrix,
                    dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("eigen expects a square matrix")
-    n = m.shape[0]
-    if n > cap:
-        raise InputError(f"matrix size {n} exceeds the dense eigensolver cap "
-                         f"{cap}; pass cap={n} to override")
     scale = max(1.0, float(np.abs(m).max()) if n else 1.0)
     if n and float(np.abs(m - m.T).max()) > 1e-10 * scale:
         raise InputError("matrix is not symmetric; analyze random-walk "
                          "operators via their similar symmetric form")
     if want_vectors:
         w, u = np.linalg.eigh(m)
-        return SpectrumReport(w, u, source)
-    w = np.linalg.eigvalsh(m)
-    return SpectrumReport(w, None, source)
+        return SpectrumReport(w, u)
+    return SpectrumReport(np.linalg.eigvalsh(m), None)
 
 
 def eigen_of_transition(t, want_vectors=False, cap=DENSE_EIGEN_CAP):
@@ -83,10 +82,8 @@ def eigen_of_transition(t, want_vectors=False, cap=DENSE_EIGEN_CAP):
     symmetric only for an undirected source; eigen refuses a directed one.
     """
     if isinstance(t.kind, RandomWalk):
-        sim = transition_matrix(t.source, Symmetric()).matrix
-        return eigen(sim, want_vectors, source="T_rw (via symmetric similar form)",
-                     cap=cap)
-    return eigen(t.matrix, want_vectors, source=f"{type(t.kind).__name__}", cap=cap)
+        t = transition_matrix(t.source, Symmetric())
+    return eigen(t.matrix, want_vectors, cap=cap)
 
 
 def eigenvalue_map(spec, lam):
@@ -142,7 +139,6 @@ class SpectrumDelta:
 
     deltas: np.ndarray = field(repr=False)
     l2: float = 0.0
-    max_abs: float = 0.0
 
 
 def spectrum_compare(before, after):
@@ -155,6 +151,4 @@ def spectrum_compare(before, after):
     if a.shape != b.shape:
         raise InputError(f"spectrum sizes differ: {a.size} vs {b.size}")
     deltas = b - a
-    return SpectrumDelta(deltas=deltas,
-                         l2=float(np.sqrt(np.sum(deltas ** 2))),
-                         max_abs=float(np.max(np.abs(deltas))) if deltas.size else 0.0)
+    return SpectrumDelta(deltas=deltas, l2=float(np.sqrt(np.sum(deltas ** 2))))

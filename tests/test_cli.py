@@ -14,6 +14,7 @@ from graphdiffusion import (ComputeError, Exact, Gdc, Heat, PostProcess, Ppr, Pu
 from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
                                 _parse, _render, build_parser, main, parse_config,
                                 run_pipeline)
+from graphdiffusion.spectral import DENSE_EIGEN_CAP
 
 
 def parse(argv):
@@ -60,6 +61,15 @@ class TestParseConfig:
     def test_push_needs_random_walk(self):
         with pytest.raises(UsageError, match="random-walk transition"):
             parse(["--input", "a", "--output", "b", "--push", "1e-4"])
+
+    def test_push_on_symloop_names_the_transition_flag(self, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        assert main(["transform", "--input", str(tmp_path / "missing.txt"),
+                     "--output", str(out), "--push", "1e-4"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: push requires the column-stochastic random-walk transition "
+            "matrix (--transition rw)"]
+        assert not out.exists()
 
     # the route is one setting, route = name[:arg]: the keys that once held
     # it and its argument are unknown
@@ -869,6 +879,17 @@ class TestOtherCommands:
         assert rc == 0
         assert Path(out).read_text().split() == ["1", "-3/4", "1/4"]
 
+    def test_convert_coeffs_float_cap_names_the_mode_flag(self, tmp_path, capsys):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("0.01\n" * 62)
+        out = tmp_path / "xi.txt"
+        assert main(["convert-coeffs", "--input", str(theta), "--output", str(out),
+                     "--direction", "theta-to-xi"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "E_COMPUTE: float conversion is limited to K <= 60 (got K = 61); "
+            "use mode='exact' (--mode exact) for larger orders"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("token", ["abc", "1/0", "nan", "inf"])
     @pytest.mark.parametrize("command", ["transform", "float", "exact"])
     def test_bad_vector_line_exit_1(self, tmp_path, capsys, command, token):
@@ -907,6 +928,17 @@ class TestOtherCommands:
         lam, resp = curve[1].split(",")
         assert float(lam) == 0.0
         assert float(resp) == pytest.approx(1.0)
+
+    def test_spectrum_past_the_eigen_cap_is_one_compute_line(self, tmp_path, capsys):
+        n = DENSE_EIGEN_CAP + 1
+        ring = tmp_path / "ring.txt"
+        ring.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--input", str(ring), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"E_COMPUTE: matrix size {n} exceeds the dense eigensolver cap "
+            f"{DENSE_EIGEN_CAP}"]
+        assert not out.exists()
 
     def test_gen_sbm(self, tmp_path, capsys):
         out = str(tmp_path / "sbm.txt")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,8 @@ from graphdiffusion import (Explicit, Heat, InputError, Ppr, RandomWalk,
                             largest_connected_component, load_graph,
                             spectrum_compare, theta_to_xi, theta_vector,
                             transition_matrix)
-from graphdiffusion.spectral import RANDOM_WALK, SYMMETRIC, UNNORMALIZED
+from graphdiffusion.spectral import (DENSE_EIGEN_CAP, RANDOM_WALK, SYMMETRIC,
+                                     UNNORMALIZED)
 from conftest import connected_er, random_theta
 
 
@@ -122,6 +125,18 @@ class TestEigen:
             eigen(np.eye(10), cap=5)
         rep = eigen(np.eye(10), cap=10)
         assert rep.eigenvalues.size == 10
+
+    def test_size_cap_refuses_before_densifying(self):
+        # a dense copy of the sparse identity would take 72 MB
+        big = sp.identity(DENSE_EIGEN_CAP + 1, format="csr")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="cap"):
+                eigen(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_lsym_spectrum_in_range(self):
         g = connected_er(100, 0.06, 2)
