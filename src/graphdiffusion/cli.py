@@ -38,7 +38,8 @@ from .engine import Exact, Push, Series, worker_count
 from .errors import ComputeError, InputError
 from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     TransitionMatrix, edge_list_meta, largest_connected_component,
-                    load_edge_list, save_edge_list, write_meta)
+                    load_edge_list, read_lines, save_edge_list, write_lines,
+                    write_meta)
 from .sparsify import Gdc, PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
 from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
 
@@ -175,16 +176,14 @@ def _settings_built():
 
 
 def _read_config_file(path):
+    """The 'key = value' lines of a config file, read by read_lines, as a
+    dict; a line without '=' is a usage error naming path and line number."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -299,34 +298,30 @@ def parse_config(ns, keys=READS["transform"]):
 
 
 def _read_vector(path):
-    """One number per line (a decimal or a fraction p/q), each as the exact
-    Fraction it writes; '#' comments. A number must be finite as a float.
+    """One number per line (a decimal or a fraction p/q), read by
+    read_lines, each as the exact Fraction it writes. A number must be
+    finite as a float.
     """
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                v = float(Fraction(line)) if "/" in line else float(line)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                v = math.nan
-            if not math.isfinite(v):
-                raise InputError(f"{path}:{lineno}: expected a finite number")
-            # float reads any exponent at once, while Fraction builds 10**E:
-            # a nonzero finite float bounds E, and a decimal below the float
-            # range, which float reads as 0.0, reads as 0
-            out.append(Fraction(line) if v else Fraction(0))
+    for lineno, line in read_lines(path):
+        try:
+            v = float(Fraction(line)) if "/" in line else float(line)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise InputError(f"{path}:{lineno}: expected a finite number")
+        # float reads any exponent at once, while Fraction builds 10**E:
+        # a nonzero finite float bounds E, and a decimal below the float
+        # range, which float reads as 0.0, reads as 0
+        out.append(Fraction(line) if v else Fraction(0))
     if not out:
         raise InputError(f"{path}: no numbers found")
     return out
 
 
 def _write_vector(path, values):
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(f"{v}\n" if isinstance(v, Fraction) else f"{float(v)!r}\n")
+    write_lines(path, (v if isinstance(v, Fraction) else repr(float(v))
+                       for v in values))
 
 
 def run_pipeline(cfg):
@@ -354,7 +349,6 @@ def run_pipeline(cfg):
     meta.update({
         "epsilon_resolved": repr(eps) if eps is not None else "",
         "nodes_input": str(int(index_map.size)),
-        "nodes": str(out_graph.n),
         "lcc_dropped": str(int(np.sum(index_map < 0))),
         "config_hash": cfg.config_hash(),
         "tool_version": TOOL_VERSION,
@@ -404,20 +398,16 @@ def cmd_spectrum(ns):
         after = eigen((lap + lap.T) * 0.5)
 
     delta = spectrum_compare(before, after)
-    with open(output, "w") as fh:
-        fh.write("index,lambda_before,lambda_after,delta\n")
-        bs = np.sort(before.eigenvalues)
-        as_ = np.sort(after.eigenvalues)
-        for i, (b, a, d) in enumerate(zip(bs, as_, delta.deltas)):
-            fh.write(f"{i},{float(b)!r},{float(a)!r},{float(d)!r}\n")
+    # eigen's eigenvalues are ascending, as spectrum_compare pairs them
+    write_lines(output, ["index,lambda_before,lambda_after,delta", *(
+        f"{i},{float(b)!r},{float(a)!r},{float(d)!r}" for i, (b, a, d) in enumerate(
+            zip(before.eigenvalues, after.eigenvalues, delta.deltas)))])
 
     grid = np.linspace(0.0, 2.0, 201)
     curve = filter_response_curve(cfg.gdc.spec, grid)
     curve_path = output + ".response.csv"
-    with open(curve_path, "w") as fh:
-        fh.write("lambda_L,response\n")
-        for lam, resp in curve:
-            fh.write(f"{float(lam)!r},{float(resp)!r}\n")
+    write_lines(curve_path, ["lambda_L,response", *(
+        f"{float(lam)!r},{float(resp)!r}" for lam, resp in curve)])
     print(f"spectrum delta l2 = {delta.l2:.6g}; curves in {output} "
           f"and {curve_path}")
     return 0
@@ -457,9 +447,7 @@ def cmd_gen_sbm(ns):
         "p_out": repr(ns.p_out),
         "gen_seed": str(ns.seed),
     })
-    with open(ns.output + ".labels", "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+    write_lines(ns.output + ".labels", labels.tolist())
     print(f"wrote {g.n} nodes, {g.edge_count} edges to {ns.output}")
     return 0
 
@@ -473,11 +461,9 @@ def cmd_eval_cluster(ns):
                                  num_clusters=ns.clusters,
                                  threads=cfg.values["threads"])
     if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write("seed,raw_accuracy,gdc_accuracy,delta\n")
-            for i, (r, a) in enumerate(zip(report.raw_acc, report.gdc_acc)):
-                fh.write(f"{sbm.seed + i},{float(r)!r},{float(a)!r},"
-                         f"{float(a - r)!r}\n")
+        write_lines(ns.output, ["seed,raw_accuracy,gdc_accuracy,delta", *(
+            f"{sbm.seed + i},{float(r)!r},{float(a)!r},{float(a - r)!r}"
+            for i, (r, a) in enumerate(zip(report.raw_acc, report.gdc_acc)))])
     print(f"raw   mean accuracy {report.raw_mean:.4f} "
           f"ci95 [{report.raw_ci[0]:.4f}, {report.raw_ci[1]:.4f}]")
     print(f"gdc   mean accuracy {report.gdc_mean:.4f} "
@@ -534,11 +520,14 @@ def main(argv=None):
     except UsageError as exc:
         print(f"E_USAGE: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ComputeError) as exc:
-        print(f"E_COMPUTE: {exc}", file=sys.stderr)
+    except (InputError, ComputeError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate ("Unable
+        # to allocate ... for an array with shape (N, N) ..."); Python's own
+        # carries no text
+        print(f"E_COMPUTE: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

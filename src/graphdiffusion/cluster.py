@@ -31,10 +31,14 @@ class SbmSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(b) for b in self.block_sizes)
-        object.__setattr__(self, "block_sizes", sizes)
-        if not sizes or any(b <= 0 for b in sizes):
-            raise InputError("block sizes must be positive")
+        sizes = tuple(self.block_sizes)
+        if not sizes:
+            raise InputError("need at least one block")
+        for b in sizes:
+            check_number(b, "block size", integer=True, must="positive")
+        object.__setattr__(self, "block_sizes", tuple(map(int, sizes)))
+        check_number(self.p_in, "p_in")
+        check_number(self.p_out, "p_out")
         if not 0.0 <= self.p_out < self.p_in <= 1.0:
             raise InputError("need 0 <= p_out < p_in <= 1 for an assortative "
                              f"partition, got p_in={self.p_in}, p_out={self.p_out}")

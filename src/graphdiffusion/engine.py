@@ -12,9 +12,10 @@ array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
   a; it is inverted by Cholesky, and the result is symmetric bit for bit.
   Any other T (random walk, or a directed source) is inverted by LU. The
   per-column residual infinity norm is checked against EXACT_TOL one
-  block of PUSH_BLOCK columns at a time, and a NaN residual fails the
-  check; the certificate is the worst residual. Time is O(N^3); peak
-  memory is the result plus a block's N x PUSH_BLOCK temporaries and
+  block of PUSH_BLOCK columns at a time, the blocks run on the thread pool
+  below, and a NaN residual fails the check; the certificate is the worst
+  residual, the same at any thread count. Time is O(N^3); peak memory is
+  the result plus each running block's N x PUSH_BLOCK temporaries and
   LAPACK's workspace. Heat and explicit weights under Exact() are the
   series, truncated where its analytic tail falls below SERIES_TAIL_TOL;
 * Series(k): the truncated series sum_{j=0..k} theta_j T^j accumulates
@@ -180,8 +181,9 @@ def _inverse(a, spd):
             if spd else "LU inversion failed; the system matrix is singular") from err
 
 
-def _exact_ppr(T, alpha):
-    """Exact() for Ppr(alpha): the closed form, inverted in place."""
+def _exact_ppr(T, alpha, threads):
+    """Exact() for Ppr(alpha): the closed form, inverted in place, its
+    residual checked one block of PUSH_BLOCK columns at a time on the pool."""
     n = T.n
     m = T.matrix
     a = m.toarray(order="F")
@@ -203,7 +205,7 @@ def _exact_ppr(T, alpha):
         return max(resid.max(), -resid.min())
 
     # np.max keeps a NaN; abs folds a -0.0 maximum into 0.0
-    worst = abs(float(np.max([block_worst(lo) for lo in range(0, n, PUSH_BLOCK)],
+    worst = abs(float(np.max(pool_map(block_worst, range(0, n, PUSH_BLOCK), threads),
                              initial=0.0)))
     if not worst <= EXACT_TOL:
         raise ComputeError(f"linear solve did not reach tolerance {EXACT_TOL:g}; "
@@ -438,14 +440,14 @@ def diffuse(T, spec, route=Exact(), threads=0):
     (empty for N = 0). Everything else is the series, with certificate
     {'tail_mass'}: at Series(k)'s k, else at the order whose analytic tail
     is below SERIES_TAIL_TOL. threads sizes the pool of the series and push
-    blocks (see worker_count); it does not reach the closed form, which runs
-    on the BLAS library's own threads. The module docstring gives each
-    route's time, memory and accuracy.
+    blocks and of the closed form's residual check (see worker_count); the
+    closed form's inverse runs on the BLAS library's own threads. The module
+    docstring gives each route's time, memory and accuracy.
     """
     check_route(T.kind, spec, route)
     if isinstance(route, Push):
         return _push_matrix(T, spec.alpha, route.eps, threads)
     if isinstance(route, Exact) and isinstance(spec, Ppr):
-        return _exact_ppr(T, spec.alpha)
+        return _exact_ppr(T, spec.alpha, threads)
     k = route.k if isinstance(route, Series) else truncation_k(spec, SERIES_TAIL_TOL)
     return _series(T, spec, k, threads)

@@ -4,6 +4,12 @@ Graphs are stored column-major (compressed sparse column). All weights are
 strictly positive and finite, and row indices are sorted and unique within
 each column; graph_from_edges sums repeated edges. Undirected graphs store
 every edge in both triangles so the matrix is exactly symmetric.
+
+Every text file the package reads (edge lists, config and weight files) is
+read by read_lines, under one rule: '#' starts a comment, lines left blank
+are skipped, and line numbers count every line so that an error can name
+path:lineno. Every text file it writes but an edge list (sidecars, weight
+files, the CSV reports) is written by write_lines.
 """
 
 from __future__ import annotations
@@ -371,34 +377,49 @@ def edge_list_meta(g, metadata=None):
 
 def write_meta(path, meta):
     """Write meta as flat 'key = value' lines to the sidecar path + '.meta'."""
-    with open(str(path) + ".meta", "w") as fh:
-        for k, v in meta.items():
-            fh.write(f"{k} = {v}\n")
+    write_lines(str(path) + ".meta", (f"{k} = {v}" for k, v in meta.items()))
+
+
+def read_lines(path):
+    """Yield (lineno, text) for every line of the text file at path that
+    holds data once its '#' comment is cut off and it is stripped.
+
+    Blank and comment-only lines are skipped, but lineno counts every line,
+    so a reader's error can name path:lineno. The file is closed when the
+    iteration ends or the generator is closed or collected, as it is when
+    a reader raises mid-file.
+    """
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.partition("#")[0].strip()
+            if line:
+                yield lineno, line
+
+
+def write_lines(path, lines):
+    """Write each of lines, a string, followed by a newline to path."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def read_edge_list(path):
     """Parse an edge-list file into (src, dst, weight) tuples.
 
-    Lines are whitespace separated, '#' starts a comment, weights default
-    to 1.0. A line without two integer ids and an optional float weight
-    raises InputError naming path and line number.
+    Lines are read by read_lines and are whitespace separated; weights
+    default to 1.0. A line without two integer ids and an optional float
+    weight raises InputError naming path and line number.
     """
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        try:
             if len(parts) not in (2, 3):
-                raise InputError(f"{path}:{lineno}: expected 'src dst [weight]'")
-            try:
-                s, d = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: expected "
-                                 "'src dst [weight]'") from None
-            edges.append((s, d, w))
+                raise ValueError
+            s, d = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: expected 'src dst [weight]'") from None
+        edges.append((s, d, w))
     return edges
 
 

@@ -12,8 +12,9 @@ from graphdiffusion import (ComputeError, Exact, Gdc, Heat, PostProcess, Ppr, Pu
                             RandomWalk, Series, SymmetricSelfLoop, TargetDegree,
                             Threshold, TopK, load_edge_list, truncation_k)
 from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
-                                _parse, _render, build_parser, main, parse_config,
-                                run_pipeline)
+                                _parse, _read_config_file, _read_vector, _render,
+                                build_parser, main, parse_config, run_pipeline)
+from graphdiffusion.graph import read_edge_list
 from graphdiffusion.spectral import DENSE_EIGEN_CAP
 
 
@@ -1155,3 +1156,63 @@ def test_cli_import_skips_slow_scipy_modules():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+     "and data type float64",
+     "E_COMPUTE: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000, 1000000) and data type float64"),
+    ("", "E_COMPUTE: out of memory")], ids=["numpy", "bare"])
+def test_refused_allocation_is_one_compute_line(tmp_path, capsys, monkeypatch,
+                                                message, line):
+    import graphdiffusion.cli as cli
+
+    def refuse(g, gdc, threads):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "diffuse_graph", refuse)
+    out = tmp_path / "out.txt"
+    assert main(["transform", "--input", write_k2(tmp_path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+def commented_file(path, third, fifth):
+    """A file of two data lines, 3 and 5, under the shared text rule: a
+    full-line comment, blank lines and a trailing comment around them."""
+    path.write_text(f"# a full-line comment\n\n{third}  # a trailing comment\n"
+                    f"   \n{fifth}\n\n")
+    return str(path)
+
+
+# each reader: data lines 3 and 5, what the reader makes of them, the argv
+# that reads the file at p (tmp at hand), and the exit code and message of
+# a malformed line 3
+SHARED_RULE_READERS = {
+    "edge-list": (read_edge_list, "0 1", "1 2 0.5", [(0, 1, 1.0), (1, 2, 0.5)],
+                  lambda p, tmp: ["transform", "--input", p,
+                                  "--output", str(tmp / "out.txt")],
+                  "E_COMPUTE", "expected 'src dst [weight]'"),
+    "config": (_read_config_file, "input = g.txt", "output = o.txt",
+               {"input": "g.txt", "output": "o.txt"},
+               lambda p, tmp: ["transform", "--config", p],
+               "E_USAGE", "expected 'key = value'"),
+    "convert-coeffs": (_read_vector, "1/2", "0.25", [Fraction(1, 2), Fraction(1, 4)],
+                       lambda p, tmp: ["convert-coeffs", "--input", p, "--output",
+                                       str(tmp / "xi.txt"), "--direction", "theta-to-xi"],
+                       "E_COMPUTE", "expected a finite number"),
+    "explicit": (_read_vector, "1/2", "0.25", [Fraction(1, 2), Fraction(1, 4)],
+                 lambda p, tmp: ["transform", "--input", write_k2(tmp), "--output",
+                                 str(tmp / "out.txt"), "--method", f"explicit:{p}"],
+                 "E_COMPUTE", "expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("kind", SHARED_RULE_READERS)
+def test_every_reader_keeps_the_shared_text_rule(tmp_path, capsys, kind):
+    read, third, fifth, parsed, argv, prefix, expected = SHARED_RULE_READERS[kind]
+    assert read(commented_file(tmp_path / "good.txt", third, fifth)) == parsed
+    bad = commented_file(tmp_path / "bad.txt", "?", fifth)
+    assert main(argv(bad, tmp_path)) == (2 if prefix == "E_USAGE" else 1)
+    assert capsys.readouterr().err.splitlines() == [f"{prefix}: {bad}:3: {expected}"]

@@ -75,6 +75,16 @@ class TestSbm:
         for seed in (-1, 1.5, True):
             with pytest.raises(InputError, match="seed must be"):
                 SbmSpec((5, 5), 0.5, 0.1, seed=seed)
+        # a size is a positive integer, checked rather than truncated, and
+        # the probabilities are numbers
+        for sizes in ((2.5, 3), (True, 3)):
+            with pytest.raises(InputError, match="block size must be an integer"):
+                SbmSpec(sizes, 0.5, 0.1)
+        with pytest.raises(InputError, match="p_in must be a finite number, got '0.5'"):
+            SbmSpec((5, 5), "0.5", 0.1)
+        spec = SbmSpec([np.int64(5), 5], 0.5, 0.1)
+        assert spec.block_sizes == (5, 5)
+        assert [type(b) for b in spec.block_sizes] == [int, int]
 
     def test_deterministic_given_seed(self):
         a, _ = generate_sbm(SbmSpec((40, 40), 0.2, 0.05, seed=7))

@@ -155,21 +155,36 @@ class TestExactSolvers:
 
 @pytest.mark.parametrize("kind", [SymmetricSelfLoop(1.0), RandomWalk()])
 def test_exact_solve_peak_memory(kind):
-    # the docstring's budget: the result, inverted in place, plus a
-    # residual block's N x PUSH_BLOCK temporaries, by Cholesky and by LU
-    # alike; at N=1000 two such blocks are 0.13 N^2 * 8 bytes
+    # the docstring's budget: the result, inverted in place, plus each
+    # running residual block's N x PUSH_BLOCK temporaries, by Cholesky and
+    # by LU alike; at N=1000 the two blocks of threads=2 are 0.13 N^2 * 8 bytes
     g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
     t = transition_matrix(g, kind)
     assert t.n == 1000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        s = diffuse(t, Ppr(0.15))
+        s = diffuse(t, Ppr(0.15), threads=2)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert s.data.flags.f_contiguous
     assert peak <= 1.3 * t.n ** 2 * 8
+
+
+def test_exact_residual_check_runs_on_the_pool(monkeypatch):
+    # the residual blocks run on pool_map at the caller's thread count, and
+    # each block's check does not depend on the thread that runs it
+    t = transition_matrix(connected_er(150, 0.05, 3), SymmetricSelfLoop())
+    one = diffuse(t, Ppr(), Exact(), threads=1)
+    seen = []
+    real = engine.pool_map
+    monkeypatch.setattr(engine, "pool_map", lambda fn, items, threads:
+                        seen.append(threads) or real(fn, items, threads))
+    two = diffuse(t, Ppr(), Exact(), threads=2)
+    assert seen == [2]
+    assert np.array_equal(one.data, two.data)
+    assert one.certificate == two.certificate
 
 
 def test_series_peak_memory_is_one_dense_array():
