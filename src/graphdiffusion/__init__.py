@@ -16,8 +16,7 @@ from .cluster import (ClusteringResult, EvalReport, SbmSpec, eval_gdc_clustering
                       spectral_embedding)
 from .sparsify import (Gdc, PostProcess, TargetDegree, Threshold, TopK,
                        diffuse_graph, epsilon_for_degree, postprocess, sparsify)
-from .spectral import (RANDOM_WALK, SYMMETRIC, UNNORMALIZED, SpectrumDelta,
-                       SpectrumReport, apply_poly_filter, eigen,
+from .spectral import (SpectrumDelta, SpectrumReport, apply_poly_filter, eigen,
                        eigen_of_transition, eigenvalue_map,
                        filter_response_curve, laplacian, spectrum_compare)
 

@@ -41,7 +41,7 @@ from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     load_edge_list, read_lines, save_edge_list, write_lines,
                     write_meta)
 from .sparsify import Gdc, PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
-from .spectral import SYMMETRIC, eigen, filter_response_curve, laplacian, spectrum_compare
+from .spectral import eigen, filter_response_curve, laplacian, spectrum_compare
 
 TOOL_VERSION = "0.1.0"
 
@@ -57,17 +57,18 @@ METHODS = {"ppr": (cf.Ppr, float), "heat": (cf.Heat, float),
 RULES = {"topk": (TopK, int), "eps": (Threshold, float),
          "degree": (TargetDegree, float)}
 ROUTES = {"exact": (Exact, None), "series": (Series, int), "push": (Push, float)}
-RENORMS = ("sym", "rw", "none")
+# the renorm names and the transition kind each stands for, None for none
+RENORMS = {"sym": Symmetric(), "rw": RandomWalk(), "none": None}
 FORMATS = ("edges", "npz")
 
 
 class Setting(NamedTuple):
-    """A pipeline setting: the type of its value (int, bool, str, or a tuple
-    of the names it may take), its default and its flag's help, which for
-    a name[:arg] setting is its grammar. A setting given flags, (flag, value,
-    help) each, has these in place of --KEY VALUE, as one exclusive group:
-    a flag sets its value, or, for a value name:ARG, name and the flag's
-    argument."""
+    """A pipeline setting: the type of its value (int, bool, str, or the
+    names it may take, a tuple or a dict's keys), its default and its flag's
+    help, which for a name[:arg] setting is its grammar. A setting given
+    flags, (flag, value, help) each, has these in place of --KEY VALUE, as
+    one exclusive group: a flag sets its value, or, for a value name:ARG,
+    name and the flag's argument."""
 
     kind: object
     default: object = None
@@ -285,8 +286,7 @@ def parse_config(ns, keys=READS["transform"]):
                      rule=_parse(RULES, "sparsify", values["sparsify"]),
                      post=PostProcess(symmetrize=values["symmetrize"],
                                       unweighted=values["unweighted"],
-                                      renorm=None if values["renorm"] == "none"
-                                      else values["renorm"]))
+                                      renorm=RENORMS[values["renorm"]]))
         spec = None if explicit else _parse(METHODS, "method", values["method"])
     # the weight file is input, read once every setting has built and
     # outside the conversion: a bad weight list in it is E_COMPUTE, not E_USAGE
@@ -332,7 +332,7 @@ def run_pipeline(cfg):
     g, index_map = largest_connected_component(g)
     timings["load"] = time.perf_counter() - t0
 
-    result, certificate, eps, stage_seconds = diffuse_graph(
+    result, certificate, exactness, eps, stage_seconds = diffuse_graph(
         g, cfg.gdc, threads=cfg.values["threads"])
     timings.update(stage_seconds)
 
@@ -352,6 +352,7 @@ def run_pipeline(cfg):
         "lcc_dropped": str(int(np.sum(index_map < 0))),
         "config_hash": cfg.config_hash(),
         "tool_version": TOOL_VERSION,
+        "exactness": exactness,
     })
     for name, value in (certificate or {}).items():
         meta[f"certificate_{name}"] = repr(float(value))
@@ -362,7 +363,7 @@ def run_pipeline(cfg):
         with open(cfg.values["output"], "wb") as fh:
             sp.save_npz(fh, out_graph.to_scipy())
     else:
-        save_edge_list(cfg.values["output"], out_graph, sidecar=False)
+        save_edge_list(cfg.values["output"], out_graph)
     timings["export"] = time.perf_counter() - t0
     for stage, secs in timings.items():
         meta[f"stage_seconds_{stage}"] = f"{secs:.6f}"
@@ -383,14 +384,14 @@ def cmd_spectrum(ns):
     output = cfg.values["output"]
     g = load_edge_list(cfg.values["input"], directed=False)
     g, _ = largest_connected_component(g)
-    before = eigen(laplacian(g, SYMMETRIC))
+    before = eigen(laplacian(g, Symmetric()))
 
     result = diffuse_graph(g, cfg.gdc, threads=cfg.values["threads"])[0]
     if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
             and not result.source.directed):
         # I - T_rw of a symmetric graph shares its spectrum with the
         # symmetric normalized Laplacian of the same graph
-        after = eigen(laplacian(result.source, SYMMETRIC))
+        after = eigen(laplacian(result.source, Symmetric()))
     else:
         # I - T, or L_sym of a graph, through its symmetric part, which is
         # the matrix itself bit for bit when the output is undirected
@@ -440,13 +441,14 @@ def _sbm_spec(ns):
 
 def cmd_gen_sbm(ns):
     g, labels = generate_sbm(_sbm_spec(ns))
-    save_edge_list(ns.output, g, metadata={
+    save_edge_list(ns.output, g)
+    write_meta(ns.output, edge_list_meta(g, {
         "generator": "sbm",
         "blocks": ns.blocks,
         "p_in": repr(ns.p_in),
         "p_out": repr(ns.p_out),
         "gen_seed": str(ns.seed),
-    })
+    }))
     write_lines(ns.output + ".labels", labels.tolist())
     print(f"wrote {g.n} nodes, {g.edge_count} edges to {ns.output}")
     return 0

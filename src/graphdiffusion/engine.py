@@ -27,7 +27,8 @@ array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
   column, so the result equals the Horner sum on the whole identity bit
   for bit, whatever the threads. The certificate is the analytic tail
   sum_{j > k} theta_j, which bounds every column's L1 error when T is
-  column-stochastic (the random walk);
+  column-stochastic (the random walk), and l1_error_max, the tail times
+  max_j sqrt(d_j / d_min), which bounds it on every kind;
 * Push(eps): approximate PPR by residual push (Andersen, Chung and Lang,
   2006), so Ppr weights on the random walk only, as check_route states; it
   expands mass only where the residual is large, with an explicit residual
@@ -181,6 +182,21 @@ def _inverse(a, spd):
             if spd else "LU inversion failed; the system matrix is singular") from err
 
 
+def _l1_factor(T):
+    """max_j sqrt(d_j / d_min), which carries a column L1 bound on T_rw to T.
+
+    T_sym = D^-1/2 T_rw D^1/2 for every source, d being T.degrees (plus w
+    under SymmetricSelfLoop(w), whose T is T_sym of A + w I), so column j
+    of any power series in T_sym is sqrt(d_j) D^-1/2 times that column of
+    the same series in the column-stochastic T_rw: its L1 norm grows by at
+    most sqrt(d_j / d_min). The factor is 1.0 on the random walk itself.
+    """
+    if isinstance(T.kind, RandomWalk) or not T.n:
+        return 1.0
+    d = T.degrees + (T.kind.w_loop if isinstance(T.kind, SymmetricSelfLoop) else 0.0)
+    return float(np.sqrt(d.max() / d.min()))
+
+
 def _exact_ppr(T, alpha, threads):
     """Exact() for Ppr(alpha): the closed form, inverted in place, its
     residual checked one block of PUSH_BLOCK columns at a time on the pool."""
@@ -210,7 +226,10 @@ def _exact_ppr(T, alpha, threads):
     if not worst <= EXACT_TOL:
         raise ComputeError(f"linear solve did not reach tolerance {EXACT_TOL:g}; "
                            f"worst column residual {worst:g}")
-    return DiffusionMatrix(data=x, exactness="exact", certificate={"residual_max": worst})
+    # x's error is (I - (1-a) T)^-1 r for the residual r, and a (I - (1-a)
+    # T_rw)^-1 has column L1 norm 1
+    return DiffusionMatrix(data=x, exactness="exact", certificate={
+        "residual_max": worst, "l1_error_max": n * worst / alpha * _l1_factor(T)})
 
 
 def _series(T, spec, k, threads):
@@ -238,8 +257,9 @@ def _series(T, spec, k, threads):
         return x, None
 
     data, _ = _column_blocks(n, block, threads)
-    return DiffusionMatrix(data=data, exactness=f"series:{k}",
-                           certificate={"tail_mass": theta_tail(spec, k)})
+    tail = theta_tail(spec, k)
+    return DiffusionMatrix(data=data, exactness=f"series:{k}", certificate={
+        "tail_mass": tail, "l1_error_max": tail * _l1_factor(T)})
 
 
 @dataclass
@@ -413,6 +433,7 @@ def _push_certificate(support, residual_l1, touched, rounds_drain):
         "support_mean": float(support.mean()),
         "touched_mean": float(touched.mean()),
         "drain_rounds_mean": float(rounds_drain.mean()),
+        "l1_error_max": float(residual_l1.max()),
     }
 
 
@@ -435,11 +456,22 @@ def diffuse(T, spec, route=Exact(), threads=0):
     check_route checks route, spec and T's kind once per call, before any
     kernel runs: Push(eps) takes Ppr weights on the random walk only.
     Geometric Exact() is the closed-form solve, with certificate
-    {'residual_max'}, and Push(eps) the block push kernel, with certificate
-    {'residual_l1_max', 'support_mean', 'touched_mean', 'drain_rounds_mean'}
-    (empty for N = 0). Everything else is the series, with certificate
-    {'tail_mass'}: at Series(k)'s k, else at the order whose analytic tail
-    is below SERIES_TAIL_TOL. threads sizes the pool of the series and push
+    {'residual_max', 'l1_error_max'}, and Push(eps) the block push kernel,
+    with certificate {'residual_l1_max', 'support_mean', 'touched_mean',
+    'drain_rounds_mean', 'l1_error_max'} (empty for N = 0). Everything else
+    is the series, with certificate {'tail_mass', 'l1_error_max'}: at
+    Series(k)'s k, else at the order whose analytic tail is below
+    SERIES_TAIL_TOL.
+
+    l1_error_max bounds the largest column L1 error on every route and
+    kind: on the random walk it is the series' tail_mass, push's
+    residual_l1_max and N * residual_max / alpha for the closed form; on
+    the symmetric kinds the series and closed-form bounds are multiplied by
+    max_j sqrt(d_j / d_min), d the degrees (plus w under
+    SymmetricSelfLoop(w)). tail_mass alone bounds the error on the random
+    walk only. The result's exactness names the route that ran: 'exact',
+    'series:K' (Exact() on heat or explicit weights included) or
+    'push:EPS'. threads sizes the pool of the series and push
     blocks and of the closed form's residual check (see worker_count); the
     closed form's inverse runs on the BLAS library's own threads. The module
     docstring gives each route's time, memory and accuracy.

@@ -47,7 +47,11 @@ class SymmetricSelfLoop:
         check_number(self.w_loop, "self-loop weight", must="positive")
 
 
-TransitionKind = RandomWalk | Symmetric | SymmetricSelfLoop
+# the two degree normalizations of the GDC paper, T_rw and T_sym: the kinds
+# that renormalize a sparsified graph (PostProcess.renorm) and that name a
+# normalized Laplacian, and the kinds under which a zero degree is refused
+DegreeNormalization = RandomWalk | Symmetric
+TransitionKind = DegreeNormalization | SymmetricSelfLoop
 
 
 class SparseGraph:
@@ -314,12 +318,13 @@ def require_nonzero_degrees(g, d):
 def transition_matrix(g, kind):
     """T_rw, T_sym or the self-loop variant: g scaled by its degrees d = g.degrees().
 
-    Every normalization but postprocess's directed 'sym' (by in-degrees)
-    comes from here; D^-1 is formed as 1.0 / d, so a zero degree is
-    rejected under RandomWalk and Symmetric (see require_nonzero_degrees).
+    Every normalization but postprocess's directed Symmetric() (by
+    in-degrees) comes from here, laplacian's and postprocess's included;
+    D^-1 is formed as 1.0 / d, so a zero degree is rejected under
+    RandomWalk and Symmetric (see require_nonzero_degrees).
     """
     d = g.degrees()
-    if isinstance(kind, (RandomWalk, Symmetric)):
+    if isinstance(kind, DegreeNormalization):
         require_nonzero_degrees(g, d)
 
     if isinstance(kind, RandomWalk):
@@ -338,15 +343,15 @@ def transition_matrix(g, kind):
 EXPORT_CHUNK = 8192  # edge lines formatted per write by save_edge_list
 
 
-def save_edge_list(path, g, metadata=None, sidecar=True):
-    """Write g as whitespace-separated edge lines plus a .meta sidecar.
+def save_edge_list(path, g):
+    """Write g as whitespace-separated edge lines; nothing else is written.
 
     Undirected graphs emit each edge once (upper triangle by stored order);
     directed graphs emit every entry. Weights use shortest-round-trip
     formatting so a reload reproduces the exact float values. Lines are
     formatted and written EXPORT_CHUNK at a time, so the text held at once
-    is one chunk's, not the file's. sidecar=False leaves the sidecar to a
-    caller that writes it once, with more keys.
+    is one chunk's, not the file's. A caller that wants the .meta sidecar
+    writes it with write_meta(path, edge_list_meta(g, its keys)).
     """
     rows, cols, vals = g.row_idx, g.column_of_entry(), g.values
     if not g.directed:
@@ -358,8 +363,6 @@ def save_edge_list(path, g, metadata=None, sidecar=True):
             # edge line is "src dst weight" with src = column (origin of mass)
             fh.write("".join(f"{c} {r} {v!r}\n" for r, c, v in zip(
                 rows[chunk].tolist(), cols[chunk].tolist(), vals[chunk].tolist())))
-    if sidecar:
-        write_meta(path, edge_list_meta(g, metadata))
 
 
 def edge_list_meta(g, metadata=None):

@@ -20,9 +20,9 @@ from . import engine
 from .coeffs import Ppr
 from .engine import DiffusionMatrix, Exact, diffuse
 from .errors import InputError, check_number
-from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
-                    TransitionMatrix, require_nonzero_degrees, scaled,
-                    transition_matrix)
+from .graph import (DegreeNormalization, RandomWalk, SparseGraph,
+                    SymmetricSelfLoop, TransitionMatrix, require_nonzero_degrees,
+                    scaled, transition_matrix)
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,18 @@ SparsifyRule = TopK | Threshold | TargetDegree
 
 @dataclass(frozen=True)
 class PostProcess:
+    """Unweighting, symmetrization and renormalization, in that order.
+
+    renorm is the transition kind of the renormalization, RandomWalk() or
+    Symmetric(), or None for none; any other value is an InputError.
+    """
+
     symmetrize: bool = False
     unweighted: bool = False
-    renorm: str | None = None  # 'sym', 'rw' or None
+    renorm: DegreeNormalization | None = None
 
     def __post_init__(self):
-        if self.renorm not in (None, "rw", "sym"):
+        if not (self.renorm is None or isinstance(self.renorm, DegreeNormalization)):
             raise InputError(f"unknown renormalization {self.renorm!r}")
 
 
@@ -235,12 +241,13 @@ def sparsify(S, rule, original_ids=None):
 def postprocess(g, opts):
     """Unweight, symmetrize and renormalize a sparsified graph.
 
-    Renormalization is transition_matrix of the processed graph: 'rw' is
-    A D^-1 and 'sym' is D^-1/2 A D^-1/2 with D its column sums (degrees).
-    A directed graph (symmetrize off) under 'sym' is the one exception: D
-    is its row sums, the in-degrees. Renormalization fails loudly, through
-    require_nonzero_degrees, if sparsification isolated a node (zero
-    degree); silently inserting self-loops would change the spectrum.
+    Renormalization is transition_matrix(processed graph, opts.renorm):
+    RandomWalk() is A D^-1 and Symmetric() is D^-1/2 A D^-1/2 with D its
+    column sums (degrees). A directed graph (symmetrize off) under
+    Symmetric() is the one exception: D is its row sums, the in-degrees.
+    Renormalization fails loudly, through require_nonzero_degrees, if
+    sparsification isolated a node (zero degree); silently inserting
+    self-loops would change the spectrum.
     Returns a SparseGraph when renorm is None, else a TransitionMatrix on
     the processed graph.
 
@@ -259,15 +266,14 @@ def postprocess(g, opts):
                                     original_ids=g.original_ids, allow_loops=True)
     if opts.renorm is None:
         return result
-    if opts.renorm == "rw":
-        return transition_matrix(result, RandomWalk())
-    if not directed:
-        return transition_matrix(result, Symmetric())
-    # a directed graph under sym is normalized by its row sums (in-degrees)
+    if isinstance(opts.renorm, RandomWalk) or not directed:
+        return transition_matrix(result, opts.renorm)
+    # a directed graph under Symmetric() is normalized by its row sums
+    # (in-degrees)
     d = np.asarray(result.matrix.sum(axis=1)).ravel()
     require_nonzero_degrees(result, d)
     return TransitionMatrix(matrix=scaled(result.matrix, 1.0 / np.sqrt(d)),
-                            kind=Symmetric(), source=result, degrees=d)
+                            kind=opts.renorm, source=result, degrees=d)
 
 
 def diffuse_graph(g, gdc, threads=0):
@@ -279,9 +285,11 @@ def diffuse_graph(g, gdc, threads=0):
     stage. The sparsified graph keeps g's original_ids.
     The dense diffusion matrix does not outlive the sparsify stage, so
     postprocess runs without it; call diffuse for the matrix itself.
-    Returns (result, certificate, eps, seconds): the postprocess result, the
-    diffusion's error certificate (a dict, or None), the threshold applied
-    (None for top-k) and the wall time of each stage by name.
+    Returns (result, certificate, exactness, eps, seconds): the postprocess
+    result, the diffusion's error certificate (a dict, or None) and
+    exactness (the route that ran, as DiffusionMatrix.exactness), the
+    threshold applied (None for top-k) and the wall time of each stage by
+    name.
     """
     t0 = time.perf_counter()
     t = transition_matrix(g, gdc.transition)
@@ -294,10 +302,10 @@ def diffuse_graph(g, gdc, threads=0):
         eps = epsilon_for_degree(s, rule.avg_degree)
         rule = Threshold(eps)
     sparse_graph = sparsify(s, rule, original_ids=g.original_ids)
-    certificate = s.certificate
+    certificate, exactness = s.certificate, s.exactness
     del s
     t3 = time.perf_counter()
     result = postprocess(sparse_graph, gdc.post)
     seconds = {"transition": t1 - t0, "diffuse": t2 - t1, "sparsify": t3 - t2,
                "postprocess": time.perf_counter() - t3}
-    return result, certificate, eps, seconds
+    return result, certificate, exactness, eps, seconds

@@ -9,35 +9,31 @@ import scipy.sparse as sp
 
 from .coeffs import Explicit, Heat, Ppr
 from .errors import InputError
-from .graph import (RandomWalk, SparseGraph, Symmetric, TransitionMatrix,
-                    transition_matrix)
+from .graph import (DegreeNormalization, RandomWalk, SparseGraph, Symmetric,
+                    TransitionMatrix, transition_matrix)
 
 DENSE_EIGEN_CAP = 3000
 
-UNNORMALIZED = "unnormalized"
-RANDOM_WALK = "rw"
-SYMMETRIC = "sym"
 
-
-def laplacian(obj, kind=SYMMETRIC):
+def laplacian(obj, kind=Symmetric()):
     """Graph Laplacian of a SparseGraph, or I - T of a TransitionMatrix.
 
-    kinds: 'unnormalized' (D - A), 'rw' (I - A D^-1) and 'sym'
-    (I - D^-1/2 A D^-1/2); the normalized kinds are I - T of the
-    transition matrix of that kind. The rw Laplacian is asymmetric;
-    analyze it through the symmetric kind, which shares its spectrum.
+    kind is a degree normalization or None: RandomWalk() gives I - A D^-1
+    and Symmetric() I - D^-1/2 A D^-1/2, each I - T of
+    transition_matrix(obj, kind), and None the unnormalized D - A. Any
+    other kind is an InputError. The rw Laplacian is asymmetric; analyze it
+    through the symmetric kind, which shares its spectrum.
     """
     if isinstance(obj, TransitionMatrix):
         return (sp.identity(obj.n, format="csc") - obj.matrix).tocsc()
     if not isinstance(obj, SparseGraph):
         raise InputError("laplacian expects a SparseGraph or TransitionMatrix")
-    if kind == UNNORMALIZED:
+    if kind is None:
         return (sp.diags(obj.degrees(), format="csc") - obj.to_scipy()).tocsc()
-    kinds = {RANDOM_WALK: RandomWalk(), SYMMETRIC: Symmetric()}
-    if kind not in kinds:
+    if not isinstance(kind, DegreeNormalization):
         raise InputError(f"unknown Laplacian kind {kind!r}")
     # transition_matrix sums the degrees and rejects a zero one
-    return laplacian(transition_matrix(obj, kinds[kind]))
+    return laplacian(transition_matrix(obj, kind))
 
 
 @dataclass

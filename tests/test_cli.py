@@ -9,8 +9,9 @@ import pytest
 
 import graphdiffusion
 from graphdiffusion import (ComputeError, Exact, Gdc, Heat, PostProcess, Ppr, Push,
-                            RandomWalk, Series, SymmetricSelfLoop, TargetDegree,
-                            Threshold, TopK, load_edge_list, truncation_k)
+                            RandomWalk, Series, Symmetric, SymmetricSelfLoop,
+                            TargetDegree, Threshold, TopK, load_edge_list,
+                            truncation_k)
 from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
                                 _parse, _read_config_file, _read_vector, _render,
                                 build_parser, main, parse_config, run_pipeline)
@@ -39,7 +40,7 @@ class TestParseConfig:
         assert cfg.gdc.rule == TopK(64)
         assert cfg.gdc.post.symmetrize is True
         assert cfg.gdc.post.unweighted is False
-        assert cfg.gdc.post.renorm == "rw"
+        assert cfg.gdc.post.renorm == RandomWalk()
 
     def test_heat_threshold_combo(self):
         cfg = parse(["--input", "a", "--output", "b", "--method", "heat:5",
@@ -243,7 +244,7 @@ class TestParseConfig:
         assert cfg.gdc.post.renorm is None
         cfg = parse(["--config", str(conf), "--method", "heat:7", "--renorm", "sym"])
         assert cfg.gdc.spec == Heat(7.0)
-        assert cfg.gdc.post.renorm == "sym"
+        assert cfg.gdc.post.renorm == Symmetric()
 
     def test_seed_is_not_a_transform_setting(self, tmp_path, capsys):
         # every route is deterministic; only gen-sbm and eval-cluster draw
@@ -713,7 +714,7 @@ class TestTransform:
         t = transition_matrix(g, SymmetricSelfLoop(1.0))
         s = diffuse(t, Ppr(0.2), Exact())
         manual = postprocess(sparsify(s, TopK(4)),
-                             PostProcess(symmetrize=True, renorm="rw"))
+                             PostProcess(symmetrize=True, renorm=RandomWalk()))
         np.testing.assert_array_equal(got.to_scipy().toarray(),
                                       manual.matrix.toarray())
 
@@ -790,16 +791,19 @@ class TestTransform:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra,keys", [
-        ([], ["certificate_residual_max"]),
-        (["--method", "heat:3", "--exact"], ["certificate_tail_mass"]),
-        (["--series", "5"], ["certificate_tail_mass"]),
+        ([], ["certificate_residual_max", "certificate_l1_error_max"]),
+        (["--method", "heat:3", "--exact"],
+         ["certificate_tail_mass", "certificate_l1_error_max"]),
+        (["--series", "5"], ["certificate_tail_mass", "certificate_l1_error_max"]),
         # the order whose tail is below 1e-4: the tail bounds each column's
         # L1 error on the random walk
         (["--method", "heat:3", "--transition", "rw", "--series",
-          str(truncation_k(Heat(3.0), 1e-4))], ["certificate_tail_mass"]),
+          str(truncation_k(Heat(3.0), 1e-4))],
+         ["certificate_tail_mass", "certificate_l1_error_max"]),
         (["--transition", "rw", "--push", "1e-6"],
          ["certificate_residual_l1_max", "certificate_support_mean",
-          "certificate_touched_mean", "certificate_drain_rounds_mean"]),
+          "certificate_touched_mean", "certificate_drain_rounds_mean",
+          "certificate_l1_error_max"]),
     ])
     def test_sidecar_certificate_and_export_time(self, tmp_path, extra, keys):
         inp = tmp_path / "g.txt"
@@ -815,6 +819,28 @@ class TestTransform:
         assert float(meta["stage_seconds_export"]) >= 0.0
         assert meta["nodes"] == "4"
         assert meta["id_map"] == "0,1,2,3"
+
+    @pytest.mark.parametrize("extra,exactness,bound", [
+        ([], "exact", None),
+        # heat under --exact runs the series to a tail below 1e-12
+        (["--method", "heat:3", "--exact"],
+         f"series:{truncation_k(Heat(3.0), 1e-12)}", None),
+        (["--series", "5"], "series:5", None),
+        (["--transition", "rw", "--series", "5"], "series:5", "tail_mass"),
+        (["--transition", "rw", "--push", "1e-6"], "push:1e-06", "residual_l1_max"),
+    ], ids=["exact", "heat-exact", "series", "rw-series", "push"])
+    def test_sidecar_names_the_route_that_ran(self, tmp_path, extra, exactness,
+                                              bound):
+        inp = tmp_path / "g.txt"
+        inp.write_text("0 1\n1 2\n2 0\n2 3\n")
+        out = tmp_path / "out.txt"
+        assert main(["transform", "--input", inp.as_posix(), "--output", str(out),
+                     "--sparsify", "topk:3"] + extra) == 0
+        meta = read_meta(f"{out}.meta")
+        assert meta["exactness"] == exactness
+        # on the random walk the L1 bound is the route's own certificate
+        if bound:
+            assert meta["certificate_l1_error_max"] == meta[f"certificate_{bound}"]
 
     @pytest.mark.parametrize("fmt", ["edges", "npz"])
     def test_one_sidecar_write_per_transform(self, tmp_path, monkeypatch, fmt):
@@ -950,6 +976,12 @@ class TestOtherCommands:
         assert g.n == 20
         labels = [int(x) for x in Path(out + ".labels").read_text().split()]
         assert labels == [0] * 10 + [1] * 10
+        meta = read_meta(out + ".meta")
+        assert list(meta) == ["nodes", "edges", "directed", "id_map", "generator",
+                              "blocks", "p_in", "p_out", "gen_seed"]
+        assert meta["nodes"] == "20" and meta["edges"] == str(g.edge_count)
+        assert [meta[k] for k in ("generator", "blocks", "p_in", "p_out", "gen_seed")] == [
+            "sbm", "10,10", "0.9", "0.1", "4"]
 
     @pytest.mark.parametrize("argv,message", [
         (["eval-cluster", "--sparsify", "topk:0"],

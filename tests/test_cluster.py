@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -399,7 +400,8 @@ class TestEval:
         out = run_gdc_for_clustering(g, Gdc(rule=TopK(3)))
         np.testing.assert_array_equal(out.original_ids, ids)
 
-    @pytest.mark.parametrize("renorm", ["rw", "sym"])
+    @pytest.mark.parametrize("renorm", [RandomWalk(), Symmetric()],
+                             ids=["rw", "sym"])
     def test_renormalizing_arm_rejected_before_any_seed(self, monkeypatch,
                                                         renorm):
         # a renormalized result is a TransitionMatrix, not a graph to embed
@@ -409,7 +411,7 @@ class TestEval:
         monkeypatch.setattr(cluster_mod, "generate_sbm", no_graph)
         sbm = SbmSpec((20, 20), 0.5, 0.05, seed=1)
         gdc = Gdc(post=PostProcess(symmetrize=True, renorm=renorm))
-        with pytest.raises(InputError, match=f"renorm '{renorm}'"):
+        with pytest.raises(InputError, match=re.escape(f"renorm {renorm!r}")):
             eval_gdc_clustering(sbm, gdc=gdc, seeds=2, threads=1)
 
     @pytest.mark.parametrize("blocks,clusters", [((20, 20), 1), ((40,), None)],

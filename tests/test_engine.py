@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from graphdiffusion import (ComputeError, Exact, Explicit, Heat, InputError,
                             theta_vector, transition_matrix, truncation_k)
 from graphdiffusion import engine
 from graphdiffusion.cluster import SbmSpec, generate_sbm
-from conftest import connected_er
+from graphdiffusion.graph import largest_connected_component
+from conftest import chung_lu, connected_er
 
 
 def t_of(edges, kind=RandomWalk()):
@@ -46,7 +48,9 @@ class TestExactGeometric:
         t = transition_matrix(g, RandomWalk())
         s = diffuse(t, Ppr(0.2))
         resid = 0.2 * np.eye(40) - (s.data - 0.8 * (t.matrix @ s.data))
-        assert s.certificate == {"residual_max": float(np.abs(resid).max())}
+        worst = float(np.abs(resid).max())
+        # on the random walk the L1 bound is N * residual_max / alpha
+        assert s.certificate == {"residual_max": worst, "l1_error_max": 40 * worst / 0.2}
 
     def test_inaccurate_inverse_reports_residual(self, monkeypatch):
         # a factorization that returns a perturbed inverse must fail the
@@ -121,7 +125,8 @@ class TestExactSolvers:
         assert calls == [(80, 80)]
         assert np.abs(s.data - lu_reference(t, alpha)).max() < 1e-12
         assert np.array_equal(s.data, s.data.T)
-        assert s.certificate == {"residual_max": residual_max(t, alpha, s.data)}
+        assert set(s.certificate) == {"residual_max", "l1_error_max"}
+        assert s.certificate["residual_max"] == residual_max(t, alpha, s.data)
         assert s.certificate["residual_max"] < 1e-12
 
     def test_random_walk_solves_by_lu(self, monkeypatch):
@@ -406,3 +411,54 @@ def test_nan_left_to_range_check(make, message):
     (Heat, 3), (SymmetricSelfLoop, np.float64(2.0))])
 def test_numpy_and_int_arguments_accepted(make, arg):
     assert make(arg) == make(arg)
+
+
+@functools.cache
+def bound_graph(name):
+    """The two inputs of the L1 bound tests, N = 1000 each: a three-block SBM
+    (degrees 11 to 41) and a Chung-Lu graph (degrees 3 to 689)."""
+    if name == "sbm":
+        g, _ = generate_sbm(SbmSpec((334, 333, 333), 0.07, 0.005, seed=1))
+        return largest_connected_component(g)[0]
+    return chung_lu(1000, 2.5, 30.0, seed=0)
+
+
+def column_l1_error(x, ref):
+    return float(np.abs(x - ref).sum(axis=0).max())
+
+
+BOUND_KINDS = pytest.mark.parametrize("kind", [RandomWalk(), Symmetric(),
+                                               SymmetricSelfLoop(1.0)],
+                                      ids=["rw", "sym", "symloop"])
+BOUND_GRAPHS = pytest.mark.parametrize("graph", ["sbm", "chung-lu"])
+
+
+class TestL1ErrorBound:
+    """l1_error_max bounds the largest column L1 error on every kind."""
+
+    @BOUND_KINDS
+    @BOUND_GRAPHS
+    @pytest.mark.parametrize("spec,k", [(Ppr(0.15), 10), (Heat(3.0), 6)],
+                             ids=["ppr", "heat"])
+    def test_series(self, graph, kind, spec, k):
+        t = transition_matrix(bound_graph(graph), kind)
+        s = diffuse(t, spec, Series(k), threads=1)
+        ref = diffuse(t, spec, Exact(), threads=1)
+        err = column_l1_error(s.data, ref.data)
+        # the reference is itself within its own bound of the exact operator
+        assert err <= s.certificate["l1_error_max"] + ref.certificate["l1_error_max"]
+        tail = s.certificate["tail_mass"]
+        if isinstance(kind, RandomWalk):
+            assert s.certificate["l1_error_max"] == tail
+        else:
+            # the tail alone is no bound off the random walk
+            assert err > 1.2 * tail
+
+    @BOUND_KINDS
+    @BOUND_GRAPHS
+    def test_exact(self, graph, kind):
+        t = transition_matrix(bound_graph(graph), kind)
+        s = diffuse(t, Ppr(0.15), Exact(), threads=1)
+        ref = np.linalg.solve(np.eye(t.n) - 0.85 * t.matrix.toarray(),
+                              0.15 * np.eye(t.n))
+        assert column_l1_error(s.data, ref) <= s.certificate["l1_error_max"]

@@ -10,7 +10,8 @@ from graphdiffusion import (DiffusionMatrix, InputError, PostProcess, Ppr,
                             largest_connected_component, load_edge_list,
                             load_graph, postprocess, read_edge_list,
                             save_edge_list, sparsify, transition_matrix)
-from graphdiffusion.graph import graph_from_edges, scaled
+from graphdiffusion.graph import (edge_list_meta, graph_from_edges, scaled,
+                                  write_meta)
 from conftest import er_graph
 
 
@@ -393,7 +394,9 @@ class TestEdgeListIo:
     def test_sidecar_metadata(self, tmp_path):
         g = load_graph([(0, 1)])
         path = tmp_path / "g.txt"
-        save_edge_list(path, g, metadata={"note": "hello"})
+        save_edge_list(path, g)
+        assert not (tmp_path / "g.txt.meta").exists()
+        write_meta(path, edge_list_meta(g, {"note": "hello"}))
         meta = (tmp_path / "g.txt.meta").read_text()
         assert "nodes = 2" in meta
         assert "directed = false" in meta
@@ -444,7 +447,7 @@ class TestStoredMatrix:
         h = SparseGraph(g.n, g.col_ptr, g.row_idx, g.values, directed=False)
         assert not h.matrix.data.flags.writeable
         assert SparseGraph.from_scipy(h.to_scipy(), directed=False).same_structure(g)
-        out = postprocess(h, PostProcess(renorm="rw"))
+        out = postprocess(h, PostProcess(renorm=RandomWalk()))
         ref = transition_matrix(g, RandomWalk())
         np.testing.assert_array_equal(out.matrix.toarray(), ref.matrix.toarray())
 
@@ -572,7 +575,7 @@ class TestChunkedExport:
         assert ref.count("\n") > 7
         monkeypatch.setattr("graphdiffusion.graph.EXPORT_CHUNK", chunk)
         path = tmp_path / "g.txt"
-        save_edge_list(path, g, sidecar=False)
+        save_edge_list(path, g)
         assert path.read_text() == ref
 
     def test_peak_memory_at_benchmark_size(self, tmp_path):
@@ -581,11 +584,11 @@ class TestChunkedExport:
         n = 1000
         g = random_graph(n, 0.088, 6, directed=True)
         path = tmp_path / "g.txt"
-        save_edge_list(path, g, sidecar=False)  # warm-up, untraced
+        save_edge_list(path, g)  # warm-up, untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            save_edge_list(path, g, sidecar=False)
+            save_edge_list(path, g)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -334,6 +334,7 @@ class TestPushMatrix:
             "support_mean": float(np.mean([c.support for c in singles])),
             "touched_mean": float(np.mean([c.touched for c in singles])),
             "drain_rounds_mean": float(np.mean([c.rounds_drain for c in singles])),
+            "l1_error_max": max(c.residual_l1 for c in singles),
         }
         drains = [c.rounds_drain for c in singles]
         # columns of every block stop their drain at different rounds

@@ -12,7 +12,8 @@ from graphdiffusion import (DiffusionMatrix, Exact, Gdc, Heat, InputError,
                             epsilon_for_degree, load_graph, postprocess,
                             sparsify, transition_matrix)
 from graphdiffusion.cluster import SbmSpec, generate_sbm
-from graphdiffusion.graph import Symmetric, largest_connected_component
+from graphdiffusion.graph import (Symmetric, SymmetricSelfLoop,
+                                  largest_connected_component)
 
 
 def as_diffusion(arr):
@@ -373,7 +374,7 @@ def test_pipeline_peak_memory(sbm_1000, route, rule):
     # the dense S is the pipeline's one N x N array: the masks run on the
     # producer's PUSH_BLOCK columns, and S is gone before postprocess
     gdc = Gdc(RandomWalk(), Ppr(0.15), PIPELINE_ROUTES[route], rule,
-              PostProcess(symmetrize=True, renorm="rw"))
+              PostProcess(symmetrize=True, renorm=RandomWalk()))
     # the first call, untraced, imports anything the route loads lazily
     first = diffuse_graph(sbm_1000, gdc, threads=1)
     t = transition_matrix(sbm_1000, RandomWalk())
@@ -396,7 +397,7 @@ def test_postprocess_peak_memory(sbm_1000):
     t = transition_matrix(sbm_1000, RandomWalk())
     g = sparsify(diffuse(t, Ppr(0.15), Push(1e-4), threads=1),
                  TargetDegree(64.0))
-    post = PostProcess(symmetrize=True, renorm="rw")
+    post = PostProcess(symmetrize=True, renorm=RandomWalk())
     postprocess(g, post)  # warm-up, untraced
     n = sbm_1000.n
     tracemalloc.start()
@@ -517,7 +518,7 @@ class TestPostprocess:
     def test_random_walk_renorm_column_stochastic(self):
         rng = np.random.default_rng(6)
         g = sparsify(as_diffusion(rng.random((10, 10)) + 0.05), TopK(4))
-        out = postprocess(g, PostProcess(symmetrize=True, renorm="rw"))
+        out = postprocess(g, PostProcess(symmetrize=True, renorm=RandomWalk()))
         assert isinstance(out, TransitionMatrix)
         sums = np.asarray(out.matrix.sum(axis=0)).ravel()
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -525,7 +526,7 @@ class TestPostprocess:
     def test_symmetric_renorm_formula(self):
         rng = np.random.default_rng(7)
         g = sparsify(as_diffusion(rng.random((8, 8)) + 0.05), TopK(3))
-        out = postprocess(g, PostProcess(symmetrize=True, renorm="sym"))
+        out = postprocess(g, PostProcess(symmetrize=True, renorm=Symmetric()))
         m = out.source.to_scipy().toarray()
         d = m.sum(axis=1)
         oracle = m / np.sqrt(np.outer(d, d))
@@ -537,16 +538,19 @@ class TestPostprocess:
     def test_undirected_renorm_is_transition_matrix(self, renorm, kind):
         rng = np.random.default_rng(8)
         g = sparsify(as_diffusion(rng.random((40, 40)) + 0.05), TopK(12))
-        out = postprocess(g, PostProcess(symmetrize=True, renorm=renorm))
+        out = postprocess(g, PostProcess(symmetrize=True, renorm=kind))
         ref = transition_matrix(out.source, kind)
         assert out.kind == kind
         assert np.array_equal(out.degrees, ref.degrees)
         assert (out.matrix != ref.matrix).nnz == 0
+        # the kind is the one spelling; its former name is refused
+        with pytest.raises(InputError, match=f"unknown renormalization '{renorm}'"):
+            PostProcess(symmetrize=True, renorm=renorm)
 
     def test_directed_sym_renorm_uses_in_degrees(self):
         rng = np.random.default_rng(9)
         g = sparsify(as_diffusion(rng.random((30, 30)) + 0.05), TopK(5))
-        out = postprocess(g, PostProcess(renorm="sym"))
+        out = postprocess(g, PostProcess(renorm=Symmetric()))
         assert out.source.directed
         m = out.source.to_scipy().toarray()
         d_row = m.sum(axis=1)
@@ -564,13 +568,18 @@ class TestPostprocess:
         m[2, 2] = 0.05
         g = sparsify(as_diffusion(m), Threshold(0.3))
         # node 2 keeps neither its column (degree) nor its row (in-degree)
-        for renorm in ("rw", "sym"):
+        for renorm in (RandomWalk(), Symmetric()):
             with pytest.raises(InputError, match="node 2 has degree 0"):
                 postprocess(g, PostProcess(renorm=renorm))
 
     def test_renorm_checked_when_built(self):
         with pytest.raises(InputError, match="unknown renormalization 'bogus'"):
             PostProcess(renorm="bogus")
+        # the two normalizations only, as kinds; None is no renormalization
+        for renorm in ("none", SymmetricSelfLoop(), RandomWalk):
+            with pytest.raises(InputError, match="unknown renormalization") as err:
+                PostProcess(renorm=renorm)
+            assert repr(renorm) in str(err.value)
 
     def test_unweight_happens_before_symmetrize(self):
         # one-sided edge: unweight to 1, then average with the missing side

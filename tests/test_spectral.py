@@ -5,14 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import (Explicit, Heat, InputError, Ppr, RandomWalk,
-                            Symmetric, apply_poly_filter, diffuse, eigen,
-                            eigen_of_transition, eigenvalue_map,
+                            Symmetric, SymmetricSelfLoop, apply_poly_filter,
+                            diffuse, eigen, eigen_of_transition, eigenvalue_map,
                             filter_response_curve, laplacian,
                             largest_connected_component, load_graph,
                             spectrum_compare, theta_to_xi, theta_vector,
                             transition_matrix)
-from graphdiffusion.spectral import (DENSE_EIGEN_CAP, RANDOM_WALK, SYMMETRIC,
-                                     UNNORMALIZED)
+from graphdiffusion.spectral import DENSE_EIGEN_CAP
 from conftest import connected_er, random_theta
 
 
@@ -20,19 +19,26 @@ def k2():
     return load_graph([(0, 1)])
 
 
+def weighted_graph():
+    """A random weighted undirected graph on 30 nodes."""
+    rng = np.random.default_rng(4)
+    return load_graph([(i, j, rng.uniform(0.1, 5.0)) for i in range(30)
+                       for j in range(i + 1, 30) if rng.random() < 0.3])
+
+
 class TestLaplacian:
     def test_k2_unnormalized(self):
-        lap = laplacian(k2(), UNNORMALIZED).toarray()
+        lap = laplacian(k2(), None).toarray()
         np.testing.assert_allclose(lap, [[1, -1], [-1, 1]])
 
     def test_k2_symmetric(self):
-        lap = laplacian(k2(), SYMMETRIC).toarray()
+        lap = laplacian(k2(), Symmetric()).toarray()
         np.testing.assert_allclose(lap, [[1, -1], [-1, 1]])
 
     def test_triangle_symmetric_spectrum(self):
         g = load_graph([(0, 1), (1, 2), (2, 0)])
         # oracle: dense eigensolve of the explicit matrix
-        lam = np.linalg.eigvalsh(laplacian(g, SYMMETRIC).toarray())
+        lam = np.linalg.eigvalsh(laplacian(g, Symmetric()).toarray())
         np.testing.assert_allclose(np.sort(lam), [0.0, 1.5, 1.5], atol=1e-12)
 
     def test_of_transition_matrix(self):
@@ -41,22 +47,31 @@ class TestLaplacian:
         lap = laplacian(t).toarray()
         np.testing.assert_allclose(lap, np.eye(3) - t.matrix.toarray())
 
-    @pytest.mark.parametrize("name,kind", [(RANDOM_WALK, RandomWalk()),
-                                           (SYMMETRIC, Symmetric())])
+    @pytest.mark.parametrize("name,kind", [("rw", RandomWalk()),
+                                           ("sym", Symmetric())])
     def test_normalized_is_identity_minus_transition(self, name, kind):
-        rng = np.random.default_rng(4)
-        g = load_graph([(i, j, rng.uniform(0.1, 5.0)) for i in range(30)
-                        for j in range(i + 1, 30) if rng.random() < 0.3])
-        lap = laplacian(g, name).toarray()
+        g = weighted_graph()
+        lap = laplacian(g, kind).toarray()
         expected = np.eye(g.n) - transition_matrix(g, kind).matrix.toarray()
         np.testing.assert_array_equal(lap, expected)
+        # the kind is the one spelling; its former name is refused
+        with pytest.raises(InputError, match=f"unknown Laplacian kind '{name}'"):
+            laplacian(g, name)
+
+    def test_none_is_degree_minus_adjacency(self):
+        g = weighted_graph()
+        a = g.matrix.toarray()
+        expected = np.diag(a.sum(axis=0)) - a
+        # the diagonal's sums may differ from the dense ones in the last bit
+        np.testing.assert_allclose(laplacian(g, None).toarray(), expected,
+                                   rtol=1e-14, atol=0)
 
     def test_zero_degree_rejected(self):
         g = load_graph([(0, 1)], n_hint=3)
         with pytest.raises(InputError, match="node 2 has degree 0"):
-            laplacian(g, SYMMETRIC)
+            laplacian(g, Symmetric())
         # unnormalized form tolerates isolated nodes
-        lap = laplacian(g, UNNORMALIZED).toarray()
+        lap = laplacian(g, None).toarray()
         assert lap[2, 2] == 0
 
     def test_bad_argument_rejected(self):
@@ -64,6 +79,11 @@ class TestLaplacian:
             laplacian(np.eye(2))
         with pytest.raises(InputError, match="unknown Laplacian kind 'bogus'"):
             laplacian(load_graph([(0, 1)]), "bogus")
+        # the two normalizations only, as kinds; None is D - A
+        for kind in ("unnormalized", SymmetricSelfLoop(), Symmetric):
+            with pytest.raises(InputError, match="unknown Laplacian kind") as err:
+                laplacian(k2(), kind)
+            assert repr(kind) in str(err.value)
 
     def test_normalized_sums_degrees_once(self, monkeypatch):
         g = load_graph([(0, 1), (1, 2), (2, 0)])
@@ -75,7 +95,7 @@ class TestLaplacian:
             return real(self)
 
         monkeypatch.setattr(type(g), "degrees", counted)
-        laplacian(g, SYMMETRIC)
+        laplacian(g, Symmetric())
         assert len(calls) == 1
 
 
@@ -85,7 +105,7 @@ class TestEigen:
         np.testing.assert_allclose(rep.eigenvalues, np.ones(5))
 
     def test_k2_lsym(self):
-        rep = eigen(laplacian(k2(), SYMMETRIC))
+        rep = eigen(laplacian(k2(), Symmetric()))
         np.testing.assert_allclose(rep.eigenvalues, [0.0, 2.0], atol=1e-12)
 
     def test_zero_matrix(self):
@@ -140,7 +160,7 @@ class TestEigen:
 
     def test_lsym_spectrum_in_range(self):
         g = connected_er(100, 0.06, 2)
-        w = eigen(laplacian(g, SYMMETRIC)).eigenvalues
+        w = eigen(laplacian(g, Symmetric())).eigenvalues
         assert w.min() > -1e-9
         assert w.max() < 2 + 1e-9
 
