@@ -17,7 +17,7 @@ from .cluster import (ClusteringResult, EvalReport, SbmSpec, eval_gdc_clustering
 from .sparsify import (Gdc, PostProcess, TargetDegree, Threshold, TopK,
                        diffuse_graph, epsilon_for_degree, postprocess, sparsify)
 from .spectral import (SpectrumDelta, SpectrumReport, apply_poly_filter, eigen,
-                       eigen_of_transition, eigenvalue_map,
-                       filter_response_curve, laplacian, spectrum_compare)
+                       eigenvalue_map, filter_response_curve, laplacian,
+                       spectrum_compare, symmetric_operator)
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .graph import (RandomWalk, SparseGraph, Symmetric, SymmetricSelfLoop,
                     load_edge_list, read_lines, save_edge_list, write_lines,
                     write_meta)
 from .sparsify import Gdc, PostProcess, TargetDegree, Threshold, TopK, diffuse_graph
-from .spectral import eigen, filter_response_curve, laplacian, spectrum_compare
+from .spectral import eigen, filter_response_curve, spectrum_compare, symmetric_operator
 
 TOOL_VERSION = "0.1.0"
 
@@ -382,22 +382,13 @@ def cmd_transform(ns):
 def cmd_spectrum(ns):
     cfg = parse_config(ns, READS["spectrum"])
     output = cfg.values["output"]
-    g = load_edge_list(cfg.values["input"], directed=False)
-    g, _ = largest_connected_component(g)
-    before = eigen(laplacian(g, Symmetric()))
+    g = largest_connected_component(load_edge_list(cfg.values["input"]))[0]
 
-    result = diffuse_graph(g, cfg.gdc, threads=cfg.values["threads"])[0]
-    if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
-            and not result.source.directed):
-        # I - T_rw of a symmetric graph shares its spectrum with the
-        # symmetric normalized Laplacian of the same graph
-        after = eigen(laplacian(result.source, Symmetric()))
-    else:
-        # I - T, or L_sym of a graph, through its symmetric part, which is
-        # the matrix itself bit for bit when the output is undirected
-        lap = laplacian(result)
-        after = eigen((lap + lap.T) * 0.5)
+    def spectrum(x):
+        return eigen(sp.identity(x.n, format="csc") - symmetric_operator(x))
 
+    before = spectrum(g)
+    after = spectrum(diffuse_graph(g, cfg.gdc, threads=cfg.values["threads"])[0])
     delta = spectrum_compare(before, after)
     # eigen's eigenvalues are ascending, as spectrum_compare pairs them
     write_lines(output, ["index,lambda_before,lambda_after,delta", *(

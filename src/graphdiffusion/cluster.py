@@ -11,9 +11,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .engine import pool_map
 from .errors import ComputeError, InputError, check_number
-from .graph import (Symmetric, graph_from_edges, largest_connected_component,
-                    transition_matrix)
+from .graph import graph_from_edges, largest_connected_component
 from .sparsify import Gdc, diffuse_graph
+from .spectral import symmetric_operator
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -139,8 +139,8 @@ def spectral_embedding(g, num_clusters):
     each scaled to unit length.
 
     The bottom num_clusters eigenvectors of I - D^-1/2 A D^-1/2 are the top
-    eigenvectors of a = transition_matrix(g, Symmetric()), symmetrized as
-    (a + a.T) / 2, found by Lanczos iteration (ARPACK) from a fixed start
+    eigenvectors of spectral.symmetric_operator(g), the symmetric part of
+    D^-1/2 A D^-1/2, found by Lanczos iteration (ARPACK) from a fixed start
     vector, so repeated calls return identical arrays. A node of degree 0
     raises InputError naming it. Memory is O(nnz + N * num_clusters); no
     N x N array is formed. Columns run from the largest eigenvalue down.
@@ -155,8 +155,7 @@ def spectral_embedding(g, num_clusters):
     if num_clusters >= n:
         raise InputError(f"need fewer clusters than nodes, got {num_clusters} "
                          f"clusters for {n} nodes")
-    a = transition_matrix(g, Symmetric()).matrix
-    a = (a + a.T) * 0.5
+    a = symmetric_operator(g)
     # a fixed start vector makes the result a function of the input alone
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:

@@ -6,7 +6,7 @@ array, Fortran-ordered, inside a DiffusionMatrix with its certificate:
 
 * Exact(): geometric diffusion a (I - (1-a) T)^-1 forms the system
   matrix in Fortran order and inverts it in place by one LAPACK inverse,
-  densely at every size. When T is symmetric (a symmetric kind on an
+  densely at every size. When T.symmetric (a symmetric kind on an
   undirected graph) the system matrix is symmetric positive definite,
   since T's spectrum lies in [-1, 1] and so every eigenvalue is at least
   a; it is inverted by Cholesky, and the result is symmetric bit for bit.
@@ -69,7 +69,7 @@ from scipy import linalg
 
 from .coeffs import Explicit, Heat, Ppr, theta, theta_tail, truncation_k
 from .errors import ComputeError, InputError, check_number
-from .graph import RandomWalk, Symmetric, SymmetricSelfLoop
+from .graph import RandomWalk, SymmetricSelfLoop
 
 # After threshold pushes finish, residual is drained until its total mass
 # is below PUSH_L1_FACTOR * eps, tying the column's L1 error to eps.
@@ -205,9 +205,7 @@ def _exact_ppr(T, alpha, threads):
     a = m.toarray(order="F")
     a *= -(1.0 - alpha)
     a.flat[::n + 1] += 1.0
-    # transition_matrix makes these bit-symmetric
-    spd = isinstance(T.kind, (Symmetric, SymmetricSelfLoop)) and not T.source.directed
-    x = _inverse(a, spd)
+    x = _inverse(a, T.symmetric)
     x *= alpha
 
     def block_worst(lo):
@@ -469,9 +467,12 @@ def diffuse(T, spec, route=Exact(), threads=0):
     the symmetric kinds the series and closed-form bounds are multiplied by
     max_j sqrt(d_j / d_min), d the degrees (plus w under
     SymmetricSelfLoop(w)). tail_mass alone bounds the error on the random
-    walk only. The result's exactness names the route that ran: 'exact',
-    'series:K' (Exact() on heat or explicit weights included) or
-    'push:EPS'. threads sizes the pool of the series and push
+    walk only. Both bound the error in exact arithmetic only: a computed
+    error can exceed them by rounding. On the random walk the series'
+    error equals its tail, and Series(10) on Ppr(0.15) over a 1000-node
+    SBM read a bound of 1 - 2.3e-15 times its computed error. The result's
+    exactness names the route that ran: 'exact', 'series:K' (Exact() on
+    heat or explicit weights included) or 'push:EPS'. threads sizes the pool of the series and push
     blocks and of the closed form's residual check (see worker_count); the
     closed form's inverse runs on the BLAS library's own threads. The module
     docstring gives each route's time, memory and accuracy.

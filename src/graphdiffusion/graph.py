@@ -15,6 +15,7 @@ files, the CSV reports) is written by write_lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 import scipy.sparse as sp
@@ -190,19 +191,26 @@ def graph_from_edges(src, dst, weight, n=None, directed=False,
                      allow_self_loops=False):
     """SparseGraph from edge columns: source ids, target ids and weights.
 
-    Ids must be non-negative, weights positive and finite, and self-loops
-    are rejected unless allowed; the error names the first offending edge.
+    Ids must be non-negative integers within int64 (a float id a whole
+    number), weights positive and finite, and self-loops are rejected
+    unless allowed; the error names the first offending edge.
     Ids are densified to 0..N-1 (original_ids keeps them) unless n fixes
     the node count. Repeated (src, dst) edges sum their weights. Undirected
     edge {i, j} stores the larger of its two directed totals, so a mirrored
     listing does not double the weight while repeated lines accumulate.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    raw = src, dst
+    with np.errstate(invalid="ignore"):  # the cast of a NaN or infinite id
+        src, dst = (np.asarray(ids, dtype=np.int64) for ids in raw)
     wgt = np.asarray(weight, dtype=np.float64)
-    ok = (src >= 0) & (dst >= 0) & (wgt > 0) & (wgt < np.inf)
+    # the cast changes a fraction, NaN, infinity or float beyond int64
+    whole = (src == raw[0]) & (dst == raw[1])
+    ok = whole & (src >= 0) & (dst >= 0) & (wgt > 0) & (wgt < np.inf)
     bad = np.flatnonzero(~(ok & ((src != dst) | allow_self_loops)))
     if bad.size:
+        if not whole[bad[0]]:
+            raise InputError("node ids must be int64 integers, got "
+                             f"({raw[0][bad[0]]}, {raw[1][bad[0]]})")
         s, d, w = int(src[bad[0]]), int(dst[bad[0]]), float(wgt[bad[0]])
         if s < 0 or d < 0:
             raise InputError(f"node ids must be non-negative, got ({s}, {d})")
@@ -229,18 +237,43 @@ def graph_from_edges(src, dst, weight, n=None, directed=False,
                                   allow_loops=allow_self_loops)
 
 
+def _edge_ids(edges):
+    """The source and target ids of (src, dst[, weight]) edges as int64 arrays.
+
+    operator.index converts integers, numpy's included, and refuses any
+    other id, so ids that are all integers within int64 need no check of
+    their own. Otherwise each edge is checked in turn: an id that is not a
+    whole number, or that does not fit in int64, is an InputError naming
+    the first edge holding one.
+    """
+    try:
+        return [np.array([index(e[k]) for e in edges], dtype=np.int64)
+                for k in (0, 1)]
+    except (TypeError, OverflowError):
+        pass
+    for e in edges:
+        try:
+            ids = [int(i) for i in e[:2]]
+        except (TypeError, ValueError, OverflowError):  # e.g. NaN or infinity
+            ids = None
+        if ids is None or ids != list(e[:2]):
+            raise InputError(f"node id is not an integer in edge {e!r}")
+        if not all(-2**63 <= i < 2**63 for i in ids):
+            raise InputError(f"node id does not fit in int64 in edge {e!r}")
+    return [np.array([int(e[k]) for e in edges], dtype=np.int64) for k in (0, 1)]
+
+
 def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
-    """graph_from_edges on (src, dst[, weight]) tuples, weight 1.0 by default."""
+    """graph_from_edges on (src, dst[, weight]) tuples, weight 1.0 by default.
+
+    An id is an integer within int64 or a float that is a whole number;
+    any other is an InputError naming the first edge that holds one.
+    """
     edges = list(edges)
     if not set(map(len, edges)) <= {2, 3}:
         bad = next(e for e in edges if len(e) not in (2, 3))
         raise InputError(f"expected (src, dst[, weight]) edges, got {bad!r}")
-    try:
-        src = np.array([int(e[0]) for e in edges], dtype=np.int64)
-        dst = np.array([int(e[1]) for e in edges], dtype=np.int64)
-    except OverflowError:
-        bad = next(e for e in edges if not all(-2**63 <= int(i) < 2**63 for i in e[:2]))
-        raise InputError(f"node id does not fit in int64 in edge {bad!r}") from None
+    src, dst = _edge_ids(edges)
     wgt = np.array([float(e[2]) if len(e) == 3 else 1.0 for e in edges],
                    dtype=np.float64)
     return graph_from_edges(src, dst, wgt, n=n_hint, directed=directed,
@@ -286,6 +319,12 @@ class TransitionMatrix:
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    @property
+    def symmetric(self):
+        """True for a symmetric kind on an undirected source, the T that
+        transition_matrix makes symmetric bit for bit."""
+        return not (isinstance(self.kind, RandomWalk) or self.source.directed)
 
 
 def scaled(m, left, right=None):

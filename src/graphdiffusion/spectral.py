@@ -21,19 +21,40 @@ def laplacian(obj, kind=Symmetric()):
     kind is a degree normalization or None: RandomWalk() gives I - A D^-1
     and Symmetric() I - D^-1/2 A D^-1/2, each I - T of
     transition_matrix(obj, kind), and None the unnormalized D - A. Any
-    other kind is an InputError. The rw Laplacian is asymmetric; analyze it
-    through the symmetric kind, which shares its spectrum.
+    other kind is an InputError, on a TransitionMatrix too, whose own kind
+    is the one applied. The rw Laplacian is asymmetric; analyze it through
+    symmetric_operator, which shares its spectrum.
     """
+    if not isinstance(obj, (SparseGraph, TransitionMatrix)):
+        raise InputError("laplacian expects a SparseGraph or TransitionMatrix")
+    if kind is not None and not isinstance(kind, DegreeNormalization):
+        raise InputError(f"unknown Laplacian kind {kind!r}")
     if isinstance(obj, TransitionMatrix):
         return (sp.identity(obj.n, format="csc") - obj.matrix).tocsc()
-    if not isinstance(obj, SparseGraph):
-        raise InputError("laplacian expects a SparseGraph or TransitionMatrix")
     if kind is None:
         return (sp.diags(obj.degrees(), format="csc") - obj.to_scipy()).tocsc()
-    if not isinstance(kind, DegreeNormalization):
-        raise InputError(f"unknown Laplacian kind {kind!r}")
     # transition_matrix sums the degrees and rejects a zero one
     return laplacian(transition_matrix(obj, kind))
+
+
+def symmetric_operator(obj):
+    """The symmetric matrix whose spectrum stands for obj's, as CSC.
+
+    For a SparseGraph it is T_sym = transition_matrix(obj, Symmetric()).
+    For a random-walk TransitionMatrix on an undirected source it is T_sym
+    of that source, since T_rw = D^1/2 T_sym D^-1/2 shares its spectrum.
+    For any other TransitionMatrix it is T itself. The matrix m is returned
+    as its symmetric part (m + m.T) / 2: m bit for bit when m is symmetric
+    (T_sym of an undirected graph, or T.symmetric), and the part whose
+    eigenvalues are read for a directed one.
+    """
+    if isinstance(obj, SparseGraph):
+        obj = transition_matrix(obj, Symmetric())
+    elif not isinstance(obj, TransitionMatrix):
+        raise InputError("symmetric_operator takes a SparseGraph or TransitionMatrix")
+    elif isinstance(obj.kind, RandomWalk) and not obj.source.directed:
+        obj = transition_matrix(obj.source, Symmetric())
+    return (obj.matrix + obj.matrix.T) * 0.5
 
 
 @dataclass
@@ -47,11 +68,11 @@ class SpectrumReport:
 def eigen(matrix, want_vectors=False, cap=DENSE_EIGEN_CAP):
     """Dense symmetric eigendecomposition, ascending order.
 
-    Asymmetric input is refused: random-walk normalized operators share
-    their spectrum with the symmetric kind via the similarity transform
-    D^1/2 T_rw D^-1/2, so analyze that instead. A matrix of more than cap
-    rows is refused from its shape, before a sparse one is made dense; pass
-    a larger cap to decompose it anyway.
+    Asymmetric input is refused: symmetric_operator gives the symmetric
+    matrix that stands for a graph's or a transition matrix's spectrum,
+    random-walk kinds included. A matrix of more than cap rows is refused
+    from its shape, before a sparse one is made dense; pass a larger cap to
+    decompose it anyway.
     """
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -63,23 +84,11 @@ def eigen(matrix, want_vectors=False, cap=DENSE_EIGEN_CAP):
                    dtype=np.float64)
     scale = max(1.0, float(np.abs(m).max()) if n else 1.0)
     if n and float(np.abs(m - m.T).max()) > 1e-10 * scale:
-        raise InputError("matrix is not symmetric; analyze random-walk "
-                         "operators via their similar symmetric form")
+        raise InputError("matrix is not symmetric; pass symmetric_operator(x) instead")
     if want_vectors:
         w, u = np.linalg.eigh(m)
         return SpectrumReport(w, u)
     return SpectrumReport(np.linalg.eigvalsh(m), None)
-
-
-def eigen_of_transition(t, want_vectors=False, cap=DENSE_EIGEN_CAP):
-    """Spectrum of a TransitionMatrix; RW kinds go through T_sym.
-
-    T_rw is similar to transition_matrix(t.source, Symmetric()), which is
-    symmetric only for an undirected source; eigen refuses a directed one.
-    """
-    if isinstance(t.kind, RandomWalk):
-        t = transition_matrix(t.source, Symmetric())
-    return eigen(t.matrix, want_vectors, cap=cap)
 
 
 def eigenvalue_map(spec, lam):

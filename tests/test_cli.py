@@ -6,15 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import graphdiffusion
 from graphdiffusion import (ComputeError, Exact, Gdc, Heat, PostProcess, Ppr, Push,
                             RandomWalk, Series, Symmetric, SymmetricSelfLoop,
-                            TargetDegree, Threshold, TopK, load_edge_list,
-                            truncation_k)
-from graphdiffusion.cli import (METHODS, ROUTES, RULES, TRANSITIONS, UsageError,
-                                _parse, _read_config_file, _read_vector, _render,
-                                build_parser, main, parse_config, run_pipeline)
+                            TargetDegree, Threshold, TopK, TransitionMatrix,
+                            diffuse_graph, eigen, laplacian,
+                            largest_connected_component, load_edge_list,
+                            transition_matrix, truncation_k)
+from graphdiffusion import cluster as cluster_mod
+from graphdiffusion.cli import (METHODS, READS, ROUTES, RULES, TRANSITIONS,
+                                UsageError, _parse, _read_config_file, _read_vector,
+                                _render, build_parser, main, parse_config,
+                                run_pipeline)
+from graphdiffusion.cluster import spectral_embedding
 from graphdiffusion.graph import read_edge_list
 from graphdiffusion.spectral import DENSE_EIGEN_CAP
 
@@ -1172,6 +1178,67 @@ class TestSmallGraphs:
                          f"topk:{k}", "--output", str(out)]) == 0
             runs.append((out.read_text(), capsys.readouterr().out))
         assert runs[0] == runs[1]
+
+
+def spectrum_reference(g, result):
+    """spectrum's before and after eigenvalues by its formulas before
+    symmetric_operator: L_sym of the input; for the output, L_sym of its
+    source when it is a random walk on an undirected graph, else the
+    symmetric part of its Laplacian (I - T, or L_sym of a graph)."""
+    before = eigen(laplacian(g, Symmetric()))
+    if (isinstance(result, TransitionMatrix) and isinstance(result.kind, RandomWalk)
+            and not result.source.directed):
+        after = eigen(laplacian(result.source, Symmetric()))
+    else:
+        lap = laplacian(result)
+        after = eigen((lap + lap.T) * 0.5)
+    return before.eigenvalues, after.eigenvalues
+
+
+def embedding_operator_reference(g):
+    """The matrix spectral_embedding ran Lanczos on before symmetric_operator."""
+    a = transition_matrix(g, Symmetric()).matrix
+    return (a + a.T) * 0.5
+
+
+class TestSymmetricOperatorPinned:
+    """spectrum and the clustering embedding read symmetric_operator and
+    match the formulas it replaced bit for bit, on every renormalization,
+    symmetrization and transition of the pipeline."""
+
+    @pytest.mark.parametrize("renorm", ["rw", "sym", "none"])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    @pytest.mark.parametrize("transition", ["rw", "sym", "symloop:2"])
+    def test_matches_reference(self, tmp_path, sbm_40, monkeypatch, renorm,
+                               symmetrize, transition):
+        flags = ["--input", sbm_40, "--renorm", renorm, "--transition",
+                 transition, "--sparsify", "topk:8"]
+        flags += [] if symmetrize else ["--no-symmetrize"]
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--output", str(out)] + flags) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        got = np.array([[float(v) for v in row[1:3]] for row in rows])
+
+        cfg = parse_config(build_parser().parse_args(
+            ["spectrum", "--output", str(out)] + flags), READS["spectrum"])
+        g = largest_connected_component(load_edge_list(sbm_40))[0]
+        result = diffuse_graph(g, cfg.gdc)[0]
+        before, after = spectrum_reference(g, result)
+        np.testing.assert_array_equal(got[:, 0], before)
+        np.testing.assert_array_equal(got[:, 1], after)
+
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return eigsh(a, *args, **kwargs)
+        monkeypatch.setattr(cluster_mod, "eigsh", recording)
+        graph = result.source if isinstance(result, TransitionMatrix) else result
+        spectral_embedding(graph, 2)
+        (a,) = seen
+        ref = embedding_operator_reference(graph)
+        assert a.format == ref.format == "csc"
+        assert (a != ref).nnz == 0
 
 
 def test_cli_import_skips_slow_scipy_modules():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestLoadGraphAgainstLoop:
         assert_same_graph(g, load_graph_reference([(3, 5), (5, 8)]))
 
 
+    @pytest.mark.parametrize("bad", [0.7, -0.5, np.nan, np.inf, 2.0 ** 63])
+    def test_graph_from_edges_refuses_non_integral_ids(self, bad):
+        src, dst = np.array([0.0, 2.0, 3.0]), np.array([1.0, bad, bad])
+        with pytest.raises(InputError, match=re.escape(
+                f"node ids must be int64 integers, got (2.0, {bad})")):
+            graph_from_edges(src, dst, np.ones(3))
+        # whole floats build the graph their integers build
+        g = graph_from_edges(np.array([3.0, 5.0]), np.array([5.0, 8.0]), np.ones(2))
+        assert_same_graph(g, load_graph_reference([(3, 5), (5, 8)]))
+
+
 class TestLoadGraph:
     def test_single_edge(self):
         g = load_graph([(0, 1)])
@@ -167,6 +179,19 @@ class TestLoadGraph:
         edges = [(0, 1), (2, 3), (1, big, 2.0), (big, 4)]
         with pytest.raises(InputError, match=rf"int64 in edge \(1, {big}, 2\.0\)"):
             load_graph(edges)
+
+    @pytest.mark.parametrize("bad", [0.7, 1.5, float("nan"), float("inf"),
+                                     np.float64(2.5)])
+    def test_non_integral_id_named(self, bad):
+        # int() would truncate 0.7 to 0 and build edge (0, 1)
+        edges = [(1, 2), (3, 4.0), (bad, 1.9 if bad == 0.7 else 1), (5, bad)]
+        with pytest.raises(InputError, match=r"not an integer in edge") as err:
+            load_graph(edges)
+        assert str(err.value).endswith(repr(edges[2]))
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        g = load_graph([(0.0, np.int32(1)), (np.int64(1), 2.0, 3.0)])
+        assert_same_graph(g, load_graph([(0, 1), (1, 2, 3.0)]))
 
     def test_n_hint_keeps_isolated(self):
         g = load_graph([(0, 1)], n_hint=4)

@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from graphdiffusion import (Explicit, Heat, InputError, Ppr, RandomWalk,
-                            Symmetric, SymmetricSelfLoop, apply_poly_filter,
-                            diffuse, eigen, eigen_of_transition, eigenvalue_map,
+                            SparseGraph, Symmetric, SymmetricSelfLoop,
+                            apply_poly_filter, diffuse, eigen, eigenvalue_map,
                             filter_response_curve, laplacian,
                             largest_connected_component, load_graph,
-                            spectrum_compare, theta_to_xi, theta_vector,
-                            transition_matrix)
+                            spectrum_compare, symmetric_operator, theta_to_xi,
+                            theta_vector, transition_matrix)
 from graphdiffusion.spectral import DENSE_EIGEN_CAP
 from conftest import connected_er, random_theta
 
@@ -85,6 +85,19 @@ class TestLaplacian:
                 laplacian(k2(), kind)
             assert repr(kind) in str(err.value)
 
+    def test_kind_checked_on_transition_matrix(self):
+        t = transition_matrix(load_graph([(0, 1), (1, 2)]), Symmetric())
+        for kind in ("bogus", SymmetricSelfLoop()):
+            with pytest.raises(InputError) as on_graph:
+                laplacian(t.source, kind)
+            with pytest.raises(InputError) as on_transition:
+                laplacian(t, kind)
+            assert str(on_transition.value) == str(on_graph.value)
+        # every accepted kind leaves a transition matrix's I - T as it is
+        for kind in (None, RandomWalk(), Symmetric()):
+            np.testing.assert_array_equal(laplacian(t, kind).toarray(),
+                                          np.eye(3) - t.matrix.toarray())
+
     def test_normalized_sums_degrees_once(self, monkeypatch):
         g = load_graph([(0, 1), (1, 2), (2, 0)])
         calls = []
@@ -125,16 +138,18 @@ class TestEigen:
     def test_asymmetric_rejected(self):
         g = load_graph([(0, 1), (1, 2)])
         t = transition_matrix(g, RandomWalk())
-        with pytest.raises(InputError, match="symmetric"):
+        with pytest.raises(InputError, match="not symmetric.*symmetric_operator"):
             eigen(t.matrix)
 
     def test_rw_analyzed_via_similarity(self):
         g = connected_er(40, 0.15, 1)
         t_rw = transition_matrix(g, RandomWalk())
         t_sym = transition_matrix(g, Symmetric())
-        a = eigen_of_transition(t_rw).eigenvalues
-        b = eigen(t_sym.matrix).eigenvalues
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        m = symmetric_operator(t_rw)
+        assert (m != t_sym.matrix).nnz == 0
+        # T_rw = D^1/2 T_sym D^-1/2 shares the spectrum it stands for
+        rw_eigenvalues = np.sort(np.linalg.eigvals(t_rw.matrix.toarray()).real)
+        np.testing.assert_allclose(eigen(m).eigenvalues, rw_eigenvalues, atol=1e-10)
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError, match="square"):
@@ -163,6 +178,47 @@ class TestEigen:
         w = eigen(laplacian(g, Symmetric())).eigenvalues
         assert w.min() > -1e-9
         assert w.max() < 2 + 1e-9
+
+
+def directed_graph():
+    """A random weighted directed graph on 30 nodes, every degree positive."""
+    rng = np.random.default_rng(7)
+    m = sp.random(30, 30, density=0.2, random_state=rng, format="csc")
+    m.data = rng.uniform(0.1, 5.0, m.data.size)
+    m = m + sp.diags(np.ones(30))  # a self-loop on every node
+    return SparseGraph.from_scipy(m, directed=True, allow_loops=True)
+
+
+class TestSymmetricOperator:
+    def test_graph_is_symmetric_transition(self):
+        g = weighted_graph()
+        m = symmetric_operator(g)
+        assert m.format == "csc"
+        assert (m != transition_matrix(g, Symmetric()).matrix).nnz == 0
+
+    @pytest.mark.parametrize("kind", [Symmetric(), SymmetricSelfLoop(2.0)])
+    def test_symmetric_kind_is_itself(self, kind):
+        t = transition_matrix(weighted_graph(), kind)
+        assert t.symmetric
+        assert (t.matrix != t.matrix.T).nnz == 0
+        assert (symmetric_operator(t) != t.matrix).nnz == 0
+
+    @pytest.mark.parametrize("kind", [RandomWalk(), Symmetric(),
+                                      SymmetricSelfLoop()])
+    def test_directed_source_is_symmetric_part(self, kind):
+        t = transition_matrix(directed_graph(), kind)
+        assert not t.symmetric
+        a = t.matrix.toarray()
+        assert not np.array_equal(a, a.T)
+        np.testing.assert_array_equal(symmetric_operator(t).toarray(),
+                                      (a + a.T) * 0.5)
+
+    def test_random_walk_is_never_symmetric(self):
+        assert not transition_matrix(weighted_graph(), RandomWalk()).symmetric
+
+    def test_bad_argument_rejected(self):
+        with pytest.raises(InputError, match="takes a SparseGraph or TransitionMatrix"):
+            symmetric_operator(np.eye(2))
 
 
 class TestEigenvalueMap:
