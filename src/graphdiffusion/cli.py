@@ -354,7 +354,7 @@ def run_pipeline(cfg):
         "tool_version": TOOL_VERSION,
         "exactness": exactness,
     })
-    for name, value in (certificate or {}).items():
+    for name, value in certificate.items():
         meta[f"certificate_{name}"] = repr(float(value))
 
     t0 = time.perf_counter()

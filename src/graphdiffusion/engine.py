@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
@@ -163,7 +163,7 @@ class DiffusionMatrix:
     data: np.ndarray  # dense N x N, Fortran-ordered on every route
     exactness: str  # 'exact', 'series:K', 'push:EPS'
     # error accounting of the computation, e.g. {'residual_max': ...}
-    certificate: dict | None = None
+    certificate: dict = field(default_factory=dict)
 
 
 def _inverse(a, spd):
@@ -472,10 +472,11 @@ def diffuse(T, spec, route=Exact(), threads=0):
     error equals its tail, and Series(10) on Ppr(0.15) over a 1000-node
     SBM read a bound of 1 - 2.3e-15 times its computed error. The result's
     exactness names the route that ran: 'exact', 'series:K' (Exact() on
-    heat or explicit weights included) or 'push:EPS'. threads sizes the pool of the series and push
-    blocks and of the closed form's residual check (see worker_count); the
-    closed form's inverse runs on the BLAS library's own threads. The module
-    docstring gives each route's time, memory and accuracy.
+    heat or explicit weights included) or 'push:EPS'. threads sizes the
+    pool of the series and push blocks and of the closed form's residual
+    check (see worker_count); the closed form's inverse runs on the BLAS
+    library's own threads. The module docstring gives each route's time,
+    memory and accuracy.
     """
     check_route(T.kind, spec, route)
     if isinstance(route, Push):

@@ -5,6 +5,13 @@ strictly positive and finite, and row indices are sorted and unique within
 each column; graph_from_edges sums repeated edges. Undirected graphs store
 every edge in both triangles so the matrix is exactly symmetric.
 
+Every edge list enters through graph_from_edges (load_graph and
+load_edge_list split theirs into its columns), which checks every edge
+under one rule: both ids are whole numbers within int64 and non-negative,
+the weight is a positive finite number, and the edge is no self-loop
+unless allowed. The InputError names the first offending edge in input
+order, whatever its fault.
+
 Every text file the package reads (edge lists, config and weight files) is
 read by read_lines, under one rule: '#' starts a comment, lines left blank
 are skipped, and line numbers count every line so that an error can name
@@ -15,7 +22,6 @@ files, the CSV reports) is written by write_lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,11 +65,12 @@ class SparseGraph:
     """Immutable weighted graph in CSC form.
 
     The graph is one scipy CSC matrix, validated once when the graph is
-    built: values > 0 and finite, rows in range, sorted and unique within
-    each column, no self-loops unless allowed, exact symmetry when
-    undirected, and one original id per node. Every graph, from_scipy's
-    included, enters through that validation; nothing is repaired. Its
-    index arrays keep scipy's dtype (int32 while they fit).
+    built: integer index arrays (checked before scipy, which would truncate
+    float ones), numeric values, values > 0 and finite, rows in range,
+    sorted and unique within each column, no self-loops unless allowed,
+    exact symmetry when undirected, and one original id per node. Every
+    graph, from_scipy's included, enters through that validation; nothing
+    is repaired. Its index arrays keep scipy's dtype (int32 while they fit).
 
     The stored arrays, original_ids included, are read-only views of the
     arrays passed in, which are not copied (ids that are not int64 are
@@ -85,11 +92,16 @@ class SparseGraph:
     def __init__(self, n, col_ptr, row_idx, values, directed,
                  original_ids=None, allow_loops=False):
         self.n = int(n)
-        # checked first: scipy would reject some with a ValueError of its
-        # own, and silently drop the entries past a short col_ptr[-1]
-        if np.shape(col_ptr) != (self.n + 1,):
+        # checked first: scipy would truncate float indices, reject some
+        # arrays with a ValueError or TypeError of its own, and silently drop
+        # the entries past a short col_ptr[-1]
+        col_ptr, row_idx, values = map(np.asarray, (col_ptr, row_idx, values))
+        if any(a.size and a.dtype.kind not in kinds for a, kinds in
+               ((col_ptr, "iu"), (row_idx, "iu"), (values, "biuf"))):
+            raise InputError("index arrays must be integers and values numbers")
+        if col_ptr.shape != (self.n + 1,):
             raise InputError("column pointer array has wrong length")
-        if col_ptr[0] != 0 or not col_ptr[-1] == np.size(row_idx) == np.size(values):
+        if col_ptr[0] != 0 or not col_ptr[-1] == row_idx.size == values.size:
             raise InputError("column pointers must run from 0 to the entry count")
         m = self.matrix = sp.csc_matrix(
             (np.asarray(values, dtype=np.float64), row_idx, col_ptr),
@@ -187,37 +199,66 @@ class SparseGraph:
                 and np.array_equal(self.values, other.values))
 
 
+def _column(raw, dtype):
+    """raw as a dtype array, and a mask of the values that it holds.
+
+    numpy converts the column to its own type for it (int64 for Python
+    ints, float64 for floats) and, where that is not dtype, casts it to
+    dtype. Only if numpy refuses the column (a None id, text that is no
+    number, a number beyond dtype, a NaN or infinite id) is it converted
+    half by half, down to the single values that numpy refuses, each of
+    them becoming 0 and unmarked: k of them cost O(k log N) conversions.
+    The cast to int64 parses text, cuts fractions and wraps uint64, so an
+    id it made is marked only if it equals the value given; a weight is
+    marked unless it is NaN, as numpy casts a None weight.
+    """
+    try:
+        col = given = np.asarray(raw)
+        if col.dtype != dtype:
+            with np.errstate(invalid="raise"):  # a NaN, infinite or oversized float id
+                col = np.asarray(raw, dtype=dtype)
+            given = np.asarray(raw, dtype=object) if dtype is np.int64 else col
+    except (TypeError, ValueError, OverflowError, FloatingPointError):
+        if len(raw) == 1:
+            return np.zeros(1, dtype), np.zeros(1, bool)
+        half = len(raw) // 2
+        cols, held = zip(_column(raw[:half], dtype), _column(raw[half:], dtype))
+        return np.concatenate(cols), np.concatenate(held)
+    return col, col == given  # NaN equals nothing
+
+
 def graph_from_edges(src, dst, weight, n=None, directed=False,
                      allow_self_loops=False):
     """SparseGraph from edge columns: source ids, target ids and weights.
 
-    Ids must be non-negative integers within int64 (a float id a whole
-    number), weights positive and finite, and self-loops are rejected
-    unless allowed; the error names the first offending edge.
+    Every edge entering the package is checked here, under one rule: both
+    ids are whole numbers (an integral float included) within int64 and
+    non-negative, the weight is a positive finite number, and the edge is
+    no self-loop unless allowed. The InputError names the first offending
+    edge in input order, whatever its fault, as (src, dst, weight).
     Ids are densified to 0..N-1 (original_ids keeps them) unless n fixes
     the node count. Repeated (src, dst) edges sum their weights. Undirected
     edge {i, j} stores the larger of its two directed totals, so a mirrored
     listing does not double the weight while repeated lines accumulate.
     """
-    raw = src, dst
-    with np.errstate(invalid="ignore"):  # the cast of a NaN or infinite id
-        src, dst = (np.asarray(ids, dtype=np.int64) for ids in raw)
-    wgt = np.asarray(weight, dtype=np.float64)
-    # the cast changes a fraction, NaN, infinity or float beyond int64
-    whole = (src == raw[0]) & (dst == raw[1])
-    ok = whole & (src >= 0) & (dst >= 0) & (wgt > 0) & (wgt < np.inf)
+    raw = src, dst, weight
+    (src, src_ok), (dst, dst_ok), (wgt, wgt_ok) = (
+        _column(c, dtype) for c, dtype in zip(raw, (np.int64, np.int64, np.float64)))
+    ok = src_ok & dst_ok & wgt_ok & (src >= 0) & (dst >= 0) & (wgt > 0) & (wgt < np.inf)
     bad = np.flatnonzero(~(ok & ((src != dst) | allow_self_loops)))
     if bad.size:
-        if not whole[bad[0]]:
-            raise InputError("node ids must be int64 integers, got "
-                             f"({raw[0][bad[0]]}, {raw[1][bad[0]]})")
-        s, d, w = int(src[bad[0]]), int(dst[bad[0]]), float(wgt[bad[0]])
-        if s < 0 or d < 0:
-            raise InputError(f"node ids must be non-negative, got ({s}, {d})")
-        if not 0 < w < np.inf:
-            raise InputError(f"edge weight must be positive and finite, got {w} "
-                             f"on ({s}, {d})")
-        raise InputError(f"self-loop on node {s} rejected")
+        i = bad[0]
+        edge = tuple(np.array(c[i]).tolist() for c in raw)  # numpy scalars as Python's
+        if not (src_ok[i] and dst_ok[i]):
+            whole = all(isinstance(v, (int, float)) and v % 1 == 0 for v in edge[:2])
+            fault = "does not fit in int64" if whole else "is not an integer"
+            raise InputError(f"node id {fault} in edge {edge!r}")
+        if src[i] < 0 or dst[i] < 0:
+            raise InputError(f"node ids must be non-negative, got ({src[i]}, {dst[i]})")
+        if not (wgt_ok[i] and 0 < wgt[i] < np.inf):
+            raise InputError("edge weight must be positive and finite, got "
+                             f"{edge[2]!r} on ({src[i]}, {dst[i]})")
+        raise InputError(f"self-loop on node {src[i]} rejected")
 
     if n is None:
         original_ids, dense = np.unique(np.concatenate([src, dst]),
@@ -237,47 +278,20 @@ def graph_from_edges(src, dst, weight, n=None, directed=False,
                                   allow_loops=allow_self_loops)
 
 
-def _edge_ids(edges):
-    """The source and target ids of (src, dst[, weight]) edges as int64 arrays.
-
-    operator.index converts integers, numpy's included, and refuses any
-    other id, so ids that are all integers within int64 need no check of
-    their own. Otherwise each edge is checked in turn: an id that is not a
-    whole number, or that does not fit in int64, is an InputError naming
-    the first edge holding one.
-    """
-    try:
-        return [np.array([index(e[k]) for e in edges], dtype=np.int64)
-                for k in (0, 1)]
-    except (TypeError, OverflowError):
-        pass
-    for e in edges:
-        try:
-            ids = [int(i) for i in e[:2]]
-        except (TypeError, ValueError, OverflowError):  # e.g. NaN or infinity
-            ids = None
-        if ids is None or ids != list(e[:2]):
-            raise InputError(f"node id is not an integer in edge {e!r}")
-        if not all(-2**63 <= i < 2**63 for i in ids):
-            raise InputError(f"node id does not fit in int64 in edge {e!r}")
-    return [np.array([int(e[k]) for e in edges], dtype=np.int64) for k in (0, 1)]
-
-
 def load_graph(edges, n_hint=None, directed=False, allow_self_loops=False):
     """graph_from_edges on (src, dst[, weight]) tuples, weight 1.0 by default.
 
-    An id is an integer within int64 or a float that is a whole number;
-    any other is an InputError naming the first edge that holds one.
+    A tuple of another length is an InputError naming it; the ids and
+    weights are split into columns as given, and graph_from_edges checks
+    them, naming the first offending edge as (src, dst, weight).
     """
     edges = list(edges)
     if not set(map(len, edges)) <= {2, 3}:
         bad = next(e for e in edges if len(e) not in (2, 3))
         raise InputError(f"expected (src, dst[, weight]) edges, got {bad!r}")
-    src, dst = _edge_ids(edges)
-    wgt = np.array([float(e[2]) if len(e) == 3 else 1.0 for e in edges],
-                   dtype=np.float64)
-    return graph_from_edges(src, dst, wgt, n=n_hint, directed=directed,
-                            allow_self_loops=allow_self_loops)
+    return graph_from_edges([e[0] for e in edges], [e[1] for e in edges],
+                            [e[2] if len(e) == 3 else 1.0 for e in edges],
+                            n=n_hint, directed=directed, allow_self_loops=allow_self_loops)
 
 
 def largest_connected_component(g):

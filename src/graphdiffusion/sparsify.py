@@ -286,10 +286,9 @@ def diffuse_graph(g, gdc, threads=0):
     The dense diffusion matrix does not outlive the sparsify stage, so
     postprocess runs without it; call diffuse for the matrix itself.
     Returns (result, certificate, exactness, eps, seconds): the postprocess
-    result, the diffusion's error certificate (a dict, or None) and
-    exactness (the route that ran, as DiffusionMatrix.exactness), the
-    threshold applied (None for top-k) and the wall time of each stage by
-    name.
+    result, the diffusion's error certificate (a dict), exactness (the
+    route that ran, as DiffusionMatrix.exactness), the threshold applied
+    (None for top-k) and the wall time of each stage by name.
     """
     t0 = time.perf_counter()
     t = transition_matrix(g, gdc.transition)

@@ -129,8 +129,9 @@ class TestLoadGraphAgainstLoop:
     @pytest.mark.parametrize("bad", [0.7, -0.5, np.nan, np.inf, 2.0 ** 63])
     def test_graph_from_edges_refuses_non_integral_ids(self, bad):
         src, dst = np.array([0.0, 2.0, 3.0]), np.array([1.0, bad, bad])
+        fault = "does not fit in int64" if bad == 2.0 ** 63 else "is not an integer"
         with pytest.raises(InputError, match=re.escape(
-                f"node ids must be int64 integers, got (2.0, {bad})")):
+                f"node id {fault} in edge (2.0, {bad}, 1.0)")):
             graph_from_edges(src, dst, np.ones(3))
         # whole floats build the graph their integers build
         g = graph_from_edges(np.array([3.0, 5.0]), np.array([5.0, 8.0]), np.ones(2))
@@ -187,7 +188,7 @@ class TestLoadGraph:
         edges = [(1, 2), (3, 4.0), (bad, 1.9 if bad == 0.7 else 1), (5, bad)]
         with pytest.raises(InputError, match=r"not an integer in edge") as err:
             load_graph(edges)
-        assert str(err.value).endswith(repr(edges[2]))
+        assert str(err.value).endswith(f"edge ({float(bad)!r}, {edges[2][1]!r}, 1.0)")
 
     def test_integral_floats_and_numpy_ints_accepted(self):
         g = load_graph([(0.0, np.int32(1)), (np.int64(1), 2.0, 3.0)])
@@ -211,7 +212,84 @@ class TestLoadGraph:
         np.testing.assert_array_equal(rows, [1])
 
 
+def column_dtype(column):
+    """int64 for ints within int64, float64 for floats, else object."""
+    if all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in column):
+        return np.int64
+    return np.float64 if all(type(v) is float for v in column) else object
+
+
+# each entry point takes (src, dst[, weight]) edges in its own form
+EDGE_ENTRY_POINTS = {
+    "load_graph-tuples": load_graph,
+    "graph_from_edges-lists": lambda edges: graph_from_edges(
+        *map(list, zip(*[(*e, 1.0)[:3] for e in edges]))),
+    "graph_from_edges-arrays": lambda edges: graph_from_edges(
+        *(np.array(c, dtype=column_dtype(c))
+          for c in zip(*[(*e, 1.0)[:3] for e in edges]))),
+}
+
+
+class TestEdgeRule:
+    """Every fault, at every entry point, is one InputError naming the
+    first offending edge in input order."""
+
+    @pytest.mark.parametrize("entry", EDGE_ENTRY_POINTS)
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1, -1.0), (0.5, 2)],
+         "edge weight must be positive and finite, got -1.0 on (0, 1)"),
+        ([(1, 0), (2 ** 64 + 5, 1)],
+         "node id does not fit in int64 in edge (18446744073709551621, 1, 1.0)"),
+        ([(1, 0), (-2 ** 63 - 1, 1)],
+         "node id does not fit in int64 in edge (-9223372036854775809, 1, 1.0)"),
+        ([(0.0, 1.0), (2.0 ** 63, 1.0)],
+         "node id does not fit in int64 in edge (9.223372036854776e+18, 1.0, 1.0)"),
+        ([(1, 0), (None, 1)], "node id is not an integer in edge (None, 1, 1.0)"),
+        ([(1, 0), (np.nan, 1)], "node id is not an integer in edge (nan, 1, 1.0)"),
+        ([(1.0, 0.0), (np.inf, 1.0)],
+         "node id is not an integer in edge (inf, 1.0, 1.0)"),
+        ([(0.0, 1.0), (2.0, 0.5)], "node id is not an integer in edge (2.0, 0.5, 1.0)"),
+        ([(1, 0), ("5", 1)], "node id is not an integer in edge ('5', 1, 1.0)"),
+        ([(0, 1, None)], "edge weight must be positive and finite, got None on (0, 1)"),
+        ([(0, 1, "abc")], "edge weight must be positive and finite, got 'abc' on (0, 1)"),
+        ([(0, 1, 2 ** 1100)],
+         f"edge weight must be positive and finite, got {2 ** 1100} on (0, 1)"),
+        ([(0, 1), (1, 2, np.nan)],
+         "edge weight must be positive and finite, got nan on (1, 2)"),
+        ([(0, 1, 0.0), (None, 1)],
+         "edge weight must be positive and finite, got 0.0 on (0, 1)"),
+        ([(0, 1, "abc"), (-1, 2)],
+         "edge weight must be positive and finite, got 'abc' on (0, 1)"),
+        ([(0, 1), (-1, 2, None)], "node ids must be non-negative, got (-1, 2)"),
+        ([(0, 1), (3, 3), (0.5, 1)], "self-loop on node 3 rejected"),
+        ([(0, 1), (3, 3, None)],
+         "edge weight must be positive and finite, got None on (3, 3)"),
+    ], ids=["weight-before-fraction-id", "id-beyond-uint64", "id-below-int64",
+            "float-id-beyond-int64", "none-id", "nan-id", "inf-id", "fraction-id",
+            "text-id", "none-weight", "text-weight", "weight-beyond-float",
+            "nan-weight", "weight-before-none-id", "text-weight-before-negative-id",
+            "negative-id-before-weight", "self-loop-before-fraction-id",
+            "weight-before-self-loop"])
+    def test_every_entry_point_names_it(self, entry, edges, message):
+        with pytest.raises(InputError) as err:
+            EDGE_ENTRY_POINTS[entry](edges)
+        assert str(err.value) == message
+
+
 class TestValidate:
+    @pytest.mark.parametrize("ptr,rows,vals,message", [
+        ([0, 1, 2], [1.5, 0], [1.0, 1.0], "index arrays must be integers"),
+        ([0, 1.7, 2], [1, 0], [1.0, 1.0], "index arrays must be integers"),
+        ([0, 1, 2], [1, None], [1.0, 1.0], "index arrays must be integers"),
+        ([0, 1, 2], [1, 0], ["a", "b"], "and values numbers"),
+        ([0, 1, 2], [1, 0], [None, 1.0], "and values numbers"),
+    ], ids=["float-rows", "float-pointers", "none-row", "text-values", "none-value"])
+    def test_non_integer_indices_and_non_numbers_rejected(self, ptr, rows, vals,
+                                                         message):
+        # scipy truncates float indices, so row 1.5 would build row 1
+        with pytest.raises(InputError, match=message):
+            SparseGraph(2, ptr, rows, vals, directed=True)
+
     @pytest.mark.parametrize("rows,col", [
         ([1, 2, 0, 0, 1], 1),   # column 1 unsorted
         ([1, 0, 2, 1, 1], 2),   # column 2 holds row 1 twice
